@@ -2,7 +2,8 @@
 the end-to-end synthetic comparison (reproduce-synthetic).
 
 Exit codes: 0 success (and bounds hold), 1 internal error / bounds violated,
-2 usage error, 3 IO failure, 4 unsupported data.
+2 usage error, 3 IO failure, 4 unsupported data or a malformed dataset or
+checkpoint file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .data import (Dataset, DatasetFormatError, gen_blob_dataset,
                    gen_patch_dataset, load_dataset, load_dataset_csv,
                    save_dataset)
 from .evaluate import evaluate_model
-from .model import load_checkpoint, save_checkpoint
+from .model import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .theory import NonUniformClassSizeError, verify_theorem
 from .trainer import OBJECTIVES, TrainConfig, train
 
@@ -308,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSUPPORTED
     except DatasetFormatError as exc:
         print(f"bad dataset file: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except CheckpointFormatError as exc:
+        print(f"bad checkpoint file: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

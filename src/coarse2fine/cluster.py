@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import column_means
+
 
 @dataclass
 class Membership:
@@ -31,13 +33,7 @@ class Membership:
 def update_proxies(W_I: np.ndarray, membership: Membership,
                    cosine: bool = False) -> np.ndarray:
     """Proxy column p = mean of the W_I columns assigned to cluster p."""
-    d = W_I.shape[0]
-    W_P = np.empty((d, membership.P))
-    for p in range(membership.P):
-        cols = np.nonzero(membership.assignment == p)[0]
-        if cols.size == 0:
-            raise ValueError(f"cluster {p} is empty")
-        W_P[:, p] = W_I[:, cols].mean(axis=1)
+    W_P = column_means(W_I, membership.assignment, membership.P)
     if cosine:
         W_P = W_P / np.linalg.norm(W_P, axis=0, keepdims=True)
     return W_P

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import softmax_rows
+from .numerics import column_means, softmax_rows
 
 
 class NoValidQueriesError(ValueError):
@@ -92,15 +92,7 @@ def fine_class_prob(embeddings: np.ndarray, W_I: np.ndarray,
     row i, column s is Pr{fine class s | f(x_i), W_I}."""
     emb = np.asarray(embeddings, dtype=np.float64)
     fine = np.asarray(fine_labels, dtype=np.int64)
-    F = int(fine.max()) + 1
-    d = W_I.shape[0]
-    proxies = np.empty((d, F))
-    for s in range(F):
-        cols = np.nonzero(fine == s)[0]
-        if cols.size == 0:
-            raise ValueError(f"fine class {s} is empty")
-        proxies[:, s] = W_I[:, cols].mean(axis=1)
-    return softmax_rows(emb @ proxies)
+    return softmax_rows(emb @ column_means(W_I, fine, int(fine.max()) + 1))
 
 
 def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:

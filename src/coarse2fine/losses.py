@@ -1,10 +1,10 @@
-"""Training objectives with analytic gradients.
+"""The training objective with analytic gradients.
 
-Each loss returns the mean cross-entropy over the batch together with
-gradients w.r.t. the backbone embeddings and the touched head columns
-(and the projection weights when the instance/proxy branch has one).
-Instance-head column reads are counted so the within-coarse speedup can
-be verified exactly.
+`objective` returns a weighted sum of mean cross-entropy terms over the
+batch together with gradients w.r.t. the backbone embeddings, each head
+it read (dense, d x K) and the projection weights when the instance/proxy
+branch has one. Instance-head column reads are counted so the
+within-coarse speedup can be verified exactly.
 """
 
 from __future__ import annotations
@@ -40,18 +40,11 @@ WI_READS = AccessCounter()
 @dataclass
 class LossValue:
     value: float
-    grad_embeddings: np.ndarray                       # w.r.t. backbone f(x)
-    grad_heads: dict[str, dict[int, np.ndarray]]      # head -> column -> d-vector
+    grad_embeddings: np.ndarray                 # w.r.t. backbone f(x)
+    grad_heads: dict[str, np.ndarray]           # head -> dense d x K gradient
     grad_mlp_head: Optional[tuple[np.ndarray, np.ndarray]] = None
     encoder_cache: Optional[EncodeCache] = None
-    components: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def grad_head_columns(self) -> dict[int, np.ndarray]:
-        """Column gradients when exactly one head is touched."""
-        if len(self.grad_heads) != 1:
-            raise ValueError("loss touches multiple heads; use grad_heads")
-        return next(iter(self.grad_heads.values()))
+    components: dict[str, float] = field(default_factory=dict)  # head -> CE
 
     def check_finite(self) -> "LossValue":
         if not np.isfinite(self.value) or not np.all(np.isfinite(self.grad_embeddings)):
@@ -59,12 +52,15 @@ class LossValue:
         return self
 
 
+TERMS = ("coarse", "instance", "within", "proxy")
+
+
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,
               cols: Optional[np.ndarray], label_pos: np.ndarray,
-              denom: int) -> tuple[float, np.ndarray, dict[int, np.ndarray]]:
+              denom: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy of G against head columns, summed and divided by denom.
 
-    Returns (value, grad wrt G, per-column head gradients)."""
+    Returns (value, grad wrt G, d x len(cols) grad wrt the columns read)."""
     logits = head_logits(params, G, head, cols)
     logp = log_softmax_rows(logits)
     rows = np.arange(G.shape[0])
@@ -76,60 +72,18 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
         dlogits = dlogits / params.temperature
     W = params.head_matrix(head)
     Wsel = W if cols is None else W[:, cols]
-    dG = dlogits @ Wsel.T
-    dW = G.T @ dlogits                               # d x n_cols
-    col_ids = np.arange(W.shape[1]) if cols is None else cols
-    col_grads = {int(c): dW[:, j] for j, c in enumerate(col_ids)}
-    return value, dG, col_grads
-
-
-def _merge_cols(into: dict[int, np.ndarray], new: Mapping[int, np.ndarray],
-                weight: float = 1.0) -> None:
-    for c, g in new.items():
-        if c in into:
-            into[c] = into[c] + weight * g
-        else:
-            into[c] = weight * g
-
-
-def coarse_loss(params: ModelParams, batch: np.ndarray,
-                coarse_labels: np.ndarray) -> LossValue:
-    """Mean coarse-class cross-entropy on the coarse head."""
-    y = np.asarray(coarse_labels, dtype=np.int64)
-    C = params.W_C.shape[1]
-    if y.min(initial=0) < 0 or y.max(initial=0) >= C:
-        raise ValueError("coarse label out of range")
-    f, ecache = encode(params, batch)
-    value, dG, col_grads = _ce_block(params, f, "coarse", None, y, f.shape[0])
-    return LossValue(value=value, grad_embeddings=dG,
-                     grad_heads={"coarse": col_grads},
-                     encoder_cache=ecache).check_finite()
-
-
-def instance_loss_full(params: ModelParams, batch: np.ndarray,
-                       instance_ids: np.ndarray) -> LossValue:
-    """Mean cross-entropy over all n instance-head columns."""
-    ids = np.asarray(instance_ids, dtype=np.int64)
-    n = params.W_I.shape[1]
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= n:
-        raise ValueError("instance id out of range")
-    f, ecache = encode(params, batch)
-    G, bcache = branch_forward(params, f, "instance")
-    WI_READS.add(G.shape[0] * n)
-    value, dG, col_grads = _ce_block(params, G, "instance", None, ids, G.shape[0])
-    dF, dmlp = branch_backward(params, bcache, dG)
-    return LossValue(value=value, grad_embeddings=dF,
-                     grad_heads={"instance": col_grads}, grad_mlp_head=dmlp,
-                     encoder_cache=ecache).check_finite()
+    return value, dlogits @ Wsel.T, G.T @ dlogits
 
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
                         coarse_labels: np.ndarray,
                         coarse_index: Mapping[int, Sequence[int]],
-                        denom: int) -> tuple[float, np.ndarray, dict[int, np.ndarray]]:
+                        denom: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Instance CE restricted to each example's coarse class: only member
+    columns are read, so the per-example head cost is O(d n_k), not O(d n)."""
     value = 0.0
     dG = np.zeros_like(G)
-    col_grads: dict[int, np.ndarray] = {}
+    dW = np.zeros_like(params.W_I)
     for k in sorted(set(coarse_labels.tolist())):
         members = np.asarray(coarse_index[k], dtype=np.int64)
         rows = np.nonzero(coarse_labels == k)[0]
@@ -140,50 +94,117 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
             raise ValueError(
                 f"example {exc} not listed in coarse class {k} membership") from exc
         WI_READS.add(len(rows) * len(members))
-        v, dGk, cg = _ce_block(params, G[rows], "instance", members, label_pos, denom)
+        v, dGk, dWk = _ce_block(params, G[rows], "instance", members, label_pos, denom)
         value += v
         dG[rows] += dGk
-        _merge_cols(col_grads, cg)
-    return value, dG, col_grads
+        dW[:, members] += dWk
+    return value, dG, dW
+
+
+def _accumulate(total, weight, x):
+    """total + weight * x, or weight * x for the first term."""
+    return weight * x if total is None else total + weight * x
+
+
+def objective(params: ModelParams, batch: np.ndarray,
+              instance_ids: Optional[np.ndarray], terms: Mapping[str, float],
+              coarse_labels: Optional[np.ndarray] = None,
+              coarse_index: Optional[Mapping[int, Sequence[int]]] = None,
+              membership: Optional[Membership] = None) -> LossValue:
+    """Weighted sum of mean cross-entropy terms over the batch.
+
+    `terms` maps a term to its weight: "coarse" (`coarse_labels` on the
+    coarse head), "instance" (the full n-way instance softmax), "within"
+    (the instance softmax restricted to the example's coarse class, whose
+    members `coarse_index` lists) and "proxy" (the example's cluster in
+    `membership` over the P proxy columns). A term that is absent or
+    weighted 0 is not computed. Head gradients are dense d x K arrays,
+    present only for heads some term read; `components` holds each head's
+    unweighted cross-entropy.
+    """
+    if set(terms) - set(TERMS):
+        raise ValueError(f"unknown loss terms {sorted(set(terms) - set(TERMS))}")
+    if any(w < 0 for w in terms.values()):
+        raise ValueError("loss weights must be non-negative")
+    active = {t: terms[t] for t in TERMS if terms.get(t, 0) > 0}
+    if not active:
+        raise ValueError("no loss term has a positive weight")
+    if "instance" in active and "within" in active:
+        raise ValueError("the 'instance' and 'within' terms exclude each other")
+    y = None if coarse_labels is None else np.asarray(coarse_labels, dtype=np.int64)
+    ids = None if instance_ids is None else np.asarray(instance_ids, dtype=np.int64)
+    if "coarse" in active and (y.min(initial=0) < 0
+                               or y.max(initial=0) >= params.W_C.shape[1]):
+        raise ValueError("coarse label out of range")
+    if set(active) - {"coarse"} and (
+            ids.min(initial=0) < 0 or ids.max(initial=0) >= params.W_I.shape[1]):
+        raise ValueError("instance id out of range")
+    if "proxy" in active:
+        if params.W_P is None:
+            raise RuntimeError("instance-proxy loss requested before the proxy "
+                               "head was initialized")
+        if membership is None:
+            raise RuntimeError("proxy term requires a membership and W_P")
+
+    f, ecache = encode(params, batch)
+    B = f.shape[0]
+    value = dF = mlp_grad = None
+    grad_heads: dict[str, np.ndarray] = {}
+    components: dict[str, float] = {}
+    for term, weight in active.items():
+        head = "instance" if term == "within" else term
+        G, bcache = branch_forward(params, f, head)
+        if term == "within":
+            v, dG, dW = _within_coarse_term(params, G, ids, y, coarse_index, B)
+        else:
+            if term == "coarse":
+                labels = y
+            elif term == "instance":
+                WI_READS.add(B * params.W_I.shape[1])
+                labels = ids
+            else:
+                labels = membership.assignment[ids]
+            v, dG, dW = _ce_block(params, G, head, None, labels, B)
+        dF_term, dmlp = branch_backward(params, bcache, dG)
+        value = _accumulate(value, weight, v)
+        dF = _accumulate(dF, weight, dF_term)
+        grad_heads[head] = weight * dW
+        if dmlp is not None:
+            prev = mlp_grad or (None, None)
+            mlp_grad = (_accumulate(prev[0], weight, dmlp[0]),
+                        _accumulate(prev[1], weight, dmlp[1]))
+        components[head] = v
+    return LossValue(value=value, grad_embeddings=dF, grad_heads=grad_heads,
+                     grad_mlp_head=mlp_grad, encoder_cache=ecache,
+                     components=components).check_finite()
+
+
+# The single-term and combined forms as entry points of their own.
+
+def coarse_loss(params: ModelParams, batch: np.ndarray,
+                coarse_labels: np.ndarray) -> LossValue:
+    return objective(params, batch, None, {"coarse": 1.0}, coarse_labels)
+
+
+def instance_loss_full(params: ModelParams, batch: np.ndarray,
+                       instance_ids: np.ndarray) -> LossValue:
+    return objective(params, batch, instance_ids, {"instance": 1.0})
 
 
 def instance_loss_within_coarse(params: ModelParams, batch: np.ndarray,
                                 instance_ids: np.ndarray,
                                 coarse_labels: np.ndarray,
-                                coarse_index: Mapping[int, Sequence[int]]) -> LossValue:
-    """Instance cross-entropy restricted to same-coarse-class columns.
-
-    Only the member columns of each example's coarse class are ever read;
-    the per-example head cost is O(d n_k) instead of O(d n).
-    """
-    ids = np.asarray(instance_ids, dtype=np.int64)
-    y = np.asarray(coarse_labels, dtype=np.int64)
-    f, ecache = encode(params, batch)
-    G, bcache = branch_forward(params, f, "instance")
-    value, dG, col_grads = _within_coarse_term(params, G, ids, y, coarse_index,
-                                               G.shape[0])
-    dF, dmlp = branch_backward(params, bcache, dG)
-    return LossValue(value=value, grad_embeddings=dF,
-                     grad_heads={"instance": col_grads}, grad_mlp_head=dmlp,
-                     encoder_cache=ecache).check_finite()
+                                coarse_index: Mapping[int, Sequence[int]]
+                                ) -> LossValue:
+    return objective(params, batch, instance_ids, {"within": 1.0},
+                     coarse_labels, coarse_index)
 
 
 def instance_proxy_loss(params: ModelParams, batch: np.ndarray,
                         instance_ids: np.ndarray,
                         membership: Membership) -> LossValue:
-    """Cross-entropy against the assigned cluster over all P proxy columns."""
-    if params.W_P is None:
-        raise RuntimeError("instance-proxy loss requested before the proxy "
-                           "head was initialized")
-    ids = np.asarray(instance_ids, dtype=np.int64)
-    y_p = membership.assignment[ids]
-    f, ecache = encode(params, batch)
-    G, bcache = branch_forward(params, f, "proxy")
-    value, dG, col_grads = _ce_block(params, G, "proxy", None, y_p, G.shape[0])
-    dF, dmlp = branch_backward(params, bcache, dG)
-    return LossValue(value=value, grad_embeddings=dF,
-                     grad_heads={"proxy": col_grads}, grad_mlp_head=dmlp,
-                     encoder_cache=ecache).check_finite()
+    return objective(params, batch, instance_ids, {"proxy": 1.0},
+                     membership=membership)
 
 
 def combined_objective(params: ModelParams, batch: np.ndarray,
@@ -192,90 +213,11 @@ def combined_objective(params: ModelParams, batch: np.ndarray,
                        lambda_I: float, lambda_P: float,
                        membership: Optional[Membership] = None,
                        within_coarse: bool = True) -> LossValue:
-    """coarse + lambda_I * instance + lambda_P * instance-proxy.
-
-    `within_coarse` selects the decomposed instance term; with it off the
-    full n-way instance loss is used instead.
-    """
-    if lambda_I < 0 or lambda_P < 0:
-        raise ValueError("loss weights must be non-negative")
-    if lambda_P > 0 and (membership is None or params.W_P is None):
-        raise RuntimeError("proxy term requires a membership and W_P")
-    ids = np.asarray(instance_ids, dtype=np.int64)
-    y = np.asarray(coarse_labels, dtype=np.int64)
-    f, ecache = encode(params, batch)
-    batch_size = f.shape[0]
-
-    value, dF, col_grads_c = _ce_block(params, f, "coarse", None, y, batch_size)
-    grad_heads: dict[str, dict[int, np.ndarray]] = {"coarse": col_grads_c}
-    components = {"coarse": value}
-    mlp_grad: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def add_mlp(dmlp, weight):
-        nonlocal mlp_grad
-        if dmlp is None:
-            return
-        if mlp_grad is None:
-            mlp_grad = (weight * dmlp[0], weight * dmlp[1])
-        else:
-            mlp_grad = (mlp_grad[0] + weight * dmlp[0],
-                        mlp_grad[1] + weight * dmlp[1])
-
-    if lambda_I > 0:
-        G, bcache = branch_forward(params, f, "instance")
-        if within_coarse:
-            v_i, dG, cg = _within_coarse_term(params, G, ids, y, coarse_index,
-                                              batch_size)
-        else:
-            n = params.W_I.shape[1]
-            WI_READS.add(batch_size * n)
-            v_i, dG, cg = _ce_block(params, G, "instance", None, ids, batch_size)
-        dFi, dmlp = branch_backward(params, bcache, dG)
-        value += lambda_I * v_i
-        dF = dF + lambda_I * dFi
-        _merge_cols(grad_heads.setdefault("instance", {}), cg, lambda_I)
-        add_mlp(dmlp, lambda_I)
-        components["instance"] = v_i
-
-    if lambda_P > 0:
-        G, bcache = branch_forward(params, f, "proxy")
-        v_p, dG, cg = _ce_block(params, G, "proxy", None,
-                                membership.assignment[ids], batch_size)
-        dFp, dmlp = branch_backward(params, bcache, dG)
-        value += lambda_P * v_p
-        dF = dF + lambda_P * dFp
-        _merge_cols(grad_heads.setdefault("proxy", {}), cg, lambda_P)
-        add_mlp(dmlp, lambda_P)
-        components["proxy"] = v_p
-
-    return LossValue(value=value, grad_embeddings=dF, grad_heads=grad_heads,
-                     grad_mlp_head=mlp_grad, encoder_cache=ecache,
-                     components=components).check_finite()
-
-
-def margin_diagnostic(params: ModelParams, batch: np.ndarray,
-                      instance_ids: np.ndarray,
-                      membership: Membership) -> float:
-    """Achieved margin surrogate: sum_i (||g_i - w_own||^2 -
-    mean_{p != own} ||g_i - w_p||^2). Report-only, never optimized."""
-    if params.W_P is None:
-        raise RuntimeError("margin diagnostic requires the proxy head")
-    ids = np.asarray(instance_ids, dtype=np.int64)
-    f, _ = encode(params, batch)
-    G, _ = branch_forward(params, f, "proxy")
-    W = params.W_P
-    P = W.shape[1]
-    # squared distances to every proxy, batch x P
-    d2 = (np.sum(G * G, axis=1, keepdims=True)
-          - 2.0 * G @ W + np.sum(W * W, axis=0, keepdims=True))
-    own = membership.assignment[ids]
-    rows = np.arange(G.shape[0])
-    own_d2 = d2[rows, own]
-    if P > 1:
-        others = (np.sum(d2, axis=1) - own_d2) / (P - 1)
-    else:
-        others = np.zeros_like(own_d2)
-    return float(np.sum(own_d2 - others))
+    """coarse + lambda_I * (within-coarse or full) instance + lambda_P * proxy."""
+    return objective(params, batch, instance_ids,
+                     {"coarse": 1.0, "within" if within_coarse else "instance":
+                      lambda_I, "proxy": lambda_P},
+                     coarse_labels, coarse_index, membership)
 
 
 def build_coarse_index(coarse_labels: np.ndarray) -> dict[int, np.ndarray]:

@@ -222,38 +222,40 @@ def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:6] != CKPT_MAGIC:
-        raise CheckpointFormatError(f"bad magic: {raw[:6]!r}")
-    off = 6
-    (n_layers,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    shapes = []
-    for _ in range(n_layers):
-        shapes.append(struct.unpack_from("<II", raw, off))
-        off += 8
-    C, n, P, d_h, cosine_flag, temperature = struct.unpack_from("<IIIIBd", raw, off)
-    off += struct.calcsize("<IIIIBd")
+        raise CheckpointFormatError(f"bad magic at offset 0: {raw[:6]!r}")
+    off = len(CKPT_MAGIC)
 
-    def take(rows: int, cols: int) -> np.ndarray:
+    def take(size: int) -> int:
+        """Claim the next `size` bytes and return their offset."""
         nonlocal off
-        count = rows * cols
-        if len(raw) < off + 8 * count:
+        if len(raw) < off + size:
             raise CheckpointFormatError(f"truncated at offset {len(raw)}")
-        a = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += 8 * count
-        return a.reshape(rows, cols).copy() if cols > 1 or rows > 1 else a.copy().reshape(rows, cols)
+        off += size
+        return off - size
 
-    encoder = []
-    for rows, cols in shapes:
-        W = take(rows, cols)
-        b = take(1, cols).reshape(cols)
-        encoder.append((W, b))
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt)))
+
+    def matrix(rows: int, cols: int) -> np.ndarray:
+        count = rows * cols
+        return np.frombuffer(raw, dtype="<f8", count=count,
+                             offset=take(8 * count)).reshape(rows, cols).copy()
+
+    (n_layers,) = unpack("<I")
+    if n_layers == 0:
+        raise CheckpointFormatError("zero encoder layers at offset 6")
+    shapes = [unpack("<II") for _ in range(n_layers)]
+    C, n, P, d_h, cosine_flag, temperature = unpack("<IIIIBd")
+    encoder = [(matrix(rows, cols), matrix(1, cols).reshape(cols))
+               for rows, cols in shapes]
     d = shapes[-1][1]
-    W_C = take(d, C)
-    W_I = take(d, n)
-    W_P = take(d, P) if P > 0 else None
-    mlp = None
-    if d_h > 0:
-        mlp = (take(d, d_h), take(d_h, d))
+    W_C = matrix(d, C)
+    W_I = matrix(d, n)
+    W_P = matrix(d, P) if P > 0 else None
+    mlp = (matrix(d, d_h), matrix(d_h, d)) if d_h > 0 else None
+    if off != len(raw):
+        raise CheckpointFormatError(
+            f"{len(raw) - off} trailing bytes at offset {off}")
     return ModelParams(encoder=encoder, W_C=W_C, W_I=W_I, W_P=W_P,
                        mlp_head=mlp, cosine=bool(cosine_flag),
                        temperature=float(temperature))

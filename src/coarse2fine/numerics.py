@@ -1,4 +1,5 @@
-"""Stable softmax / cross-entropy primitives and a finite-difference checker.
+"""Stable softmax / cross-entropy primitives, grouped column means and a
+finite-difference checker.
 
 Everything here operates on float64 numpy arrays. The training path may
 downcast to float32, but theory verification and all tests run in float64
@@ -14,18 +15,6 @@ import numpy as np
 
 class DegenerateInputError(ValueError):
     """Input is numerically degenerate (e.g. near-zero norm)."""
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax of a 1-D logit vector, with max-subtraction for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax expects finite logits")
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
-    return e / np.sum(e)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -56,38 +45,6 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
     return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
 
 
-def ce_gradient(logits: np.ndarray, label: int) -> np.ndarray:
-    """Gradient of cross_entropy w.r.t. the logits: softmax - onehot."""
-    p = softmax(logits)
-    label = int(label)
-    if not 0 <= label < p.size:
-        raise ValueError(f"label {label} out of range for {p.size} logits")
-    g = p.copy()
-    g[label] -= 1.0
-    return g
-
-
-def l2_normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """v / ||v||. Raises on near-zero norm rather than returning zeros."""
-    v = np.asarray(v, dtype=np.float64)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= eps:
-        raise DegenerateInputError(f"cannot normalize vector with norm {nrm}")
-    return v / nrm
-
-
-def l2_normalize_backward(v: np.ndarray, grad_out: np.ndarray,
-                          eps: float = 1e-12) -> np.ndarray:
-    """VJP of v -> v/||v||: (g - (u.g) u) / ||v|| with u = v/||v||."""
-    v = np.asarray(v, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= eps:
-        raise DegenerateInputError(f"cannot normalize vector with norm {nrm}")
-    u = v / nrm
-    return (grad_out - np.dot(u, grad_out) * u) / nrm
-
-
 def normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -105,6 +62,18 @@ def normalize_rows_backward(x: np.ndarray, grad_out: np.ndarray,
     u = x / norms
     dots = np.sum(u * grad_out, axis=1, keepdims=True)
     return (grad_out - dots * u) / norms
+
+
+def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """d x K matrix whose column s is the mean of the columns of W labelled s."""
+    labels = np.asarray(labels)
+    out = np.empty((W.shape[0], K))
+    for s in range(K):
+        mask = labels == s
+        if not mask.any():
+            raise ValueError(f"group {s} is empty: no column is labelled {s}")
+        out[:, s] = W[:, mask].mean(axis=1)
+    return out
 
 
 def grad_check(fn: Callable[[np.ndarray], float], point: np.ndarray,

@@ -15,6 +15,8 @@ from typing import Optional
 import numpy as np
 from numpy import logaddexp
 
+from .numerics import column_means
+
 REL_TOL = 1e-9
 
 
@@ -35,8 +37,7 @@ def _logsumexp(v: np.ndarray) -> float:
 
 def uniform_z(fine_labels: np.ndarray) -> int:
     fine = np.asarray(fine_labels, dtype=np.int64)
-    counts = np.bincount(fine)
-    counts = counts[counts > 0]
+    counts = np.bincount(fine)            # every class id in [0, max]
     if counts.size == 0:
         raise NonUniformClassSizeError("no fine labels")
     if np.any(counts != counts[0]):
@@ -123,13 +124,19 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
                      log_a=log_a, log_b=log_b, c=c, z=z, M=M)
 
 
-def _sqrt_arg(c: float, log_resid: float, log_prob: float,
-              log_one_minus_prob: float) -> float:
-    """2c^2 - 2 log(resid * prob / (1 - prob)), clamped at tiny negatives."""
-    arg = 2.0 * c * c - 2.0 * (log_resid + log_prob - log_one_minus_prob)
-    if arg < -1e-12:
-        raise DomainError(f"inconsistent constants: sqrt argument {arg}")
-    return max(arg, 0.0)
+def _root_sum(c: float, log_alpha: float, log_beta: float, log_a: float,
+              log_b: float) -> float:
+    """sqrt(2c^2 - 2 log(a alpha / (1 - alpha))) plus the same in (b, beta):
+    the sum that scales both log h and theorem 2's log c'. Each argument is
+    clamped at tiny negatives; log(1 - p) is formed as log(-expm1(log p))."""
+    total = 0.0
+    for log_resid, log_prob in ((log_a, log_alpha), (log_b, log_beta)):
+        arg = 2.0 * c * c - 2.0 * (log_resid + log_prob
+                                   - np.log(-np.expm1(log_prob)))
+        if arg < -1e-12:
+            raise DomainError(f"inconsistent constants: sqrt argument {arg}")
+        total += np.sqrt(max(arg, 0.0))
+    return float(total)
 
 
 def log_h_factor(c: float, log_alpha: float, log_beta: float, log_a: float,
@@ -139,29 +146,15 @@ def log_h_factor(c: float, log_alpha: float, log_beta: float, log_a: float,
         raise DomainError("alpha and beta must be below 1")
     if z == 1:
         return 0.0
-    s_a = _sqrt_arg(c, log_a, log_alpha, np.log1p(-np.exp(log_alpha)))
-    s_b = _sqrt_arg(c, log_b, log_beta, np.log1p(-np.exp(log_beta)))
-    return float(-(2.0 * c * (z - 1) / z) * (np.sqrt(s_a) + np.sqrt(s_b)))
-
-
-def h_factor(c: float, alpha: float, beta: float, a: float, b: float,
-             z: int) -> float:
-    """Plain-number wrapper around log_h_factor."""
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise DomainError("alpha and beta must lie in (0, 1)")
-    if a <= 0 or b <= 0:
-        raise DomainError("residual constants must be positive")
-    return float(np.exp(log_h_factor(c, np.log(alpha), np.log(beta),
-                                     np.log(a), np.log(b), z)))
+    return float(-(2.0 * c * (z - 1) / z)
+                 * _root_sum(c, log_alpha, log_beta, log_a, log_b))
 
 
 def _fine_log_probs(embeddings: np.ndarray, W_I: np.ndarray,
                     fine_labels: np.ndarray) -> np.ndarray:
     """log Pr{own fine class} per example via mean-column proxies."""
     fine = np.asarray(fine_labels, dtype=np.int64)
-    F = int(fine.max()) + 1
-    proxies = np.column_stack([W_I[:, fine == s].mean(axis=1) for s in range(F)])
-    logits = embeddings @ proxies
+    logits = embeddings @ column_means(W_I, fine, int(fine.max()) + 1)
     lse = np.array([_logsumexp(row) for row in logits])
     return logits[np.arange(embeddings.shape[0]), fine] - lse
 
@@ -184,7 +177,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
     z = uniform_z(fine)
     n = emb.shape[0]
     F = int(fine.max()) + 1
-    proxies = np.column_stack([W_I[:, fine == s].mean(axis=1) for s in range(F)])
+    proxies = column_means(W_I, fine, F)
 
     L_I = emb @ W_I
     proxy_logits = emb @ proxies
@@ -279,17 +272,15 @@ def verify_theorem(embeddings: np.ndarray, W_C: np.ndarray, W_I: np.ndarray,
     mode = "theorem1" if which == 1 else "theorem2"
     k = measure_constants(emb, W_C, W_I, coarse_labels, fine_labels, mode)
 
-    log1m_beta = np.log1p(-np.exp(k.log_beta))
     extras: dict = {}
     if which == 1:
         log_alpha_eff = k.log_alpha
     else:
-        s_a = _sqrt_arg(k.c, k.log_a, k.log_alpha,
-                        np.log1p(-np.exp(k.log_alpha)))
-        s_b = _sqrt_arg(k.c, k.log_b, k.log_beta, log1m_beta)
-        log_c_prime = 2.0 * k.c * (np.sqrt(s_a) + np.sqrt(s_b))
+        log_c_prime = 2.0 * k.c * _root_sum(k.c, k.log_alpha, k.log_beta,
+                                            k.log_a, k.log_b)
         log_c_dp = log_c_prime + np.log(k.M) if k.M > 0 else -np.inf
         # alpha' = 1 / (1/alpha + (1-beta) c'' / beta)
+        log1m_beta = np.log(-np.expm1(k.log_beta))
         log_inv = logaddexp(-k.log_alpha, log1m_beta - k.log_beta + log_c_dp)
         log_alpha_eff = -float(log_inv)
         if log_alpha_eff > k.log_alpha + 1e-12:
@@ -302,15 +293,8 @@ def verify_theorem(embeddings: np.ndarray, W_C: np.ndarray, W_I: np.ndarray,
                 "log_alpha_prime": log_alpha_eff,
             }
 
-    # 1 - alpha_eff, accurately even for tiny alpha_eff
-    log1m_alpha_eff = float(np.log(-np.expm1(log_alpha_eff)))
-    if k.z == 1:
-        log_h = 0.0
-    else:
-        s_a = _sqrt_arg(k.c, k.log_a, log_alpha_eff, log1m_alpha_eff)
-        s_b = _sqrt_arg(k.c, k.log_b, k.log_beta, log1m_beta)
-        log_h = float(-(2.0 * k.c * (k.z - 1) / k.z)
-                      * (np.sqrt(s_a) + np.sqrt(s_b)))
+    log_h = log_h_factor(k.c, log_alpha_eff, k.log_beta, k.log_a, k.log_b,
+                         k.z)
 
     log_lhs = _fine_log_probs(emb, W_I, fine_labels)
     log_rhs_scalar = log_alpha_eff + np.log(k.z) + log_h

@@ -11,10 +11,9 @@ import numpy as np
 
 from .cluster import Membership, kmeans, update_proxies
 from .data import Dataset, augment
-from .losses import (LossValue, build_coarse_index, coarse_loss,
-                     combined_objective, instance_loss_full)
-from .model import (ModelParams, branch_forward, encode, encode_backward,
-                    init_params, renormalize_heads)
+from .losses import LossValue, build_coarse_index, objective
+from .model import (HEADS, ModelParams, branch_forward, encode,
+                    encode_backward, init_params, renormalize_heads)
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -50,6 +49,14 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and lr > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be > 0")
+        if not self.lr_decay_factor > 0:
+            raise ValueError("lr_decay_factor must be > 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
         m = self.m_epoch(self.epochs)
         if not 0 <= m:
             raise ValueError("ip_start_epoch must be >= 0")
@@ -81,15 +88,6 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr / (config.lr_decay_factor ** n_decays)
 
 
-def _dense_head_grad(params: ModelParams, head: str,
-                     cols: dict[int, np.ndarray]) -> np.ndarray:
-    W = params.head_matrix(head)
-    g = np.zeros_like(W)
-    for c, vec in cols.items():
-        g[:, c] = vec
-    return g
-
-
 class _Velocities:
     def __init__(self, params: ModelParams):
         self.enc = [(np.zeros_like(W), np.zeros_like(b))
@@ -108,12 +106,10 @@ def apply_gradients(params: ModelParams, lv: LossValue, vel: _Velocities,
     for (W, b), (gW, gb), (vW, vb) in zip(params.encoder, enc_grads, vel.enc):
         sgd_step(W, gW, vW, lr, momentum, weight_decay)
         sgd_step(b, gb, vb, lr, momentum, 0.0)       # no decay on biases
-    for head, cols in lv.grad_heads.items():
-        if head == "proxy":
-            continue
-        W = params.head_matrix(head)
-        sgd_step(W, _dense_head_grad(params, head, cols), vel.heads[head],
-                 lr, momentum, weight_decay)
+    for head, grad in lv.grad_heads.items():
+        if head != "proxy":
+            sgd_step(params.head_matrix(head), grad, vel.heads[head],
+                     lr, momentum, weight_decay)
     if lv.grad_mlp_head is not None:
         for p, g, v in zip(params.mlp_head, lv.grad_mlp_head, vel.mlp):
             sgd_step(p, g, v, lr, momentum, weight_decay)
@@ -121,20 +117,20 @@ def apply_gradients(params: ModelParams, lv: LossValue, vel: _Velocities,
         renormalize_heads(params)
 
 
-def _batch_loss(params: ModelParams, config: TrainConfig, X: np.ndarray,
-                ids: np.ndarray, coarse: np.ndarray, coarse_index,
-                class_labels: np.ndarray,
-                membership: Optional[Membership], proxy_phase: bool) -> LossValue:
-    obj = config.objective
-    if obj == "ins":
-        return instance_loss_full(params, X, ids)
-    if obj in ("cos", "opt"):
-        return coarse_loss(params, X, class_labels[ids])
-    within = obj != "coins"
-    lam_p = config.lambda_P if (obj == "coinsP" and proxy_phase) else 0.0
-    return combined_objective(params, X, ids, coarse[ids], coarse_index,
-                              config.lambda_I, lam_p,
-                              membership=membership, within_coarse=within)
+def objective_terms(config: TrainConfig, proxy_phase: bool) -> dict[str, float]:
+    """The weighted loss terms each objective trains (see losses.objective).
+
+    `opt` is `cos` with one coarse-head column per fine class; `coinsP`
+    adds the proxy term once the proxy phase starts after epoch M."""
+    return {
+        "ins": {"instance": 1.0},
+        "cos": {"coarse": 1.0},
+        "opt": {"coarse": 1.0},
+        "coins": {"coarse": 1.0, "instance": config.lambda_I},
+        "coins-imp": {"coarse": 1.0, "within": config.lambda_I},
+        "coinsP": {"coarse": 1.0, "within": config.lambda_I,
+                   "proxy": config.lambda_P if proxy_phase else 0.0},
+    }[config.objective]
 
 
 def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
@@ -142,32 +138,18 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
                    membership: Optional[Membership], proxy_phase: bool,
                    epoch: int, lr: float) -> dict:
     """Full-batch loss terms on clean data at the current parameters."""
-    ids = np.arange(dataset.n)
     X = dataset.examples
-    obj = config.objective
-    loss_c = loss_i = loss_p = 0.0
-    if obj == "ins":
-        loss_i = instance_loss_full(params, X, ids).value
-        total = loss_i
-    elif obj in ("cos", "opt"):
-        loss_c = coarse_loss(params, X, class_labels).value
-        total = loss_c
-    else:
-        lam_p = config.lambda_P if (obj == "coinsP" and proxy_phase) else 0.0
-        lv = combined_objective(params, X, ids, dataset.coarse_labels,
-                                coarse_index, config.lambda_I, lam_p,
-                                membership=membership,
-                                within_coarse=obj != "coins")
-        loss_c = lv.components.get("coarse", 0.0)
-        loss_i = lv.components.get("instance", 0.0)
-        loss_p = lv.components.get("proxy", 0.0)
-        total = lv.value
+    lv = objective(params, X, np.arange(dataset.n),
+                   objective_terms(config, proxy_phase), class_labels,
+                   coarse_index, membership)
     f, _ = encode(params, X)
     g, _ = branch_forward(params, f, "instance")
     w_gap = float(np.mean(np.sum((g - params.W_I.T) ** 2, axis=1)))
-    return {"epoch": epoch, "lr": lr, "loss_coarse": loss_c,
-            "loss_instance": loss_i, "loss_proxy": loss_p,
-            "loss_total": total, "w_gap": w_gap}
+    return {"epoch": epoch, "lr": lr,
+            "loss_coarse": lv.components.get("coarse", 0.0),
+            "loss_instance": lv.components.get("instance", 0.0),
+            "loss_proxy": lv.components.get("proxy", 0.0),
+            "loss_total": lv.value, "w_gap": w_gap}
 
 
 def train(config: TrainConfig, dataset: Dataset
@@ -196,6 +178,10 @@ def train(config: TrainConfig, dataset: Dataset
     vel = _Velocities(params)
     coarse_index = build_coarse_index(dataset.coarse_labels)
     P = config.P if config.P is not None else max(dataset.C, n // 5)
+    P_min = len(coarse_index) if config.cluster_within_coarse else 1
+    if config.objective == "coinsP" and not P_min <= P <= n:
+        raise ValueError(f"P={P} out of range: coinsP needs "
+                         f"{P_min} <= P <= n={n}")
     membership: Optional[Membership] = None
     metrics: list[dict] = []
 
@@ -215,15 +201,15 @@ def train(config: TrainConfig, dataset: Dataset
         rng = np.random.default_rng([config.seed, t])
         perm = rng.permutation(n)
         proxy_phase = config.objective == "coinsP" and t > M
+        terms = objective_terms(config, proxy_phase)
         for start in range(0, n, config.batch_size):
             batch_ids = perm[start:start + config.batch_size]
             X = dataset.examples[batch_ids]
             if dataset.image_shape is not None:
                 h, w = dataset.image_shape
                 X = np.stack([augment(x, h, w, config.pad, rng) for x in X])
-            lv = _batch_loss(params, config, X, batch_ids,
-                             dataset.coarse_labels, coarse_index,
-                             class_labels, membership, proxy_phase)
+            lv = objective(params, X, batch_ids, terms,
+                           class_labels[batch_ids], coarse_index, membership)
             apply_gradients(params, lv, vel, lr, config.momentum,
                             config.weight_decay)
 
@@ -280,12 +266,11 @@ def gradient_vector(params: ModelParams, lv: LossValue) -> np.ndarray:
     parts = []
     for gW, gb in enc_grads:
         parts += [gW.ravel(), gb.ravel()]
-    for head in ("coarse", "instance"):
-        g = _dense_head_grad(params, head, lv.grad_heads.get(head, {}))
-        parts.append(g.ravel())
-    if params.W_P is not None:
-        parts.append(_dense_head_grad(params, "proxy",
-                                      lv.grad_heads.get("proxy", {})).ravel())
+    for head in HEADS:
+        if head in lv.grad_heads:
+            parts.append(lv.grad_heads[head].ravel())
+        elif head != "proxy" or params.W_P is not None:
+            parts.append(np.zeros_like(params.head_matrix(head)).ravel())
     if params.mlp_head is not None:
         if lv.grad_mlp_head is None:
             parts += [np.zeros_like(params.mlp_head[0]).ravel(),

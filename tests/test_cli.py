@@ -136,6 +136,23 @@ class TestTrain:
         assert rc == 4
 
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--batch", "0"], "batch_size"),
+        (["--cosine", "--temp", "0"], "temperature"),
+        (["--decay-factor", "0", "--decay-epochs", "1"], "lr_decay_factor"),
+        (["--wd", "-0.1"], "weight_decay"),
+        (["--objective", "coinsP", "--clusters", "1"], "P=1"),
+        (["--objective", "coinsP", "--clusters", "13"], "P=13"),
+    ])
+    def test_bad_config_field_is_usage_error(self, tmp_path, blob_file,
+                                             capsys, flags, field):
+        rc = run("train", "--data", blob_file, "--epochs", "2", "--lr",
+                 "0.003", "--hidden", "8", "--embed-dim", "4", *flags,
+                 "--out", str(tmp_path / "m.ckpt"))
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+
 class TestEval:
     def test_report_with_monotone_recall(self, tmp_path, blob_file, trained):
         out = tmp_path / "report.json"
@@ -154,6 +171,19 @@ class TestEval:
         rc = run("eval", "--data", str(other), "--checkpoint", trained,
                  "--out", str(tmp_path / "r.json"))
         assert rc == 2
+
+
+    @pytest.mark.parametrize("damage", ["header", "body", "trailing"])
+    def test_malformed_checkpoint_is_bad_file(self, tmp_path, blob_file,
+                                              trained, capsys, damage):
+        blob = open(trained, "rb").read()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes({"header": blob[:12], "body": blob[:-8],
+                         "trailing": blob + b"\0"}[damage])
+        rc = run("eval", "--data", blob_file, "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 4
+        assert "bad checkpoint file" in capsys.readouterr().err
 
 
 class TestVerifyBounds:
@@ -183,6 +213,24 @@ class TestVerifyBounds:
         csv_path.write_text("\n".join(rows) + "\n")
         rc = run("verify-bounds", "--data", str(csv_path), "--format", "csv",
                  "--checkpoint", trained, "--out", str(tmp_path / "b.json"))
+        assert rc == 4
+
+
+    def test_skipped_fine_id_unsupported(self, tmp_path):
+        # fine ids {0, 2, 3, 4, 5}, two examples each, nested in coarse
+        # classes: fine class 1 is empty, so the sizes are not uniform
+        rows = ["coarse,fine,x0,x1"]
+        for i, fine in enumerate([0, 0, 2, 2, 3, 3, 4, 4, 5, 5]):
+            rows.append(f"{int(fine >= 3)},{fine},{i % 3},{i / 10}")
+        csv_path = tmp_path / "gap.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(csv_path), "--format", "csv",
+                   "--objective", "coins-imp", "--epochs", "1", "--lr",
+                   "0.003", "--hidden", "8", "--embed-dim", "4",
+                   "--out", str(ckpt)) == 0
+        rc = run("verify-bounds", "--data", str(csv_path), "--format", "csv",
+                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "b.json"))
         assert rc == 4
 
 

@@ -5,12 +5,12 @@ from coarse2fine.cluster import Membership, update_proxies
 from coarse2fine.losses import (WI_READS, build_coarse_index, coarse_loss,
                                 combined_objective, instance_loss_full,
                                 instance_loss_within_coarse,
-                                instance_proxy_loss, margin_diagnostic)
+                                instance_proxy_loss, objective)
 from coarse2fine.model import encode
 from coarse2fine.numerics import cross_entropy, grad_check
 from coarse2fine.trainer import (gradient_vector, param_vector,
                                  set_param_vector)
-from conftest import identity_params, make_params
+from conftest import make_params
 
 
 def _loss_fn_builder(params, call):
@@ -87,9 +87,8 @@ class TestWithinCoarse:
         assert abs(full.value - within.value) < 1e-12
         np.testing.assert_allclose(within.grad_embeddings,
                                    full.grad_embeddings, atol=1e-12)
-        for c, g in full.grad_heads["instance"].items():
-            np.testing.assert_allclose(within.grad_heads["instance"][c], g,
-                                       atol=1e-12)
+        np.testing.assert_allclose(within.grad_heads["instance"],
+                                   full.grad_heads["instance"], atol=1e-12)
 
     def test_all_singleton_classes_is_zero(self, rng):
         params = make_params(rng, n=4)
@@ -131,11 +130,26 @@ class TestWithinCoarse:
         lv = instance_loss_within_coarse(params, X, np.arange(8), coarse,
                                          index)
         assert WI_READS.reads == 5 * 5 + 3 * 3
-        # gradient keys stay inside the touched classes
-        assert set(lv.grad_heads["instance"]) <= set(range(8))
+        # one dense d x n gradient for the instance head, none for the others
+        assert set(lv.grad_heads) == {"instance"}
+        assert lv.grad_heads["instance"].shape == params.W_I.shape
         WI_READS.reset()
         instance_loss_full(params, X, np.arange(8))
         assert WI_READS.reads == 8 * 8
+
+    def test_batch_in_one_coarse_class_leaves_other_columns_zero(self, rng):
+        params = make_params(rng, n=9)
+        coarse = np.array([0, 0, 0, 1, 1, 1, 1, 2, 2])
+        index = build_coarse_index(coarse)
+        ids = np.array([3, 5, 6])                    # all in coarse class 1
+        WI_READS.reset()
+        lv = instance_loss_within_coarse(params, rng.standard_normal((3, 4)),
+                                         ids, coarse[ids], index)
+        assert WI_READS.reads == 3 * 4
+        grad = lv.grad_heads["instance"]
+        outside = coarse != 1
+        assert np.all(grad[:, outside] == 0.0)
+        assert np.all(np.any(grad[:, ~outside] != 0.0, axis=0))
 
 
 class TestInstanceProxy:
@@ -235,41 +249,26 @@ class TestCombined:
             combined_objective(params, X, ids, coarse[ids], index, -1.0, 0.0)
 
 
-class TestMarginDiagnostic:
-    def test_point_at_own_proxy(self, rng):
-        params = identity_params(3, n=2)
-        params.W_P = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        m = Membership(assignment=np.array([0, 1]), P=2, within_coarse=False,
-                       objective=0.0)
-        x = params.W_P[:, 0]  # exactly at proxy 0
-        got = margin_diagnostic(params, x[None, :], np.array([0]), m)
-        expected = -float(np.sum((x - params.W_P[:, 1]) ** 2))
-        assert abs(got - expected) < 1e-12
+class TestObjective:
+    def test_zero_weight_term_is_not_computed(self, rng):
+        params = make_params(rng, n=6)
+        coarse = np.array([0, 0, 0, 1, 1, 1])
+        WI_READS.reset()
+        lv = objective(params, rng.standard_normal((2, 4)), np.array([0, 4]),
+                       {"coarse": 1.0, "within": 0.0}, coarse[[0, 4]],
+                       build_coarse_index(coarse))
+        assert WI_READS.reads == 0
+        assert set(lv.grad_heads) == set(lv.components) == {"coarse"}
 
-    def test_equidistant_is_zero(self):
-        params = identity_params(2, n=2)
-        params.W_P = np.array([[1.0, -1.0], [0.0, 0.0]])
-        m = Membership(assignment=np.array([0, 1]), P=2, within_coarse=False,
-                       objective=0.0)
-        got = margin_diagnostic(params, np.array([[0.0, 5.0]]),
-                                np.array([0]), m)
-        assert abs(got) < 1e-12
-
-    def test_matches_direct_oracle(self, rng):
-        params = identity_params(3, n=6)
-        params.W_P = rng.standard_normal((3, 4))
-        m = Membership(assignment=rng.integers(0, 4, 6), P=4,
-                       within_coarse=False, objective=0.0)
-        X = rng.standard_normal((5, 3))
-        ids = np.array([0, 1, 3, 4, 5])
-        total = 0.0
-        for x, i in zip(X, ids):
-            own = m.assignment[i]
-            d2 = [float(np.sum((x - params.W_P[:, p]) ** 2)) for p in range(4)]
-            others = [d2[p] for p in range(4) if p != own]
-            total += d2[own] - sum(others) / 3
-        got = margin_diagnostic(params, X, ids, m)
-        assert abs(got - total) < 1e-10
+    @pytest.mark.parametrize("terms", [{"bogus": 1.0},
+                                       {"instance": 1.0, "within": 1.0},
+                                       {"coarse": 0.0}])
+    def test_bad_terms_rejected(self, rng, terms):
+        params = make_params(rng, n=4)
+        coarse = np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError):
+            objective(params, rng.standard_normal((4, 4)), np.arange(4),
+                      terms, coarse, build_coarse_index(coarse))
 
 
 class TestGradients:

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse2fine.model import (CheckpointFormatError, ModelParams,
                                branch_forward, encode, encode_backward,
@@ -187,3 +192,27 @@ class TestCheckpoint:
         save_checkpoint(params, str(path))
         back = load_checkpoint(str(path))
         assert back.W_P is None and back.mlp_head is None
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans(),
+       st.integers(0, 2), st.binary(min_size=1, max_size=16))
+def test_checkpoint_prefixes_and_trailing_bytes_rejected(seed, mlp_head,
+                                                         cosine, proxies,
+                                                         extra):
+    """Every strict prefix of a small checkpoint, and the checkpoint with
+    bytes appended, raise CheckpointFormatError; the file itself loads."""
+    params = make_params(np.random.default_rng(seed), input_dim=2,
+                         hidden=(), d=2, C=1, n=2, with_proxy=proxies,
+                         mlp_head=mlp_head, cosine=cosine)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(params, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        load_checkpoint(path)
+        for data in [blob[:cut] for cut in range(len(blob))] + [blob + extra]:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)

@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse2fine.numerics import (DegenerateInputError, ce_gradient,
-                                  cross_entropy, grad_check, l2_normalize,
-                                  l2_normalize_backward, normalize_rows,
-                                  normalize_rows_backward, softmax,
-                                  softmax_rows)
+from coarse2fine.numerics import (DegenerateInputError, column_means,
+                                  cross_entropy, grad_check, normalize_rows,
+                                  normalize_rows_backward, softmax_rows)
+
+
+def softmax(logits):
+    """softmax_rows of a single row."""
+    return softmax_rows(np.atleast_2d(np.asarray(logits, dtype=np.float64)))[0]
+
+
+def ce_gradient(logits, label):
+    """Cross-entropy gradient w.r.t. the logits in the form the losses use:
+    softmax_rows minus the one-hot label."""
+    g = softmax(logits)
+    g[label] -= 1.0
+    return g
 
 
 class TestSoftmax:
@@ -26,11 +37,7 @@ class TestSoftmax:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            softmax(np.array([]))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            softmax([0.0, np.nan])
+            softmax_rows(np.zeros((1, 0)))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=512))
     def test_sums_to_one(self, logits):
@@ -48,7 +55,8 @@ class TestSoftmax:
         L = rng.standard_normal((5, 7))
         rows = softmax_rows(L)
         for i in range(5):
-            np.testing.assert_allclose(rows[i], softmax(L[i]), atol=1e-15)
+            direct = np.exp(L[i]) / np.sum(np.exp(L[i]))
+            np.testing.assert_allclose(rows[i], direct, atol=1e-15)
 
 
 class TestCrossEntropy:
@@ -109,24 +117,24 @@ class TestCeGradient:
 
 class TestNormalize:
     def test_three_four(self):
-        np.testing.assert_allclose(l2_normalize(np.array([3.0, 4.0])),
-                                   [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(normalize_rows(np.array([[3.0, 4.0]])),
+                                   [[0.6, 0.8]], atol=1e-15)
 
     def test_idempotent_on_unit(self, rng):
-        u = l2_normalize(rng.standard_normal(6))
-        np.testing.assert_allclose(l2_normalize(u), u, atol=1e-12)
+        u = normalize_rows(rng.standard_normal((1, 6)))
+        np.testing.assert_allclose(normalize_rows(u), u, atol=1e-12)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-10
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateInputError):
-            l2_normalize(np.zeros(4))
+            normalize_rows(np.zeros((1, 4)))
 
     def test_backward_matches_finite_differences(self, rng):
         for _ in range(20):
-            v = rng.standard_normal(5) + 0.1
-            w = rng.standard_normal(5)
-            analytic = l2_normalize_backward(v, w)
-            err = grad_check(lambda x: float(np.dot(l2_normalize(x), w)),
+            v = rng.standard_normal((1, 5)) + 0.1
+            w = rng.standard_normal((1, 5))
+            analytic = normalize_rows_backward(v, w)
+            err = grad_check(lambda x: float(np.sum(normalize_rows(x) * w)),
                              v, analytic)
             assert err < 1e-6
 
@@ -137,6 +145,18 @@ class TestNormalize:
         err = grad_check(lambda x: float(np.sum(normalize_rows(x) * W)),
                          X, analytic)
         assert err < 1e-6
+
+
+class TestColumnMeans:
+    def test_group_means(self, rng):
+        W = rng.standard_normal((3, 5))
+        got = column_means(W, np.array([1, 0, 1, 1, 0]), 2)
+        np.testing.assert_array_equal(got[:, 0], W[:, [1, 4]].mean(axis=1))
+        np.testing.assert_array_equal(got[:, 1], W[:, [0, 2, 3]].mean(axis=1))
+
+    def test_empty_group_named(self, rng):
+        with pytest.raises(ValueError, match="group 1 is empty"):
+            column_means(rng.standard_normal((2, 3)), np.array([0, 2, 2]), 3)
 
 
 class TestGradCheck:

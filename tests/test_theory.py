@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coarse2fine.numerics import softmax
 from coarse2fine.theory import (DomainError, NonUniformClassSizeError,
-                                h_factor, measure_constants, uniform_z,
+                                log_h_factor, measure_constants, uniform_z,
                                 verify_lemma1, verify_theorem)
 
 
@@ -27,6 +26,9 @@ class TestUniformZ:
     def test_non_uniform_rejected(self):
         with pytest.raises(NonUniformClassSizeError):
             uniform_z(np.array([0, 0, 0, 1, 1, 1, 2]))
+        # a skipped fine id is a class of size 0
+        with pytest.raises(NonUniformClassSizeError, match="from 0 to 2"):
+            uniform_z(np.array([0, 0, 2, 2, 3, 3]))
 
 
 class TestMeasureConstants:
@@ -98,16 +100,21 @@ class TestMeasureConstants:
                               k["coarse_labels"], k["fine_labels"])
 
 
+def log_h(c, alpha, beta, a, b, z):
+    return log_h_factor(c, math.log(alpha), math.log(beta), math.log(a),
+                        math.log(b), z)
+
+
 class TestHFactor:
     def test_z_one_is_one(self):
-        assert h_factor(2.0, 0.3, 0.4, 1.5, 2.5, 1) == 1.0
+        assert log_h(2.0, 0.3, 0.4, 1.5, 2.5, 1) == 0.0
 
     def test_hand_computed_instance(self):
-        got = h_factor(1.0, 0.5, 0.5, 1.0, 1.0, 2)
-        assert abs(got - math.exp(-2 * math.sqrt(2))) < 1e-12
+        got = log_h(1.0, 0.5, 0.5, 1.0, 1.0, 2)
+        assert abs(got - (-2 * math.sqrt(2))) < 1e-12
 
     def test_decreasing_in_c(self):
-        vals = [h_factor(c, 0.4, 0.4, 1.0, 1.0, 3)
+        vals = [log_h(c, 0.4, 0.4, 1.0, 1.0, 3)
                 for c in np.linspace(1.0, 4.0, 10)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -119,14 +126,15 @@ class TestHFactor:
             alpha, beta = rng.uniform(0.05, 0.7, 2)
             a, b = rng.uniform(0.1, 1.5, 2)
             z = int(rng.integers(1, 6))
-            h = h_factor(c, alpha, beta, a, b, z)
+            h = math.exp(log_h(c, alpha, beta, a, b, z))
             assert 0.0 < h <= 1.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            h_factor(1.0, 1.0, 0.5, 1.0, 1.0, 2)
-        with pytest.raises(DomainError):
-            h_factor(1.0, 0.5, 0.5, 0.0, 1.0, 2)
+            log_h_factor(1.0, 0.0, math.log(0.5), 0.0, 0.0, 2)
+        # 2c^2 = 0 cannot cover 2 log(a alpha / (1 - alpha)) = 10
+        with pytest.raises(DomainError, match="inconsistent"):
+            log_h_factor(0.0, math.log(0.5), math.log(0.5), 5.0, 0.0, 2)
 
 
 class TestVerifyLemma1:
