@@ -1,9 +1,10 @@
 """Command-line entry points: gen-data, train, eval, verify-bounds, and
 the end-to-end synthetic comparison (reproduce-synthetic).
 
-Exit codes: 0 success (and bounds hold), 1 internal error / bounds violated,
-2 usage error, 3 IO failure, 4 unsupported data or a malformed dataset or
-checkpoint file.
+Exit codes: 0 success (and bounds hold), 1 internal error (a failed
+invariant check among them) / bounds violated, 2 usage error, 3 IO
+failure, 4 unsupported or degenerate data (e.g. a non-finite embedding)
+or a malformed dataset or checkpoint file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .data import (Dataset, DatasetFormatError, gen_blob_dataset,
                    save_dataset)
 from .evaluate import evaluate_model
 from .model import CheckpointFormatError, load_checkpoint, save_checkpoint
+from .numerics import DegenerateInputError, InvariantError
 from .theory import NonUniformClassSizeError, verify_theorem
 from .trainer import OBJECTIVES, TrainConfig, train
 
@@ -313,6 +315,12 @@ def main(argv: list[str] | None = None) -> int:
     except CheckpointFormatError as exc:
         print(f"bad checkpoint file: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except DegenerateInputError as exc:
+        print(f"degenerate input: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except InvariantError as exc:
+        print(f"internal error: check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

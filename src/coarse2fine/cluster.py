@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import column_means
+from .numerics import InvariantError, column_means
 
 
 @dataclass
@@ -89,7 +89,7 @@ def _lloyd(pts: np.ndarray, P: int, rng: np.random.Generator,
             centers[p] = members.mean(axis=0)
             obj += float(np.sum((members - centers[p]) ** 2))
         if not obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-            raise AssertionError("k-means objective increased")
+            raise InvariantError("k-means objective increased")
         if prev_obj - obj <= tol:
             prev_obj = obj
             break
@@ -103,7 +103,7 @@ def _lloyd(pts: np.ndarray, P: int, rng: np.random.Generator,
             continue
         obj += float(np.sum((members - members.mean(axis=0)) ** 2))
     if not obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-        raise AssertionError("k-means objective increased at finalization")
+        raise InvariantError("k-means objective increased at finalization")
     return assign, obj
 
 

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import column_means, softmax_rows
+from .numerics import (check_finite_embeddings, column_means, row_blocks,
+                       softmax_rows)
 
 
 class NoValidQueriesError(ValueError):
@@ -40,12 +41,18 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     Queries whose label is a singleton are dropped from the denominator;
     similarity ties break toward the lower example index. Returns the
     recall map and the retained query count.
+
+    A query hits at k when its best same-label neighbour b (highest
+    similarity, lowest index among ties) ranks below min(k, n - 1): its
+    rank counts the other examples that beat b on similarity, or tie it
+    at a lower index. Queries are scored one row block at a time.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = emb.shape[0]
     if n < 2:
         raise ValueError("need at least two examples")
+    check_finite_embeddings(emb)
     counts = np.bincount(labels)
     valid = counts[labels] >= 2
     if not np.any(valid):
@@ -53,20 +60,24 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     unit = emb / norms
-    sims = unit @ unit.T
-    hits = {k: 0 for k in ks}
+    queries = np.nonzero(valid)[0]
+    ranks = np.empty(queries.size, dtype=np.int64)
+    cols = np.arange(n)
+    for blk, sims, same_sims in row_blocks(queries.size, n, n):
+        q = queries[blk]
+        rows = np.arange(q.size)
+        np.matmul(unit[q], unit.T, out=sims)
+        sims[rows, q] = -np.inf
+        same_sims.fill(-np.inf)
+        np.copyto(same_sims, sims, where=labels[q][:, None] == labels[None, :])
+        best = np.argmax(same_sims, axis=1)
+        s_best = sims[rows, best][:, None]
+        ranks[blk] = (np.count_nonzero(sims > s_best, axis=1)
+                      + np.count_nonzero((sims == s_best)
+                                         & (cols < best[:, None]), axis=1))
     kmax = min(max(ks), n - 1)
-    for q in np.nonzero(valid)[0]:
-        s = sims[q].copy()
-        s[q] = -np.inf
-        # sort by similarity descending, then index ascending
-        order = np.lexsort((np.arange(n), -s))[:kmax]
-        match = labels[order] == labels[q]
-        for k in ks:
-            if np.any(match[:min(k, kmax)]):
-                hits[k] += 1
-    n_queries = int(np.sum(valid))
-    return {k: hits[k] / n_queries for k in ks}, n_queries
+    return ({k: int(np.count_nonzero(ranks < min(k, kmax))) / queries.size
+             for k in ks}, int(queries.size))
 
 
 def topk_accuracy(logits: np.ndarray, labels: np.ndarray,
@@ -78,12 +89,11 @@ def topk_accuracy(logits: np.ndarray, labels: np.ndarray,
     n, K = logits.shape
     if max(ks) > K:
         raise ValueError(f"k={max(ks)} exceeds the {K} classes")
-    order = np.lexsort((np.arange(K)[None, :].repeat(n, axis=0), -logits), axis=1)
-    out = {}
-    for k in ks:
-        topk = order[:, :k]
-        out[k] = float(np.mean(np.any(topk == labels[:, None], axis=1)))
-    return out
+    own = logits[np.arange(n), labels][:, None]
+    rank = (np.count_nonzero(logits > own, axis=1)
+            + np.count_nonzero((logits == own)
+                               & (np.arange(K) < labels[:, None]), axis=1))
+    return {k: float(np.mean(rank < k)) for k in ks}
 
 
 def fine_class_prob(embeddings: np.ndarray, W_I: np.ndarray,

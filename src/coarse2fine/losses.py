@@ -44,6 +44,7 @@ class LossValue:
     grad_heads: dict[str, np.ndarray]           # head -> dense d x K gradient
     grad_mlp_head: Optional[tuple[np.ndarray, np.ndarray]] = None
     encoder_cache: Optional[EncodeCache] = None
+    embeddings: Optional[np.ndarray] = None     # backbone f(x) of the batch
     components: dict[str, float] = field(default_factory=dict)  # head -> CE
 
     def check_finite(self) -> "LossValue":
@@ -176,7 +177,7 @@ def objective(params: ModelParams, batch: np.ndarray,
         components[head] = v
     return LossValue(value=value, grad_embeddings=dF, grad_heads=grad_heads,
                      grad_mlp_head=mlp_grad, encoder_cache=ecache,
-                     components=components).check_finite()
+                     embeddings=f, components=components).check_finite()
 
 
 # The single-term and combined forms as entry points of their own.

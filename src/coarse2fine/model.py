@@ -245,6 +245,12 @@ def load_checkpoint(path: str) -> ModelParams:
     if n_layers == 0:
         raise CheckpointFormatError("zero encoder layers at offset 6")
     shapes = [unpack("<II") for _ in range(n_layers)]
+    for li in range(1, n_layers):
+        if shapes[li][0] != shapes[li - 1][1]:
+            raise CheckpointFormatError(
+                f"encoder layer {li} takes {shapes[li][0]} inputs but layer "
+                f"{li - 1} gives {shapes[li - 1][1]} outputs "
+                f"(shape at offset {10 + 8 * li})")
     C, n, P, d_h, cosine_flag, temperature = unpack("<IIIIBd")
     encoder = [(matrix(rows, cols), matrix(1, cols).reshape(cols))
                for rows, cols in shapes]

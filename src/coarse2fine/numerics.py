@@ -1,5 +1,6 @@
-"""Stable softmax / cross-entropy primitives, grouped column means and a
-finite-difference checker.
+"""Stable softmax / cross-entropy primitives, grouped column means, the
+row blocks the O(n^2) read paths stream over, and a finite-difference
+checker.
 
 Everything here operates on float64 numpy arrays. The training path may
 downcast to float32, but theory verification and all tests run in float64
@@ -13,8 +14,36 @@ from typing import Callable
 import numpy as np
 
 
+# rows per block in the passes that score every example against all n
+# columns (retrieval, bound constants): memory is O(block * n), not n x n
+_ROW_BLOCK = 128
+
+
 class DegenerateInputError(ValueError):
     """Input is numerically degenerate (e.g. near-zero norm)."""
+
+
+class InvariantError(RuntimeError):
+    """A check that holds for correct code failed: an implementation bug."""
+
+
+def row_blocks(n: int, *widths: int):
+    """Cover rows 0..n-1 in consecutive index blocks of up to _ROW_BLOCK
+    rows. Each block comes with one float64 scratch array of shape
+    (block size, width) per width: allocated once, reused by every block."""
+    scratch = [np.empty((min(n, _ROW_BLOCK), w)) for w in widths]
+    for start in range(0, n, _ROW_BLOCK):
+        blk = np.arange(start, min(start + _ROW_BLOCK, n))
+        yield (blk, *(buf[:blk.size] for buf in scratch))
+
+
+def check_finite_embeddings(emb: np.ndarray) -> None:
+    """Raise DegenerateInputError naming the first embedding row that holds
+    a NaN or an infinity."""
+    bad = ~np.all(np.isfinite(emb), axis=1)
+    if bad.any():
+        raise DegenerateInputError(
+            f"embedding row {int(np.argmax(bad))} is not finite")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

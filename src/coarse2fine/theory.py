@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 from numpy import logaddexp
 
-from .numerics import column_means
+from .numerics import (InvariantError, check_finite_embeddings, column_means,
+                       row_blocks)
 
 REL_TOL = 1e-9
 
@@ -28,11 +29,33 @@ class DomainError(ValueError):
     """A measured constant leaves no valid bound (e.g. alpha = 1)."""
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = np.max(v)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
+def _logsumexp_last(x: np.ndarray) -> np.ndarray:
+    """logsumexp over the last axis; x is overwritten. A slice whose max
+    is not finite gives that max (-inf for a slice of -inf only)."""
+    m = np.max(x, axis=-1)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    x -= shift[..., None]
+    np.exp(x, out=x)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.sum(x, axis=-1))
+
+
+def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray,
+                           own: np.ndarray) -> tuple[float, float]:
+    """Over the rows i of emb, with logits l = emb[i] @ W and own column
+    own[i]: the min of log softmax(l)[own[i]] and the min of the logsumexp
+    of the other logits (-inf when there are none). Row blocks of logits."""
+    log_prob = log_rest = np.inf
+    for blk, L in row_blocks(emb.shape[0], W.shape[1]):
+        rows = np.arange(blk.size)
+        np.matmul(emb[blk], W, out=L)
+        own_logit = L[rows, own[blk]]
+        L[rows, own[blk]] = -np.inf
+        lse_rest = _logsumexp_last(L)
+        log_prob = min(log_prob, float(np.min(
+            own_logit - np.logaddexp(own_logit, lse_rest))))
+        log_rest = min(log_rest, float(np.min(lse_rest)))
+    return log_prob, log_rest
 
 
 def uniform_z(fine_labels: np.ndarray) -> int:
@@ -74,7 +97,8 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
     """Exact minima/maxima over the dataset of every constant in the bounds.
 
     alpha/a use the full instance softmax in theorem1 mode and the
-    within-coarse softmax in theorem2 mode; both are computed in log space.
+    within-coarse softmax in theorem2 mode; both are computed in log space,
+    over row blocks of logits (theorem 2 over each coarse class's block).
     """
     if mode not in ("theorem1", "theorem2"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -84,32 +108,18 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
     n = emb.shape[0]
     if W_I.shape[1] != n:
         raise ValueError("W_I must have one column per example")
+    check_finite_embeddings(emb)
 
-    L_I = emb @ W_I                    # n x n instance logits
-    L_C = emb @ W_C                    # n x C coarse logits
-
-    log_alpha = np.inf
-    log_a = np.inf
-    for i in range(n):
-        if mode == "theorem1":
-            cols = np.arange(n)
-        else:
-            cols = np.nonzero(y_c == y_c[i])[0]
-        row = L_I[i, cols]
-        own_pos = int(np.nonzero(cols == i)[0][0])
-        lse = _logsumexp(row)
-        log_alpha = min(log_alpha, row[own_pos] - lse)
-        rest = np.delete(row, own_pos)
-        log_a = min(log_a, _logsumexp(rest) if rest.size else -np.inf)
-
-    log_beta = np.inf
-    log_b = np.inf
-    for i in range(n):
-        row = L_C[i]
-        lse = _logsumexp(row)
-        log_beta = min(log_beta, row[y_c[i]] - lse)
-        rest = np.delete(row, y_c[i])
-        log_b = min(log_b, _logsumexp(rest) if rest.size else -np.inf)
+    if mode == "theorem1":
+        log_alpha, log_a = _min_log_prob_and_rest(emb, W_I, np.arange(n))
+    else:
+        log_alpha = log_a = np.inf
+        for k in np.unique(y_c):
+            members = np.nonzero(y_c == k)[0]
+            la, lr = _min_log_prob_and_rest(emb[members], W_I[:, members],
+                                            np.arange(members.size))
+            log_alpha, log_a = min(log_alpha, la), min(log_a, lr)
+    log_beta, log_b = _min_log_prob_and_rest(emb, W_C, y_c)
 
     if log_alpha >= 0.0 or log_beta >= 0.0:
         raise DomainError("alpha or beta is exactly 1; the 1-alpha "
@@ -154,9 +164,13 @@ def _fine_log_probs(embeddings: np.ndarray, W_I: np.ndarray,
                     fine_labels: np.ndarray) -> np.ndarray:
     """log Pr{own fine class} per example via mean-column proxies."""
     fine = np.asarray(fine_labels, dtype=np.int64)
-    logits = embeddings @ column_means(W_I, fine, int(fine.max()) + 1)
-    lse = np.array([_logsumexp(row) for row in logits])
-    return logits[np.arange(embeddings.shape[0]), fine] - lse
+    proxies = column_means(W_I, fine, int(fine.max()) + 1)
+    out = np.empty(embeddings.shape[0])
+    for blk, logits in row_blocks(embeddings.shape[0], proxies.shape[1]):
+        np.matmul(embeddings[blk], proxies, out=logits)
+        own = logits[np.arange(blk.size), fine[blk]]
+        out[blk] = own - _logsumexp_last(logits)
+    return out
 
 
 @dataclass
@@ -179,26 +193,30 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
     F = int(fine.max()) + 1
     proxies = column_means(W_I, fine, F)
 
-    L_I = emb @ W_I
-    proxy_logits = emb @ proxies
-
-    # Jensen: f.wbar_s <= logsumexp_{j in s}(f.w_j) - log z, for every i, s
+    # fine class s's columns, in ascending index order, at s*z .. s*z+z-1
+    by_class = np.argsort(fine, kind="stable")
+    own_inst = np.empty(n)       # f_i . w_i
+    lse_full = np.empty(n)       # logsumexp_j f_i . w_j
+    own_proxy = np.empty(n)      # f_i . wbar_{fine(i)}
     jensen_slack = np.inf
-    for s in range(F):
-        cols = np.nonzero(fine == s)[0]
-        lse = np.array([_logsumexp(L_I[i, cols]) for i in range(n)])
-        slack = (lse - np.log(z)) - proxy_logits[:, s]
+    for blk, L_I, grouped, proxy_logits in row_blocks(n, n, n, F):
+        rows = np.arange(blk.size)
+        np.matmul(emb[blk], W_I, out=L_I)
+        np.matmul(emb[blk], proxies, out=proxy_logits)
+        # Jensen: f.wbar_s <= logsumexp_{j in s}(f.w_j) - log z, for every i, s
+        np.take(L_I, by_class, axis=1, out=grouped)
+        lse = _logsumexp_last(grouped.reshape(blk.size, F, z))
+        slack = (lse - np.log(z)) - proxy_logits
         jensen_slack = min(jensen_slack, float(slack.min()))
+        own_inst[blk] = L_I[rows, blk]
+        own_proxy[blk] = proxy_logits[rows, fine[blk]]
+        lse_full[blk] = _logsumexp_last(L_I)
 
     # alpha measured over the full instance softmax
-    lse_full = np.array([_logsumexp(L_I[i]) for i in range(n)])
-    log_inst = np.diag(L_I) - lse_full
-    log_alpha = float(log_inst.min())
+    log_alpha = float(np.min(own_inst - lse_full))
 
     log_lhs = _fine_log_probs(emb, W_I, fine)
-    rows = np.arange(n)
-    log_rhs = (np.log(z) + log_alpha
-               + proxy_logits[rows, fine] - L_I[rows, rows])
+    log_rhs = np.log(z) + log_alpha + own_proxy - own_inst
     lemma_slack = float(np.min(log_lhs - log_rhs))
     return Lemma1Report(jensen_slack_min=jensen_slack,
                         lemma_slack_min=lemma_slack,
@@ -284,7 +302,7 @@ def verify_theorem(embeddings: np.ndarray, W_C: np.ndarray, W_I: np.ndarray,
         log_inv = logaddexp(-k.log_alpha, log1m_beta - k.log_beta + log_c_dp)
         log_alpha_eff = -float(log_inv)
         if log_alpha_eff > k.log_alpha + 1e-12:
-            raise AssertionError("alpha' exceeds alpha")
+            raise InvariantError("alpha' exceeds alpha")
         with np.errstate(over="ignore"):
             extras = {
                 "c_prime": float(np.exp(log_c_prime)),

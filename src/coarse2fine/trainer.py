@@ -12,8 +12,8 @@ import numpy as np
 from .cluster import Membership, kmeans, update_proxies
 from .data import Dataset, augment
 from .losses import LossValue, build_coarse_index, objective
-from .model import (HEADS, ModelParams, branch_forward, encode,
-                    encode_backward, init_params, renormalize_heads)
+from .model import (HEADS, ModelParams, branch_forward, encode_backward,
+                    init_params, renormalize_heads)
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -138,12 +138,10 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
                    membership: Optional[Membership], proxy_phase: bool,
                    epoch: int, lr: float) -> dict:
     """Full-batch loss terms on clean data at the current parameters."""
-    X = dataset.examples
-    lv = objective(params, X, np.arange(dataset.n),
+    lv = objective(params, dataset.examples, np.arange(dataset.n),
                    objective_terms(config, proxy_phase), class_labels,
                    coarse_index, membership)
-    f, _ = encode(params, X)
-    g, _ = branch_forward(params, f, "instance")
+    g, _ = branch_forward(params, lv.embeddings, "instance")
     w_gap = float(np.mean(np.sum((g - params.W_I.T) ** 2, axis=1)))
     return {"epoch": epoch, "lr": lr,
             "loss_coarse": lv.components.get("coarse", 0.0),

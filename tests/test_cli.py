@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from coarse2fine import cli
 from coarse2fine.cli import main, reproduce_synthetic
+from coarse2fine.data import load_dataset, save_dataset
+from coarse2fine.model import ModelParams, save_checkpoint
+from coarse2fine.numerics import InvariantError
 
 
 def run(*argv):
@@ -16,6 +21,16 @@ def blob_file(tmp_path):
              "--fine-per-coarse", "2", "--z", "3", "--dim", "4",
              "--seed", "0", "--out", str(path))
     assert rc == 0
+    return str(path)
+
+
+@pytest.fixture
+def nan_row_file(tmp_path, blob_file):
+    """The blob data set with a NaN in example 3, so embedding 3 is NaN."""
+    d = load_dataset(blob_file)
+    d.examples[3, 0] = np.nan
+    path = tmp_path / "nan.cfds"
+    save_dataset(d, str(path))
     return str(path)
 
 
@@ -186,7 +201,51 @@ class TestEval:
         assert "bad checkpoint file" in capsys.readouterr().err
 
 
+    def test_non_finite_embedding_is_degenerate_data(self, tmp_path, trained,
+                                                      nan_row_file, capsys):
+        rc = run("eval", "--data", nan_row_file, "--checkpoint", trained,
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 4
+        assert "degenerate input: embedding row 3 is not finite" \
+            in capsys.readouterr().err
+
+    def test_unchained_encoder_is_bad_file(self, tmp_path, blob_file, capsys):
+        rng = np.random.default_rng(0)
+        params = ModelParams(
+            encoder=[(rng.standard_normal((4, 3)), np.zeros(3)),
+                     (rng.standard_normal((5, 2)), np.zeros(2))],
+            W_C=rng.standard_normal((2, 2)), W_I=rng.standard_normal((2, 12)))
+        ckpt = tmp_path / "unchained.ckpt"
+        save_checkpoint(params, str(ckpt))
+        rc = run("eval", "--data", blob_file, "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "bad checkpoint file: encoder layer 1 takes 5 inputs" in err
+
+
 class TestVerifyBounds:
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_non_finite_embedding_is_degenerate_data(
+            self, tmp_path, trained, nan_row_file, capsys, theorem):
+        rc = run("verify-bounds", "--data", nan_row_file, "--checkpoint",
+                 trained, "--theorem", theorem, "--out",
+                 str(tmp_path / "b.json"))
+        assert rc == 4
+        assert "degenerate input: embedding row 3 is not finite" \
+            in capsys.readouterr().err
+
+    def test_failed_invariant_is_internal_error(self, tmp_path, blob_file,
+                                                trained, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("alpha' exceeds alpha")
+        monkeypatch.setattr(cli, "verify_theorem", broken)
+        rc = run("verify-bounds", "--data", blob_file, "--checkpoint",
+                 trained, "--out", str(tmp_path / "b.json"))
+        assert rc == 1
+        assert "internal error: check failed: alpha' exceeds alpha" \
+            in capsys.readouterr().err
+
     def test_theorem1_holds_exit_zero(self, tmp_path, blob_file, trained):
         out = tmp_path / "bounds.json"
         rc = run("verify-bounds", "--data", blob_file, "--checkpoint",

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse2fine import numerics
 from coarse2fine.data import gen_blob_dataset
 from coarse2fine.evaluate import (NoValidQueriesError, evaluate_model,
                                   fine_class_prob, recall_at_k,
                                   topk_accuracy)
+from coarse2fine.numerics import DegenerateInputError
 from conftest import identity_params, make_params
 
 
@@ -98,6 +100,41 @@ class TestRecallAtK:
         assert recall[14] == 1.0  # every valid query finds its match by n-1
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_ties_across_row_blocks(self, data):
+        # rows drawn from {0, +-e_i, +-3 e_i}: every cosine similarity is
+        # exactly -1, 0 or 1, so ties are exact on any BLAS path; blocks of
+        # 1-5 rows put tied neighbours in other blocks than their query
+        dim = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 14))
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, dim - 1), st.sampled_from(
+                [0.0, 1.0, -1.0, 3.0, -3.0])), min_size=n, max_size=n))
+        emb = np.zeros((n, dim))
+        for i, (axis, value) in enumerate(rows):
+            emb[i, axis] = value
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                             max_size=n)))
+        ks = [1, 2, 3, 5, 20]
+        try:
+            want = brute_force_recall(emb, labels, ks)
+        except ZeroDivisionError:          # every label a singleton
+            with pytest.raises(NoValidQueriesError):
+                recall_at_k(emb, labels, ks)
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_ROW_BLOCK", data.draw(st.integers(1, 5)))
+            assert recall_at_k(emb, labels, ks) == want
+
+    def test_non_finite_row_named(self, rng):
+        emb = rng.standard_normal((8, 3))
+        emb[5, 1] = np.nan
+        emb[6, 0] = np.inf
+        with pytest.raises(DegenerateInputError, match="row 5 "):
+            recall_at_k(emb, np.repeat(np.arange(4), 2), [1])
+
+
 class TestTopkAccuracy:
     def test_exact_fractions(self):
         logits = np.array([[3.0, 2.0, 1.0],
@@ -110,6 +147,20 @@ class TestTopkAccuracy:
     def test_tie_breaks_to_lower_class(self):
         acc = topk_accuracy(np.array([[1.0, 1.0]]), np.array([1]), [1])
         assert acc[1] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_matches_sort_oracle_with_ties(self, seed):
+        r = np.random.default_rng(seed)
+        logits = r.integers(0, 3, (9, 5)).astype(float)   # many exact ties
+        labels = r.integers(0, 5, 9)
+        want = {}
+        for k in (1, 2, 5):
+            hits = [labels[i] in sorted(range(5),
+                                        key=lambda c: (-logits[i, c], c))[:k]
+                    for i in range(9)]
+            want[k] = float(np.mean(hits))
+        assert topk_accuracy(logits, labels, [1, 2, 5]) == want
 
     def test_k_exceeding_classes(self):
         with pytest.raises(ValueError):

@@ -186,6 +186,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(str(path))
 
+    def test_unchained_layer_shapes_rejected(self, tmp_path, rng):
+        params = make_params(rng, input_dim=4, hidden=(3,), d=2)
+        params.encoder[1] = (rng.standard_normal((5, 2)), np.zeros(2))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+        with pytest.raises(CheckpointFormatError,
+                           match="layer 1 takes 5 inputs but layer 0 "
+                                 "gives 3 outputs"):
+            load_checkpoint(str(path))
+
     def test_optional_parts_absent(self, tmp_path, rng):
         params = make_params(rng)  # no proxy head, no projection
         path = tmp_path / "m.ckpt"

@@ -3,9 +3,40 @@ import math
 import numpy as np
 import pytest
 
+from coarse2fine import numerics, theory
+from coarse2fine.numerics import DegenerateInputError, InvariantError
 from coarse2fine.theory import (DomainError, NonUniformClassSizeError,
                                 log_h_factor, measure_constants, uniform_z,
                                 verify_lemma1, verify_theorem)
+
+
+def per_row_logsumexp(v):
+    m = np.max(v)
+    if not np.isfinite(m):
+        return float(m)
+    return float(m + np.log(np.sum(np.exp(v - m))))
+
+
+def per_row_constants(emb, W_C, W_I, coarse, mode):
+    """Reference oracle: log alpha, log beta, log a, log b from one
+    logsumexp per example, with the own column deleted for a and b."""
+    n = emb.shape[0]
+    out = {"log_alpha": np.inf, "log_beta": np.inf,
+           "log_a": np.inf, "log_b": np.inf}
+    for i in range(n):
+        cols = (np.arange(n) if mode == "theorem1"
+                else np.nonzero(coarse == coarse[i])[0])
+        heads = (("alpha", "a", emb[i] @ W_I[:, cols],
+                  int(np.nonzero(cols == i)[0][0])),
+                 ("beta", "b", emb[i] @ W_C, int(coarse[i])))
+        for prob, resid, row, own in heads:
+            rest = np.delete(row, own)
+            out["log_" + prob] = min(out["log_" + prob],
+                                     row[own] - per_row_logsumexp(row))
+            out["log_" + resid] = min(
+                out["log_" + resid],
+                per_row_logsumexp(rest) if rest.size else -np.inf)
+    return out
 
 
 def random_instance(rng, n=12, C=2, F=4, d=4, scale=0.6):
@@ -75,6 +106,46 @@ class TestMeasureConstants:
             assert abs(math.exp(k.log_b) - min(b_res)) < 1e-12
             counts = np.bincount(coarse)
             assert k.M == n - counts[coarse].min()
+
+    @pytest.mark.parametrize("block", [1, 3, 128])
+    @pytest.mark.parametrize("shape", [
+        dict(n=12, C=2, F=4), dict(n=12, C=3, F=12),    # z = 1
+        dict(n=10, C=1, F=5),                           # one coarse class
+        dict(n=30, C=5, F=10, d=6, scale=1.5)])
+    def test_matches_per_row_oracle(self, rng, monkeypatch, block, shape):
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        emb, W_C, W_I, coarse, fine = random_instance(rng, **shape)
+        if shape["C"] == 1:     # a second coarse column that no label uses
+            W_C = np.hstack([W_C, rng.standard_normal((W_C.shape[0], 1))])
+        got = {}
+        for mode in ("theorem1", "theorem2"):
+            want = per_row_constants(emb, W_C, W_I, coarse, mode)
+            got[mode] = measure_constants(emb, W_C, W_I, coarse, fine, mode)
+            for name, value in want.items():
+                assert getattr(got[mode], name) == pytest.approx(
+                    value, rel=1e-12, abs=0), name
+        if shape["C"] == 1:
+            assert got["theorem2"].log_a == pytest.approx(
+                got["theorem1"].log_a, rel=1e-15, abs=0)
+
+    def test_empty_rest_gives_log_a_minus_inf(self, rng):
+        # z = 1 and example 4 alone in its coarse class: its within-coarse
+        # softmax has no other column (alpha = 1 there, so the min alpha
+        # comes from another example) and log a = -inf
+        emb, W_C, W_I, _, fine = random_instance(rng, n=5, C=1, F=5)
+        W_C = np.hstack([W_C, W_C[:, ::-1]])
+        coarse = np.array([0, 0, 0, 0, 1])
+        want = per_row_constants(emb, W_C, W_I, coarse, "theorem2")
+        got = measure_constants(emb, W_C, W_I, coarse, fine, "theorem2")
+        assert want["log_a"] == got.log_a == -np.inf
+        assert got.log_alpha == pytest.approx(want["log_alpha"], rel=1e-12)
+        assert got.log_b == pytest.approx(want["log_b"], rel=1e-12)
+
+    def test_non_finite_row_named(self, rng):
+        emb, W_C, W_I, coarse, fine = random_instance(rng)
+        emb[7, 2] = -np.inf
+        with pytest.raises(DegenerateInputError, match="row 7 "):
+            measure_constants(emb, W_C, W_I, coarse, fine)
 
     def test_within_coarse_alpha_never_smaller(self, rng):
         emb, W_C, W_I, coarse, fine = random_instance(rng)
@@ -191,6 +262,13 @@ class TestVerifyTheorem:
                 assert report.slack_log_min >= -1e-9
                 assert np.all(np.exp(report.log_lhs)
                               >= rhs * (1 - 1e-9))
+
+    def test_alpha_prime_above_alpha_is_invariant_error(self, rng,
+                                                         monkeypatch):
+        emb, W_C, W_I, coarse, fine = random_instance(rng)
+        monkeypatch.setattr(theory, "logaddexp", lambda a, b: a - 1.0)
+        with pytest.raises(InvariantError, match="alpha' exceeds alpha"):
+            verify_theorem(emb, W_C, W_I, coarse, fine, which=2)
 
     def test_theorem2_extras_and_relaxation_cost(self, rng):
         emb, W_C, W_I, coarse, fine = random_instance(rng)

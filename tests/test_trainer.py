@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coarse2fine import losses, model, trainer
 from coarse2fine.cluster import update_proxies
 from coarse2fine.data import gen_blob_dataset
 from coarse2fine.losses import (build_coarse_index, coarse_loss,
@@ -119,6 +120,22 @@ class TestTrain:
                           seed=11)
         assert param_vector(params).tobytes() == param_vector(ref).tobytes()
         assert metrics == [] and membership is None
+
+    def test_epoch_encodes_each_row_once_for_metrics(self, monkeypatch):
+        # three training batches, then one full-data pass whose embedding
+        # serves both the loss terms and w_gap
+        rows = []
+
+        def counting_encode(params, batch):
+            rows.append(len(batch))
+            return model.encode(params, batch)
+        monkeypatch.setattr(losses, "encode", counting_encode)
+        monkeypatch.setattr(trainer, "encode", counting_encode, raising=False)
+        d = gen_blob_dataset(2, 2, 5, 8, seed=2)
+        _, metrics, _ = train(small_blob_config("coins", epochs=1,
+                                                batch_size=8), d)
+        assert rows == [8, 8, 4, 20]
+        assert len(metrics) == 1
 
     def test_deterministic_rerun(self):
         d = gen_blob_dataset(2, 2, 5, 8, seed=2)
