@@ -4,7 +4,8 @@ the end-to-end synthetic comparison (reproduce-synthetic).
 Exit codes: 0 success (and bounds hold), 1 internal error (a failed
 invariant check among them) / bounds violated, 2 usage error, 3 IO
 failure, 4 unsupported or degenerate data (e.g. a non-finite embedding)
-or a malformed dataset or checkpoint file.
+or a malformed dataset or checkpoint file, 5 training diverged (a
+non-finite loss, gradient or epoch metric; nothing is written).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .evaluate import evaluate_model
 from .model import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .numerics import DegenerateInputError, InvariantError
 from .theory import NonUniformClassSizeError, verify_theorem
-from .trainer import OBJECTIVES, TrainConfig, train
+from .trainer import OBJECTIVES, DivergenceError, TrainConfig, train
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE, EXIT_IO, EXIT_UNSUPPORTED = 0, 1, 2, 3, 4
+EXIT_DIVERGED = 5
 
 
 class UsageError(ValueError):
@@ -318,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateInputError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except InvariantError as exc:
         print(f"internal error: check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

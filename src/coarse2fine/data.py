@@ -51,13 +51,18 @@ class Dataset:
                 raise ValueError("fine_labels length mismatch")
             if np.any(self.fine_labels < 0) or np.any(self.fine_labels >= self.F):
                 raise ValueError("fine label out of range")
-            # a fine class never spans two coarse classes
-            seen: dict[int, int] = {}
-            for f, c in zip(self.fine_labels.tolist(), self.coarse_labels.tolist()):
-                if f in seen and seen[f] != c:
-                    raise ValueError(
-                        f"fine class {f} spans coarse classes {seen[f]} and {c}")
-                seen[f] = c
+            # a fine class never spans two coarse classes: name the first
+            # example whose coarse label differs from that of the first
+            # example of its fine class
+            _, first, inverse = np.unique(self.fine_labels, return_index=True,
+                                          return_inverse=True)
+            owner = self.coarse_labels[first][inverse]
+            bad = np.flatnonzero(owner != self.coarse_labels)
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"fine class {self.fine_labels[i]} spans coarse classes "
+                    f"{owner[i]} and {self.coarse_labels[i]}")
 
 
 def gen_patch_dataset(n: int, n_big: int, n_small: int, img_h: int = 32,
@@ -144,19 +149,53 @@ def gen_blob_dataset(C: int, fine_per_coarse: int, z: int, dim: int,
                    fine_labels=fine, F=F)
 
 
-def augment(example: np.ndarray, img_h: int, img_w: int, pad: int,
-            rng: np.random.Generator) -> np.ndarray:
-    """Random horizontal mirror, then random crop from the zero-padded image."""
-    img = np.asarray(example).reshape(img_h, img_w, 3)
-    if rng.random() < 0.5:
-        img = img[:, ::-1, :]
+def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
+            pad: int, rng: np.random.Generator,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Augmented copies of examples[ids] as one len(ids) x dim array: each
+    image is mirrored horizontally with probability 1/2, then cropped at a
+    random offset from the image zero-padded by `pad` on every side.
+
+    Per image the draws are random(), then the crop row and column offsets
+    (when pad > 0). The part of the crop that overlaps the image is written
+    straight from examples[id] into the output, which is `out` when given
+    (len(ids) x dim, the examples' dtype), so no padded image is built."""
+    B = len(ids)
+    if out is None:
+        out = np.empty((B, examples.shape[1]), dtype=examples.dtype)
+    images = examples.reshape(-1, img_h, img_w, 3)
+    crops = out.reshape(B, img_h, img_w, 3)
     if pad > 0:
-        padded = np.zeros((img_h + 2 * pad, img_w + 2 * pad, 3), dtype=img.dtype)
-        padded[pad:pad + img_h, pad:pad + img_w, :] = img
-        oy = int(rng.integers(0, 2 * pad + 1))
-        ox = int(rng.integers(0, 2 * pad + 1))
-        img = padded[oy:oy + img_h, ox:ox + img_w, :]
-    return img.reshape(-1).copy()
+        out.fill(0.0)
+    for b, i in enumerate(ids):
+        mirror = rng.random() < 0.5
+        oy = ox = pad
+        if pad > 0:
+            oy = int(rng.integers(0, 2 * pad + 1))
+            ox = int(rng.integers(0, 2 * pad + 1))
+        # crop pixel (y, x) is padded pixel (y + oy, x + ox): image row
+        # y + oy - pad and (mirrored) image column x + ox - pad
+        y0, y1 = max(0, pad - oy), min(img_h, img_h + pad - oy)
+        x0, x1 = max(0, pad - ox), min(img_w, img_w + pad - ox)
+        if y0 >= y1 or x0 >= x1:
+            continue                      # the crop lies in the padding
+        src = images[i, y0 + oy - pad:y1 + oy - pad]
+        c0, c1 = x0 + ox - pad, x1 + ox - pad
+        crops[b, y0:y1, x0:x1] = (src[:, img_w - c1:img_w - c0][:, ::-1]
+                                  if mirror else src[:, c0:c1])
+    return out
+
+
+def _first_non_finite_row(examples: np.ndarray) -> Optional[int]:
+    """Index of the first example holding a NaN or an infinity, if any.
+
+    Only rows whose sum is not finite are inspected element by element (a
+    finite row can overflow its sum), so no n x dim mask is built."""
+    if examples.ndim != 2:
+        return None                     # no rows: a CSV with a header only
+    suspects = np.flatnonzero(~np.isfinite(examples.sum(axis=1)))
+    bad = suspects[~np.isfinite(examples[suspects]).all(axis=1)]
+    return int(bad[0]) if bad.size else None
 
 
 def save_dataset(d: Dataset, path: str) -> None:
@@ -193,6 +232,10 @@ def load_dataset(path: str) -> Dataset:
         raise DatasetFormatError(f"truncated example block at offset {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4" if dtype_code == 0 else "<f8",
                            count=n * dim, offset=off).reshape(n, dim).copy()
+    bad = _first_non_finite_row(values)
+    if bad is not None:
+        raise DatasetFormatError(f"example row {bad} is not finite "
+                                 f"(at offset {off + bad * dim * itemsize})")
     off += need
     if len(raw) < off + 4 * n:
         raise DatasetFormatError(f"truncated coarse labels at offset {len(raw)}")
@@ -242,6 +285,9 @@ def load_dataset_csv(path: str) -> Dataset:
                 fine.append(int(row[1]))
             rows.append([float(v) for v in row[2:]])
     examples = np.asarray(rows, dtype=np.float64)
+    bad = _first_non_finite_row(examples)
+    if bad is not None:
+        raise DatasetFormatError(f"example row {bad} is not finite")
     coarse_arr = np.asarray(coarse, dtype=np.int64)
     fine_arr = np.asarray(fine, dtype=np.int64) if has_fine else None
     d = Dataset(examples=examples, coarse_labels=coarse_arr,

@@ -8,8 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (check_finite_embeddings, column_means, row_blocks,
-                       softmax_rows)
+from .numerics import check_finite_embeddings, column_means, row_blocks
 
 
 class NoValidQueriesError(ValueError):
@@ -98,11 +97,22 @@ def topk_accuracy(logits: np.ndarray, labels: np.ndarray,
 
 def fine_class_prob(embeddings: np.ndarray, W_I: np.ndarray,
                     fine_labels: np.ndarray) -> np.ndarray:
-    """Softmax over fine-class proxies (mean of same-class W_I columns);
-    row i, column s is Pr{fine class s | f(x_i), W_I}."""
+    """Each example's probability of its own fine class, Pr{s_i | f(x_i), W_I},
+    under the softmax over fine-class proxies (the mean of the W_I columns
+    of each class). Row i of `embeddings` is example i, whose W_I column
+    and fine label are column i and fine_labels[i]. Scored one row block
+    at a time, so no n x F matrix is held."""
     emb = np.asarray(embeddings, dtype=np.float64)
     fine = np.asarray(fine_labels, dtype=np.int64)
-    return softmax_rows(emb @ column_means(W_I, fine, int(fine.max()) + 1))
+    proxies = column_means(W_I, fine, int(fine.max()) + 1)
+    own = np.empty(emb.shape[0])
+    for blk, logits in row_blocks(emb.shape[0], proxies.shape[1]):
+        rows = np.arange(blk.size)
+        np.matmul(emb[blk], proxies, out=logits)
+        logits -= np.max(logits, axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        own[blk] = logits[rows, fine[blk]] / np.sum(logits, axis=1)
+    return own
 
 
 def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:
@@ -124,8 +134,7 @@ def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:
     if (dataset.fine_labels is not None and params.W_I.shape[1] == dataset.n
             and np.all(np.bincount(dataset.fine_labels,
                                    minlength=dataset.F) > 0)):
-        probs = fine_class_prob(emb, params.W_I, dataset.fine_labels)
-        own = probs[np.arange(dataset.n), dataset.fine_labels]
+        own = fine_class_prob(emb, params.W_I, dataset.fine_labels)
         report.fine_prob_min = float(own.min())
         report.fine_prob_mean = float(own.mean())
     return report

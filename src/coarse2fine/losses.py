@@ -55,6 +55,11 @@ class LossValue:
 
 TERMS = ("coarse", "instance", "within", "proxy")
 
+# padded logits per chunk of coarse classes in the within-coarse term
+# (16k floats, 128 KiB): one product over every class of a large batch
+# would hold classes x r_max x n_max floats at once
+_CHUNK_FLOATS = 1 << 14
+
 
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,
               cols: Optional[np.ndarray], label_pos: np.ndarray,
@@ -81,24 +86,92 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
                         coarse_index: Mapping[int, Sequence[int]],
                         denom: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Instance CE restricted to each example's coarse class: only member
-    columns are read, so the per-example head cost is O(d n_k), not O(d n)."""
+    columns are read, so the per-example head cost is O(d n_k), not O(d n).
+
+    The batch rows are sorted by class into a padded classes x r_max x d
+    block and the member columns gathered as classes x n_max x d, so one
+    batched product scores a chunk of classes; padded members are masked
+    to -inf and padded rows are zero, so neither reaches a gradient."""
+    W_I = params.W_I
+    order = np.argsort(coarse_labels, kind="stable")
+    classes, starts, counts = np.unique(coarse_labels[order], return_index=True,
+                                        return_counts=True)
+    members = [np.asarray(coarse_index[k], dtype=np.int64) for k in classes.tolist()]
+    sizes = np.array([m.size for m in members])
+    flat = np.concatenate(members)
+    if flat.size and (flat.min() < 0 or flat.max() >= W_I.shape[1]):
+        raise ValueError("column subset index out of range")
+    if np.any(np.bincount(flat) > 1):
+        raise ValueError("a column is listed twice in the coarse class membership")
+    r_max, n_max, d = int(counts.max()), int(sizes.max()), G.shape[1]
+    # the classes x n_max grid of member slots; `cell` is each listed
+    # column's cell in it, which gives its class (index into `classes`)
+    # and its position in that class
+    is_member = np.arange(n_max) < sizes[:, None]
+    cell = np.flatnonzero(is_member)
+    owner = np.full(W_I.shape[1], -1)
+    owner[flat] = cell // n_max
+    slot = np.zeros(W_I.shape[1], dtype=np.int64)
+    slot[flat] = cell % n_max
+    row_class = np.repeat(np.arange(classes.size), counts)   # per sorted row
+    row_slot = np.arange(order.size) - np.repeat(starts, counts)
+    sorted_ids = ids[order]
+    bad = np.flatnonzero(owner[sorted_ids] != row_class)
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"example {sorted_ids[t]} not listed in coarse class "
+                         f"{classes[row_class[t]]} membership")
+    label = slot[sorted_ids]
+    WI_READS.add(int(np.dot(counts, sizes)))
+
+    padded = np.zeros((classes.size, n_max), dtype=np.int64)
+    padded[is_member] = flat
+    not_member = ~is_member[:, None, :]
+    first = np.concatenate(([0], np.cumsum(sizes)))  # each class's run in flat
+    per_chunk = max(1, _CHUNK_FLOATS // (r_max * n_max))
+    K = min(per_chunk, classes.size)
+    # per-call scratch, reused by every chunk (a fresh array per chunk
+    # would page-fault each time once it passes the mmap threshold)
+    rows_buf = np.empty((K, r_max, d))
+    cols_buf = np.empty(d * K * n_max)
+    logits_buf = np.empty((K, r_max, n_max))
+    grad_buf = np.empty((K * n_max, d))
+    member_buf = np.empty((K * n_max, d))
     value = 0.0
-    dG = np.zeros_like(G)
-    dW = np.zeros_like(params.W_I)
-    for k in sorted(set(coarse_labels.tolist())):
-        members = np.asarray(coarse_index[k], dtype=np.int64)
-        rows = np.nonzero(coarse_labels == k)[0]
-        pos_of = {int(j): p for p, j in enumerate(members)}
-        try:
-            label_pos = np.asarray([pos_of[int(i)] for i in ids[rows]])
-        except KeyError as exc:
-            raise ValueError(
-                f"example {exc} not listed in coarse class {k} membership") from exc
-        WI_READS.add(len(rows) * len(members))
-        v, dGk, dWk = _ce_block(params, G[rows], "instance", members, label_pos, denom)
-        value += v
-        dG[rows] += dGk
-        dW[:, members] += dWk
+    dG = np.empty_like(G)
+    dW = np.zeros_like(W_I)
+    for c0 in range(0, classes.size, per_chunk):
+        c1 = min(c0 + per_chunk, classes.size)
+        t = slice(starts[c0], starts[c1] if c1 < classes.size else order.size)
+        cls, pos, lab = row_class[t] - c0, row_slot[t], label[t]
+        rows = rows_buf[:c1 - c0]
+        rows.fill(0.0)
+        rows[cls, pos] = G[order[t]]
+        # member columns as classes x d x n_max, gathered along W_I's rows
+        cols = np.take(W_I, padded[c0:c1], axis=1, mode="clip",
+                       out=cols_buf[:d * (c1 - c0) * n_max]
+                       .reshape(d, c1 - c0, n_max)).transpose(1, 0, 2)
+        logits = np.matmul(rows, cols, out=logits_buf[:c1 - c0])
+        if params.cosine:
+            logits /= params.temperature
+        np.copyto(logits, -np.inf, where=not_member[c0:c1])
+        logits -= logits.max(axis=2, keepdims=True)
+        own = logits[cls, pos, lab]
+        np.exp(logits, out=logits)
+        total = logits.sum(axis=2, keepdims=True)
+        value -= float(np.sum(own - np.log(total[cls, pos, 0]))) / denom
+        logits /= total                                      # softmax
+        logits[cls, pos, lab] -= 1.0
+        logits /= denom
+        if params.cosine:
+            logits /= params.temperature
+        dG[order[t]] = np.matmul(logits, cols.transpose(0, 2, 1))[cls, pos]
+        grads = grad_buf[:(c1 - c0) * n_max]
+        np.matmul(logits.transpose(0, 2, 1), rows,
+                  out=grads.reshape(c1 - c0, n_max, d))
+        m = slice(first[c0], first[c1])
+        dW.T[flat[m]] = np.take(grads, cell[m] - c0 * n_max, axis=0,
+                                mode="clip", out=member_buf[:m.stop - m.start])
     return value, dG, dW
 
 
@@ -169,7 +242,8 @@ def objective(params: ModelParams, batch: np.ndarray,
         dF_term, dmlp = branch_backward(params, bcache, dG)
         value = _accumulate(value, weight, v)
         dF = _accumulate(dF, weight, dF_term)
-        grad_heads[head] = weight * dW
+        dW *= weight                      # fresh array: scaled in place
+        grad_heads[head] = dW
         if dmlp is not None:
             prev = mlp_grad or (None, None)
             mlp_grad = (_accumulate(prev[0], weight, dmlp[0]),

@@ -32,8 +32,14 @@ def row_blocks(n: int, *widths: int):
     rows. Each block comes with one float64 scratch array of shape
     (block size, width) per width: allocated once, reused by every block."""
     scratch = [np.empty((min(n, _ROW_BLOCK), w)) for w in widths]
-    for start in range(0, n, _ROW_BLOCK):
-        blk = np.arange(start, min(start + _ROW_BLOCK, n))
+    bounds = list(range(0, n, _ROW_BLOCK)) + [n]
+    if _ROW_BLOCK > 2 and len(bounds) > 2 and n - bounds[-2] == 1:
+        # no trailing one-row block: NumPy computes a one-row product as a
+        # matrix-vector product, which can round differently from the rows
+        # of a matrix product
+        bounds[-2] -= 1
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        blk = np.arange(start, stop)
         yield (blk, *(buf[:blk.size] for buf in scratch))
 
 
@@ -94,14 +100,20 @@ def normalize_rows_backward(x: np.ndarray, grad_out: np.ndarray,
 
 
 def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
-    """d x K matrix whose column s is the mean of the columns of W labelled s."""
+    """d x K matrix whose column s is the mean of the columns of W labelled s.
+
+    The columns are sorted by label once (stably, so each group keeps its
+    order), and each mean is taken over one contiguous run of them."""
     labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=K)[:K]
+    if not counts.all():
+        s = int(np.argmin(counts))
+        raise ValueError(f"group {s} is empty: no column is labelled {s}")
+    grouped = W[:, np.argsort(labels, kind="stable")]
+    ends = np.cumsum(counts)
     out = np.empty((W.shape[0], K))
     for s in range(K):
-        mask = labels == s
-        if not mask.any():
-            raise ValueError(f"group {s} is empty: no column is labelled {s}")
-        out[:, s] = W[:, mask].mean(axis=1)
+        out[:, s] = grouped[:, ends[s] - counts[s]:ends[s]].mean(axis=1)
     return out
 
 

@@ -18,6 +18,11 @@ from .model import (HEADS, ModelParams, branch_forward, encode_backward,
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
 
+class DivergenceError(FloatingPointError):
+    """Training produced a non-finite loss, gradient or epoch metric; the
+    message names the epoch, and the batch when a training step hit it."""
+
+
 @dataclass
 class TrainConfig:
     objective: str = "coins-imp"
@@ -68,16 +73,37 @@ class TrainConfig:
         return T // 2 if self.ip_start_epoch is None else self.ip_start_epoch
 
 
+# floats per slice of the in-place SGD update: the scratch slice stays
+# below glibc's default 128 KiB mmap threshold, so it comes from the heap
+# and does not page-fault on every step
+_SGD_SLICE = 15 * 1024
+
+
 def sgd_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray,
-             lr: float, momentum: float, weight_decay: float
+             lr: float, momentum: float, weight_decay: float,
+             scratch: Optional[np.ndarray] = None
              ) -> tuple[np.ndarray, np.ndarray]:
-    """g' = grad + wd*param; v <- momentum*v + g'; param <- param - lr*v."""
+    """g' = grad + wd*param; v <- momentum*v + g'; param <- param - lr*v.
+
+    Updates param and state in place, one slice of the flat arrays at a
+    time through `scratch` (a float64 buffer of at least
+    min(param.size, _SGD_SLICE) elements; allocated here when omitted)."""
     if param.shape != grad.shape or param.shape != state.shape:
         raise ValueError("shape mismatch in sgd_step")
-    g = grad + weight_decay * param
-    state *= momentum
-    state += g
-    param -= lr * state
+    if not (param.flags.c_contiguous and state.flags.c_contiguous):
+        raise ValueError("sgd_step updates C-contiguous param and state only")
+    p, g, v = param.reshape(-1), grad.reshape(-1), state.reshape(-1)
+    if scratch is None:
+        scratch = np.empty(min(p.size, _SGD_SLICE))
+    for start in range(0, p.size, _SGD_SLICE):
+        s = slice(start, start + _SGD_SLICE)
+        t = scratch[:min(_SGD_SLICE, p.size - start)]
+        np.multiply(weight_decay, p[s], out=t)
+        np.add(g[s], t, out=t)
+        v[s] *= momentum
+        v[s] += t
+        np.multiply(lr, v[s], out=t)
+        p[s] -= t
     return param, state
 
 
@@ -103,16 +129,17 @@ def apply_gradients(params: ModelParams, lv: LossValue, vel: _Velocities,
     """One SGD step on everything the loss touched (proxy-head gradients are
     discarded: W_P is rebuilt from W_I by clustering, never trained)."""
     enc_grads = encode_backward(params, lv.encoder_cache, lv.grad_embeddings)
+    scratch = np.empty(_SGD_SLICE)
     for (W, b), (gW, gb), (vW, vb) in zip(params.encoder, enc_grads, vel.enc):
-        sgd_step(W, gW, vW, lr, momentum, weight_decay)
-        sgd_step(b, gb, vb, lr, momentum, 0.0)       # no decay on biases
+        sgd_step(W, gW, vW, lr, momentum, weight_decay, scratch)
+        sgd_step(b, gb, vb, lr, momentum, 0.0, scratch)   # no decay on biases
     for head, grad in lv.grad_heads.items():
         if head != "proxy":
             sgd_step(params.head_matrix(head), grad, vel.heads[head],
-                     lr, momentum, weight_decay)
+                     lr, momentum, weight_decay, scratch)
     if lv.grad_mlp_head is not None:
         for p, g, v in zip(params.mlp_head, lv.grad_mlp_head, vel.mlp):
-            sgd_step(p, g, v, lr, momentum, weight_decay)
+            sgd_step(p, g, v, lr, momentum, weight_decay, scratch)
     if params.cosine:
         renormalize_heads(params)
 
@@ -138,16 +165,23 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
                    membership: Optional[Membership], proxy_phase: bool,
                    epoch: int, lr: float) -> dict:
     """Full-batch loss terms on clean data at the current parameters."""
-    lv = objective(params, dataset.examples, np.arange(dataset.n),
-                   objective_terms(config, proxy_phase), class_labels,
-                   coarse_index, membership)
+    try:
+        lv = objective(params, dataset.examples, np.arange(dataset.n),
+                       objective_terms(config, proxy_phase), class_labels,
+                       coarse_index, membership)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{exc} in the epoch {epoch} metrics pass") from exc
     g, _ = branch_forward(params, lv.embeddings, "instance")
     w_gap = float(np.mean(np.sum((g - params.W_I.T) ** 2, axis=1)))
-    return {"epoch": epoch, "lr": lr,
-            "loss_coarse": lv.components.get("coarse", 0.0),
-            "loss_instance": lv.components.get("instance", 0.0),
-            "loss_proxy": lv.components.get("proxy", 0.0),
-            "loss_total": lv.value, "w_gap": w_gap}
+    record = {"epoch": epoch, "lr": lr,
+              "loss_coarse": lv.components.get("coarse", 0.0),
+              "loss_instance": lv.components.get("instance", 0.0),
+              "loss_proxy": lv.components.get("proxy", 0.0),
+              "loss_total": lv.value, "w_gap": w_gap}
+    bad = [key for key, value in record.items() if not np.isfinite(value)]
+    if bad:
+        raise DivergenceError(f"non-finite {bad[0]} at epoch {epoch}")
+    return record
 
 
 def train(config: TrainConfig, dataset: Dataset
@@ -184,6 +218,8 @@ def train(config: TrainConfig, dataset: Dataset
     metrics: list[dict] = []
 
     def recluster(t: int) -> Membership:
+        if not np.all(np.isfinite(params.W_I)):
+            raise DivergenceError(f"non-finite W_I after epoch {t}")
         m, _ = kmeans(params.W_I, P, seed=config.seed * 1000003 + t,
                       restarts=config.kmeans_restarts,
                       coarse_labels=dataset.coarse_labels
@@ -194,20 +230,29 @@ def train(config: TrainConfig, dataset: Dataset
     if config.objective == "coinsP" and M == 0 and T > 0:
         membership = recluster(0)
 
+    # the augmented batch, reused by every step: a fresh batch-sized array
+    # would page-fault on each one
+    batch_buf = None if dataset.image_shape is None else \
+        np.empty((min(config.batch_size, n), dataset.dim),
+                 dtype=dataset.examples.dtype)
     for t in range(1, T + 1):
         lr = lr_at(config, t - 1)
         rng = np.random.default_rng([config.seed, t])
         perm = rng.permutation(n)
         proxy_phase = config.objective == "coinsP" and t > M
         terms = objective_terms(config, proxy_phase)
-        for start in range(0, n, config.batch_size):
+        for b, start in enumerate(range(0, n, config.batch_size), 1):
             batch_ids = perm[start:start + config.batch_size]
-            X = dataset.examples[batch_ids]
             if dataset.image_shape is not None:
-                h, w = dataset.image_shape
-                X = np.stack([augment(x, h, w, config.pad, rng) for x in X])
-            lv = objective(params, X, batch_ids, terms,
-                           class_labels[batch_ids], coarse_index, membership)
+                X = augment(dataset.examples, batch_ids, *dataset.image_shape,
+                            config.pad, rng, batch_buf[:batch_ids.size])
+            else:
+                X = dataset.examples[batch_ids]
+            try:
+                lv = objective(params, X, batch_ids, terms,
+                               class_labels[batch_ids], coarse_index, membership)
+            except FloatingPointError as exc:
+                raise DivergenceError(f"{exc} at epoch {t}, batch {b}") from exc
             apply_gradients(params, lv, vel, lr, config.momentum,
                             config.weight_decay)
 

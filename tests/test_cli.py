@@ -25,11 +25,22 @@ def blob_file(tmp_path):
 
 
 @pytest.fixture
-def nan_row_file(tmp_path, blob_file):
-    """The blob data set with a NaN in example 3, so embedding 3 is NaN."""
+def overflow_row_file(tmp_path, blob_file):
+    """The blob data set with example 3 at the largest finite float: the
+    file loads, but embedding 3 overflows to a non-finite row."""
+    d = load_dataset(blob_file)
+    d.examples[3] = np.finfo(np.float64).max
+    path = tmp_path / "nan.cfds"
+    save_dataset(d, str(path))
+    return str(path)
+
+
+@pytest.fixture
+def true_nan_file(tmp_path, blob_file):
+    """The blob data set with a NaN in example 3."""
     d = load_dataset(blob_file)
     d.examples[3, 0] = np.nan
-    path = tmp_path / "nan.cfds"
+    path = tmp_path / "true_nan.cfds"
     save_dataset(d, str(path))
     return str(path)
 
@@ -85,6 +96,29 @@ class TestTrain:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert {"epoch", "lr", "loss_total", "w_gap"} <= set(rec)
+
+    @pytest.mark.parametrize("batch, where", [
+        ("4", "non-finite loss or gradient at epoch 2, batch 2"),
+        ("64", "non-finite loss or gradient in the epoch 4 metrics pass")])
+    def test_divergence_exits_5_and_writes_nothing(self, tmp_path, blob_file,
+                                                   capsys, batch, where):
+        ckpt = tmp_path / "m.ckpt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run("train", "--data", blob_file, "--objective", "coins-imp",
+                     "--epochs", "8", "--batch", batch, "--lr", "1e12",
+                     "--out", str(ckpt))
+        assert rc == 5
+        assert f"training diverged: {where}" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
+
+    def test_non_finite_example_is_bad_file(self, tmp_path, true_nan_file,
+                                            capsys):
+        rc = run("train", "--data", true_nan_file, "--epochs", "1",
+                 "--out", str(tmp_path / "m.ckpt"))
+        assert rc == 4
+        assert "bad dataset file: example row 3 is not finite" \
+            in capsys.readouterr().err
 
     def test_deterministic_checkpoints(self, tmp_path, blob_file):
         outs = []
@@ -202,11 +236,19 @@ class TestEval:
 
 
     def test_non_finite_embedding_is_degenerate_data(self, tmp_path, trained,
-                                                      nan_row_file, capsys):
-        rc = run("eval", "--data", nan_row_file, "--checkpoint", trained,
+                                                      overflow_row_file, capsys):
+        rc = run("eval", "--data", overflow_row_file, "--checkpoint", trained,
                  "--out", str(tmp_path / "r.json"))
         assert rc == 4
         assert "degenerate input: embedding row 3 is not finite" \
+            in capsys.readouterr().err
+
+    def test_non_finite_example_is_bad_file(self, tmp_path, trained,
+                                            true_nan_file, capsys):
+        rc = run("eval", "--data", true_nan_file, "--checkpoint", trained,
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 4
+        assert "bad dataset file: example row 3 is not finite" \
             in capsys.readouterr().err
 
     def test_unchained_encoder_is_bad_file(self, tmp_path, blob_file, capsys):
@@ -227,8 +269,8 @@ class TestEval:
 class TestVerifyBounds:
     @pytest.mark.parametrize("theorem", ["1", "2"])
     def test_non_finite_embedding_is_degenerate_data(
-            self, tmp_path, trained, nan_row_file, capsys, theorem):
-        rc = run("verify-bounds", "--data", nan_row_file, "--checkpoint",
+            self, tmp_path, trained, overflow_row_file, capsys, theorem):
+        rc = run("verify-bounds", "--data", overflow_row_file, "--checkpoint",
                  trained, "--theorem", theorem, "--out",
                  str(tmp_path / "b.json"))
         assert rc == 4

@@ -90,29 +90,67 @@ class TestBlobDataset:
             gen_blob_dataset(1, 1, 1, 1, coarse_spread=0.0)
 
 
+def per_image_augment(example, img_h, img_w, pad, rng):
+    """One image at a time, through an explicit zero-padded copy (the form
+    the batched augment replaced)."""
+    img = np.asarray(example).reshape(img_h, img_w, 3)
+    if rng.random() < 0.5:
+        img = img[:, ::-1, :]
+    if pad > 0:
+        padded = np.zeros((img_h + 2 * pad, img_w + 2 * pad, 3), dtype=img.dtype)
+        padded[pad:pad + img_h, pad:pad + img_w, :] = img
+        oy = int(rng.integers(0, 2 * pad + 1))
+        ox = int(rng.integers(0, 2 * pad + 1))
+        img = padded[oy:oy + img_h, ox:ox + img_w, :]
+    return img.reshape(-1).copy()
+
+
+def augment_one(x, h, w, pad, rng):
+    return augment(x[None], [0], h, w, pad, rng)[0]
+
+
 class TestAugment:
     def test_no_pad_no_mirror_is_identity(self, rng):
         x = rng.random(6 * 6 * 3)
-        out = augment(x, 6, 6, 0, _FixedRng(coin=0.9, offset=0))
+        out = augment_one(x, 6, 6, 0, _FixedRng(coin=0.9, offset=0))
         np.testing.assert_array_equal(out, x)
 
     def test_double_mirror_is_identity(self, rng):
         x = rng.random(6 * 6 * 3)
-        once = augment(x, 6, 6, 0, _FixedRng(coin=0.1, offset=0))
-        twice = augment(once, 6, 6, 0, _FixedRng(coin=0.1, offset=0))
+        once = augment_one(x, 6, 6, 0, _FixedRng(coin=0.1, offset=0))
+        twice = augment_one(once, 6, 6, 0, _FixedRng(coin=0.1, offset=0))
         np.testing.assert_array_equal(twice, x)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 2 ** 31 - 1))
     def test_length_preserved(self, pad, seed):
         r = np.random.default_rng(seed)
-        x = r.random(8 * 8 * 3)
-        assert augment(x, 8, 8, pad, r).shape == x.shape
+        x = r.random((3, 8 * 8 * 3))
+        assert augment(x, [2, 0], 8, 8, pad, r).shape == (2, x.shape[1])
 
     def test_centered_crop_recovers_image(self, rng):
         x = rng.random(6 * 6 * 3)
-        out = augment(x, 6, 6, 2, _FixedRng(coin=0.9, offset=2))
+        out = augment_one(x, 6, 6, 2, _FixedRng(coin=0.9, offset=2))
         np.testing.assert_array_equal(out, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([0, 1, 3, 9]), st.integers(1, 12),
+           st.integers(0, 2 ** 31 - 1), st.sampled_from(["<f8", "<f4"]),
+           st.booleans())
+    def test_batch_equals_per_image(self, pad, B, seed, dtype, reuse):
+        # signed values, so a sign-flipped zero in the padding would show
+        r = np.random.default_rng(seed)
+        images = r.standard_normal((7, 5 * 6 * 3)).astype(dtype)
+        ids = r.integers(0, 7, size=B)
+        oracle_rng = np.random.default_rng([seed, 1])
+        want = np.stack([per_image_augment(images[i], 5, 6, pad, oracle_rng)
+                         for i in ids])
+        # a reused output buffer holds stale values that must not survive
+        out = np.full((B, images.shape[1]), np.nan, dtype) if reuse else None
+        got = augment(images, ids, 5, 6, pad, np.random.default_rng([seed, 1]),
+                      out)
+        assert got.dtype == images.dtype and (out is None or got is out)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDatasetFile:
@@ -170,6 +208,20 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError, match="out of range"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+    def test_non_finite_example_rejected(self, tmp_path, bad, dtype):
+        d = gen_blob_dataset(2, 2, 3, 4, seed=0)
+        d.examples = d.examples.astype(dtype)
+        d.examples[[4, 7], 2] = bad
+        path = tmp_path / "nan.cfds"
+        save_dataset(d, str(path))
+        itemsize = np.dtype(dtype).itemsize
+        with pytest.raises(DatasetFormatError,
+                           match=f"example row 4 is not finite "
+                                 f"\\(at offset {23 + 4 * 4 * itemsize}\\)"):
+            load_dataset(str(path))
+
 
 class TestCsv:
     def test_load(self, tmp_path):
@@ -192,6 +244,15 @@ class TestCsv:
         with pytest.raises(DatasetFormatError):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_example_rejected(self, tmp_path, bad):
+        path = tmp_path / "d.csv"
+        path.write_text(f"coarse,fine,x0,x1\n0,0,1.0,2.0\n0,1,3.0,{bad}\n"
+                        f"1,2,{bad},6.0\n")
+        with pytest.raises(DatasetFormatError,
+                           match="example row 1 is not finite"):
+            load_dataset_csv(str(path))
+
 
 class TestValidate:
     def test_fine_spanning_two_coarse_rejected(self):
@@ -200,6 +261,34 @@ class TestValidate:
                     fine_labels=np.array([0, 0]), F=1)
         with pytest.raises(ValueError, match="spans"):
             d.validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 40))
+    def test_spanning_message_matches_first_conflict(self, seed, n):
+        # the first conflict in example order, as the per-example loop
+        # (kept here as the oracle) reports it
+        r = np.random.default_rng(seed)
+        F = int(r.integers(1, 6))
+        owner = r.integers(0, 3, size=F)
+        fine = r.integers(0, F, size=n)
+        coarse = owner[fine]
+        flips = r.random(n) < 0.2
+        coarse[flips] = r.integers(0, 3, size=int(flips.sum()))
+        want = None
+        seen = {}
+        for f, c in zip(fine.tolist(), coarse.tolist()):
+            if f in seen and seen[f] != c:
+                want = f"fine class {f} spans coarse classes {seen[f]} and {c}"
+                break
+            seen[f] = c
+        d = Dataset(examples=np.zeros((n, 1)), coarse_labels=coarse, C=3,
+                    fine_labels=fine, F=F)
+        if want is None:
+            d.validate()
+        else:
+            with pytest.raises(ValueError) as exc:
+                d.validate()
+            assert str(exc.value) == want
 
     def test_label_range_checked(self):
         d = Dataset(examples=np.zeros((2, 3)),

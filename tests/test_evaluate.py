@@ -8,7 +8,7 @@ from coarse2fine.data import gen_blob_dataset
 from coarse2fine.evaluate import (NoValidQueriesError, evaluate_model,
                                   fine_class_prob, recall_at_k,
                                   topk_accuracy)
-from coarse2fine.numerics import DegenerateInputError
+from coarse2fine.numerics import DegenerateInputError, column_means, softmax_rows
 from conftest import identity_params, make_params
 
 
@@ -171,21 +171,30 @@ class TestFineClassProb:
     def test_singleton_fine_classes_match_instance_softmax(self, rng):
         # one example per fine class: the class proxy IS the instance column
         W_I = rng.standard_normal((4, 6))
-        emb = rng.standard_normal((3, 4))
-        probs = fine_class_prob(emb, W_I, np.arange(6))
-        for i in range(3):
+        emb = rng.standard_normal((6, 4))
+        own = fine_class_prob(emb, W_I, np.arange(6))
+        for i in range(6):
             e = np.exp(emb[i] @ W_I)
-            np.testing.assert_allclose(probs[i], e / e.sum(), atol=1e-12)
+            assert abs(own[i] - e[i] / e.sum()) <= 1e-12
 
-    def test_rows_sum_to_one(self, rng):
-        probs = fine_class_prob(rng.standard_normal((5, 3)),
-                                rng.standard_normal((3, 8)),
-                                np.array([0, 0, 1, 1, 2, 2, 3, 3]))
+    @pytest.mark.parametrize("block", [3, 6, 128])
+    def test_own_entry_of_full_softmax(self, rng, monkeypatch, block):
+        # the streamed own-class entries are the entries of the full n x F
+        # softmax matrix, bit for bit; with 7 rows, blocks of 3 and 6 would
+        # leave a trailing one-row block
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        W_I = rng.standard_normal((3, 7))
+        emb = rng.standard_normal((7, 3))
+        fine = np.array([0, 0, 1, 1, 2, 2, 3])
+        probs = softmax_rows(emb @ column_means(W_I, fine, 4))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        own = fine_class_prob(emb, W_I, fine)
+        assert own.shape == (7,)
+        assert own.tobytes() == probs[np.arange(7), fine].tobytes()
 
     def test_empty_fine_class_rejected(self, rng):
         with pytest.raises(ValueError, match="empty"):
-            fine_class_prob(rng.standard_normal((2, 3)),
+            fine_class_prob(rng.standard_normal((4, 3)),
                             rng.standard_normal((3, 4)),
                             np.array([0, 0, 2, 2]))
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from coarse2fine import losses
 from coarse2fine.cluster import Membership, update_proxies
-from coarse2fine.losses import (WI_READS, build_coarse_index, coarse_loss,
+from coarse2fine.losses import (WI_READS, _ce_block, _within_coarse_term,
+                                build_coarse_index, coarse_loss,
                                 combined_objective, instance_loss_full,
                                 instance_loss_within_coarse,
                                 instance_proxy_loss, objective)
@@ -18,6 +20,26 @@ def _loss_fn_builder(params, call):
     def fn(vec):
         return call(set_param_vector(params, vec)).value
     return fn
+
+
+def per_class_within_oracle(params, G, ids, coarse_labels, coarse_index,
+                            denom):
+    """The within-coarse term as one cross-entropy block per coarse class
+    (the loop the batched term replaced): value, dG and the d x n dW."""
+    value = 0.0
+    dG = np.zeros_like(G)
+    dW = np.zeros_like(params.W_I)
+    for k in sorted(set(coarse_labels.tolist())):
+        members = np.asarray(coarse_index[k], dtype=np.int64)
+        rows = np.nonzero(coarse_labels == k)[0]
+        pos_of = {int(j): p for p, j in enumerate(members)}
+        label_pos = np.asarray([pos_of[int(i)] for i in ids[rows]])
+        v, dGk, dWk = _ce_block(params, G[rows], "instance", members,
+                                label_pos, denom)
+        value += v
+        dG[rows] += dGk
+        dW[:, members] += dWk
+    return value, dG, dW
 
 
 def _direct_ce_oracle(logit_rows, labels):
@@ -150,6 +172,85 @@ class TestWithinCoarse:
         outside = coarse != 1
         assert np.all(grad[:, outside] == 0.0)
         assert np.all(np.any(grad[:, ~outside] != 0.0, axis=0))
+
+
+class TestBatchedWithinCoarse:
+    """The batched term against the per-class loop, to 1e-12 relative."""
+
+    def check(self, params, G, ids, coarse_labels, index):
+        WI_READS.reset()
+        v, dG, dW = _within_coarse_term(params, G, ids, coarse_labels, index,
+                                        len(ids))
+        sizes = np.array([len(index[k]) for k in coarse_labels])
+        assert WI_READS.reads == int(sizes.sum())
+        ov, odG, odW = per_class_within_oracle(params, G, ids, coarse_labels,
+                                               index, len(ids))
+        assert abs(v - ov) <= 1e-12 * abs(ov)
+        scale = max(np.abs(odG).max(), np.abs(odW).max())
+        np.testing.assert_allclose(dG, odG, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(dW, odW, rtol=1e-12, atol=1e-12 * scale)
+        assert np.all(dW[:, odW.any(axis=0) == 0] == 0.0)
+
+    def test_unequal_class_sizes(self, rng):
+        coarse = np.repeat(np.arange(5), [1, 7, 3, 12, 2])
+        params = make_params(rng, d=4, n=coarse.size)
+        ids = rng.permutation(coarse.size)[:15]
+        G = rng.standard_normal((15, 4))
+        self.check(params, G, ids, coarse[ids], build_coarse_index(coarse))
+
+    def test_batch_in_one_class(self, rng):
+        coarse = np.repeat(np.arange(3), [4, 9, 5])
+        params = make_params(rng, d=4, n=coarse.size)
+        ids = np.array([12, 4, 9, 7])
+        self.check(params, rng.standard_normal((4, 4)), ids, coarse[ids],
+                   build_coarse_index(coarse))
+
+    def test_cosine_with_mlp_head(self, rng):
+        coarse = rng.permutation(np.repeat(np.arange(4), [6, 2, 5, 3]))
+        params = make_params(rng, hidden=(8,), d=8, n=coarse.size,
+                             cosine=True, mlp_head=True, temperature=0.1)
+        ids = rng.permutation(coarse.size)[:11]
+        X = rng.standard_normal((11, 4)) + 0.4
+        index = build_coarse_index(coarse)
+        lv = instance_loss_within_coarse(params, X, ids, coarse[ids], index)
+        f, _ = encode(params, X)
+        G, _ = losses.branch_forward(params, f, "instance")
+        self.check(params, G, ids, coarse[ids], index)
+        ov, _, odW = per_class_within_oracle(params, G, ids, coarse[ids],
+                                             index, len(ids))
+        assert abs(lv.value - ov) <= 1e-12 * ov
+        np.testing.assert_allclose(lv.grad_heads["instance"], odW,
+                                   rtol=1e-12, atol=1e-12 * np.abs(odW).max())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunk_boundaries(self, rng, monkeypatch, chunk):
+        # a budget below one class's r_max x n_max floats still takes one
+        # class per chunk; 2 and 3 classes per chunk leave a short last one
+        coarse = np.repeat(np.arange(7), [3, 1, 4, 2, 5, 2, 3])
+        params = make_params(rng, d=3, n=coarse.size)
+        ids = rng.permutation(coarse.size)
+        index = build_coarse_index(coarse)
+        G = rng.standard_normal((coarse.size, 3))
+        r_max, n_max = 5, 5
+        monkeypatch.setattr(losses, "_CHUNK_FLOATS",
+                            1 if chunk == 1 else chunk * r_max * n_max)
+        self.check(params, G, ids, coarse[ids], index)
+
+    def test_column_in_two_classes_rejected(self, rng):
+        params = make_params(rng, n=4)
+        index = {0: np.array([0, 1, 2]), 1: np.array([2, 3])}
+        with pytest.raises(ValueError, match="listed twice"):
+            _within_coarse_term(params, rng.standard_normal((4, 3)),
+                                np.arange(4), np.array([0, 0, 1, 1]), index, 4)
+
+    def test_first_unlisted_example_named(self, rng):
+        params = make_params(rng, n=6)
+        coarse = np.array([1, 0, 1, 0, 1, 0])
+        index = {0: np.array([1, 3, 5]), 1: np.array([0, 4])}   # 2 missing
+        with pytest.raises(ValueError, match="example 2 not listed in "
+                                             "coarse class 1 membership"):
+            _within_coarse_term(params, rng.standard_normal((6, 3)),
+                                np.arange(6), coarse, index, 6)
 
 
 class TestInstanceProxy:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse2fine import numerics
 from coarse2fine.numerics import (DegenerateInputError, column_means,
                                   cross_entropy, grad_check, normalize_rows,
-                                  normalize_rows_backward, softmax_rows)
+                                  normalize_rows_backward, row_blocks,
+                                  softmax_rows)
 
 
 def softmax(logits):
@@ -154,9 +156,34 @@ class TestColumnMeans:
         np.testing.assert_array_equal(got[:, 0], W[:, [1, 4]].mean(axis=1))
         np.testing.assert_array_equal(got[:, 1], W[:, [0, 2, 3]].mean(axis=1))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 2 ** 31 - 1))
+    def test_bitwise_equal_to_masked_means(self, d, n, seed):
+        # the per-group masked mean, kept here as the oracle
+        r = np.random.default_rng(seed)
+        K = int(r.integers(1, n + 1))
+        labels = np.concatenate([np.arange(K), r.integers(0, K, n - K)])
+        r.shuffle(labels)
+        W = r.standard_normal((d, n))
+        want = np.stack([W[:, labels == s].mean(axis=1) for s in range(K)],
+                        axis=1)
+        assert column_means(W, labels, K).tobytes() == want.tobytes()
+
     def test_empty_group_named(self, rng):
         with pytest.raises(ValueError, match="group 1 is empty"):
             column_means(rng.standard_normal((2, 3)), np.array([0, 2, 2]), 3)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (5, [3, 2]), (8, [4, 4]), (9, [4, 3, 2]), (10, [4, 4, 2])])
+    def test_cover_without_trailing_one_row_block(self, monkeypatch, n, sizes):
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", 4)
+        blocks = [(blk, buf) for blk, buf in row_blocks(n, 3)]
+        assert [blk.size for blk, _ in blocks] == sizes
+        np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]),
+                                      np.arange(n))
+        assert all(buf.shape == (blk.size, 3) for blk, buf in blocks)
 
 
 class TestGradCheck:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse2fine import losses, model, trainer
 from coarse2fine.cluster import update_proxies
@@ -42,6 +44,34 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9, 0.0)
+
+    def test_non_contiguous_param_rejected(self):
+        p = np.zeros((3, 4)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sgd_step(p, np.zeros((4, 3)), np.zeros((4, 3)), 0.1, 0.9, 0.0)
+
+    S = trainer._SGD_SLICE
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([1, 5, S - 1, S, S + 1, 2 * S, 3 * S - 7]),
+           st.integers(1, 3), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([0.0, 5e-4, 0.3]), st.sampled_from([0.0, 0.9]),
+           st.booleans())
+    def test_bitwise_equal_to_unsliced_formula(self, size, width, seed, wd,
+                                               momentum, own_scratch):
+        r = np.random.default_rng(seed)
+        shape = (width, size)
+        p, g, v = (r.standard_normal(shape) for _ in range(3))
+        p_ref, v_ref = p.copy(), v.copy()
+        g_ref = g + wd * p_ref
+        v_ref *= momentum
+        v_ref += g_ref
+        p_ref -= 0.037 * v_ref
+        scratch = np.empty(self.S) if own_scratch else None
+        out = sgd_step(p, g, v, 0.037, momentum, wd, scratch)
+        assert out[0] is p and out[1] is v
+        assert p.tobytes() == p_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
 
 
 class TestLrSchedule:
@@ -207,6 +237,19 @@ class TestTrain:
         assert [m["epoch"] for m in metrics] == [1, 2, 3, 4]
         assert metrics[0]["lr"] == cfg.lr
         assert abs(metrics[-1]["lr"] - cfg.lr / 2) < 1e-15
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("objective, lr, where", [
+        ("coins-imp", 1e12, "non-finite w_gap at epoch 3"),
+        ("coinsP", 1e308, "non-finite W_I after epoch 1")])
+    def test_named_with_epoch(self, objective, lr, where):
+        d = gen_blob_dataset(4, 5, 10, 16, seed=0)
+        cfg = TrainConfig(objective=objective, epochs=8, lr=lr,
+                          ip_start_epoch=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(trainer.DivergenceError, match=where):
+            train(cfg, d)
 
 
 class TestParamVector:
