@@ -62,23 +62,20 @@ _CHUNK_FLOATS = 1 << 14
 
 
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,
-              cols: Optional[np.ndarray], label_pos: np.ndarray,
-              denom: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy of G against head columns, summed and divided by denom.
-
-    Returns (value, grad wrt G, d x len(cols) grad wrt the columns read)."""
-    logits = head_logits(params, G, head, cols)
+              labels: np.ndarray, denom: int
+              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cross-entropy of G against every column of a head, summed and divided
+    by denom. Returns (value, grad wrt G, d x K grad wrt the head)."""
+    logits = head_logits(params, G, head)
     logp = log_softmax_rows(logits)
     rows = np.arange(G.shape[0])
-    value = float(-np.sum(logp[rows, label_pos])) / denom
+    value = float(-np.sum(logp[rows, labels])) / denom
     dlogits = softmax_rows(logits)
-    dlogits[rows, label_pos] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= denom
     if params.cosine:
         dlogits = dlogits / params.temperature
-    W = params.head_matrix(head)
-    Wsel = W if cols is None else W[:, cols]
-    return value, dlogits @ Wsel.T, G.T @ dlogits
+    return value, dlogits @ params.head_matrix(head).T, G.T @ dlogits
 
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
@@ -238,7 +235,7 @@ def objective(params: ModelParams, batch: np.ndarray,
                 labels = ids
             else:
                 labels = membership.assignment[ids]
-            v, dG, dW = _ce_block(params, G, head, None, labels, B)
+            v, dG, dW = _ce_block(params, G, head, labels, B)
         dF_term, dmlp = branch_backward(params, bcache, dG)
         value = _accumulate(value, weight, v)
         dF = _accumulate(dF, weight, dF_term)

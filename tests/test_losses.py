@@ -3,13 +3,14 @@ import pytest
 
 from coarse2fine import losses
 from coarse2fine.cluster import Membership, update_proxies
-from coarse2fine.losses import (WI_READS, _ce_block, _within_coarse_term,
+from coarse2fine.losses import (WI_READS, _within_coarse_term,
                                 build_coarse_index, coarse_loss,
                                 combined_objective, instance_loss_full,
                                 instance_loss_within_coarse,
                                 instance_proxy_loss, objective)
-from coarse2fine.model import encode
-from coarse2fine.numerics import cross_entropy, grad_check
+from coarse2fine.model import encode, head_logits
+from coarse2fine.numerics import (cross_entropy, grad_check, log_softmax_rows,
+                                  softmax_rows)
 from coarse2fine.trainer import (gradient_vector, param_vector,
                                  set_param_vector)
 from conftest import make_params
@@ -34,11 +35,16 @@ def per_class_within_oracle(params, G, ids, coarse_labels, coarse_index,
         rows = np.nonzero(coarse_labels == k)[0]
         pos_of = {int(j): p for p, j in enumerate(members)}
         label_pos = np.asarray([pos_of[int(i)] for i in ids[rows]])
-        v, dGk, dWk = _ce_block(params, G[rows], "instance", members,
-                                label_pos, denom)
-        value += v
-        dG[rows] += dGk
-        dW[:, members] += dWk
+        logits = head_logits(params, G[rows], "instance", members)
+        at_label = (np.arange(rows.size), label_pos)
+        value += float(-np.sum(log_softmax_rows(logits)[at_label])) / denom
+        dlogits = softmax_rows(logits)
+        dlogits[at_label] -= 1.0
+        dlogits /= denom
+        if params.cosine:
+            dlogits = dlogits / params.temperature
+        dG[rows] += dlogits @ params.W_I[:, members].T
+        dW[:, members] += G[rows].T @ dlogits
     return value, dG, dW
 
 
