@@ -18,93 +18,106 @@ class Membership:
     within_coarse: bool
     objective: float              # sum_i ||w_i - proxy_{mu(i)}||^2
 
-    def recompute_objective(self, W_I: np.ndarray) -> float:
-        pts = W_I.T
-        total = 0.0
-        for p in range(self.P):
-            members = pts[self.assignment == p]
-            if members.shape[0] == 0:
-                continue
-            center = members.mean(axis=0)
-            total += float(np.sum((members - center) ** 2))
-        return total
-
 
 def update_proxies(W_I: np.ndarray, membership: Membership,
                    cosine: bool = False) -> np.ndarray:
     """Proxy column p = mean of the W_I columns assigned to cluster p."""
     W_P = column_means(W_I, membership.assignment, membership.P)
-    if cosine:
-        W_P = W_P / np.linalg.norm(W_P, axis=0, keepdims=True)
-    return W_P
+    return W_P / np.linalg.norm(W_P, axis=0, keepdims=True) if cosine else W_P
 
 
-def _kmeans_pp_init(pts: np.ndarray, P: int, rng: np.random.Generator) -> np.ndarray:
-    n = pts.shape[0]
-    centers = np.empty((P, pts.shape[1]))
-    first = int(rng.integers(0, n))
-    centers[0] = pts[first]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+def _kmeans_pp(X: np.ndarray, P: int, rngs: list) -> np.ndarray:
+    """k-means++ seeds (G, P, d) of X (G, n, d); rngs[g] draws as alone: integers(0,
+    n), then integers(0, n) if total <= 0, else choice(n, p=d2/total)'s random()."""
+    G, n, _ = X.shape
+    rows, picks, diff = np.arange(G), np.empty((G, P), np.int64), np.empty_like(X)
+
+    def dist(j):        # summed over d in the memory order of X, as alone
+        np.square(np.subtract(X, X[rows, picks[:, j], None], out=diff), out=diff)
+        return diff.sum(axis=2)
+
+    picks[:, 0] = [rng.integers(0, n) for rng in rngs]
+    d2 = dist(0)
     for j in range(1, P):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(0, n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = pts[idx]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
-    return centers
+        total = d2.sum(axis=1)
+        live = total > 0.0
+        cdf = np.cumsum(d2 / np.where(live, total, 1.0)[:, None], axis=1)
+        cdf /= np.where(live, cdf[:, -1], 1.0)[:, None]
+        u = np.array([rng.random() if t > 0.0 else rng.integers(0, n)
+                      for rng, t in zip(rngs, total)])
+        picks[:, j] = np.where(live, np.sum(cdf <= u[:, None], axis=1), u)
+        d2 = np.minimum(d2, dist(j))
+    return X[rows[:, None], picks]
 
 
-def _assign(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = (np.sum(pts * pts, axis=1, keepdims=True)
-          - 2.0 * pts @ centers.T + np.sum(centers * centers, axis=1))
-    d2 = np.maximum(d2, 0.0)
-    assign = np.argmin(d2, axis=1)
-    return assign, d2
+def _repair(assign: np.ndarray, d2: np.ndarray, P: int) -> np.ndarray:
+    """Fill empty clusters, lowest first, with the farthest point of a 2+ cluster."""
+    counts = np.bincount((np.arange(len(assign))[:, None] * P + assign).ravel(),
+                         minlength=len(assign) * P).reshape(-1, P)
+    while (need := np.flatnonzero(np.any(counts == 0, axis=1))).size:
+        empty, a = np.argmax(counts[need] == 0, axis=1), assign[need]
+        far = d2[need[:, None], np.arange(a.shape[1]), a]
+        far[np.take_along_axis(counts[need], a, axis=1) <= 1] = -np.inf
+        steal = np.argmax(far, axis=1)
+        counts[need, a[np.arange(need.size), steal]] -= 1
+        counts[need, empty] += 1
+        assign[need, steal] = empty
+    return assign
 
 
-def _lloyd(pts: np.ndarray, P: int, rng: np.random.Generator,
-           max_iters: int, tol: float,
-           init: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
-    centers = _kmeans_pp_init(pts, P, rng) if init is None else np.array(init, dtype=np.float64)
-    prev_obj = np.inf
-    assign = None
+def _means(X: np.ndarray, assign: np.ndarray,
+           P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster means (G, P, d) and objectives (G,), rounded as NumPy's mean
+    and sum over each cluster alone: 0.0 plus a pairwise sum of its (m, d)
+    block (one reduceat segment), except that for d > 1 a mean adds the
+    members in ascending order. An empty cluster has mean 0 and adds 0."""
+    G, n, d = X.shape
+    key = (np.arange(G)[:, None] * P + assign).ravel()
+    counts, order = np.bincount(key, minlength=G * P), np.argsort(key, kind="stable")
+    rows, starts = X.reshape(G * n, d)[order], np.cumsum(counts) - counts
+
+    def block_sums(v, w):
+        return np.add.reduceat(np.insert(v.ravel(), starts * w, 0.0),
+                               starts * w + np.arange(G * P))
+
+    sums = block_sums(rows, 1) if d == 1 else np.bincount(
+        (key[:, None] * d + np.arange(d)).ravel(), weights=X.ravel(), minlength=G * P * d)
+    means = sums.reshape(G * P, d) / np.maximum(counts, 1)[:, None]
+    np.square(np.subtract(rows, means[key[order]], out=rows), out=rows)
+    sse = block_sums(rows, d).reshape(G, P)
+    return means.reshape(G, P, d), np.cumsum(sse, axis=1)[:, -1]
+
+
+def _lloyd(X: np.ndarray, centres: np.ndarray, max_iters: int,
+           tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd from centres (G, P, d), in place; a problem stops after an iteration
+    that gains at most tol. Returns the final assignments and objectives."""
+    G, P = centres.shape[:2]
+    sq, X2 = np.sum(X * X, axis=2, keepdims=True), 2.0 * X
+
+    def assign(act):    # X2[act] keeps each slice's memory order, so BLAS
+        c = centres[act]                        # sees what a lone problem passes
+        d2 = X2[act] @ c.transpose(0, 2, 1)     # then |x|^2 - 2x.c + |c|^2,
+        np.subtract(sq[act], d2, out=d2)        # in place: a stack holds one
+        d2 += np.sum(c * c, axis=2)[:, None, :]  # (G, n, P) array
+        return np.argmin(np.maximum(d2, 0.0, out=d2), axis=2), d2
+
+    def check(obj, prev, when=""):
+        if not np.all(obj <= prev + 1e-9 * np.maximum(1.0, np.abs(prev))):
+            raise InvariantError(f"k-means objective increased{when}")
+
+    prev, act = np.full(G, np.inf), np.arange(G)
     for _ in range(max_iters):
-        assign, d2 = _assign(pts, centers)
-        # repair empty clusters by stealing the point farthest from its centroid
-        for p in range(P):
-            if np.any(assign == p):
-                continue
-            per_point = d2[np.arange(pts.shape[0]), assign]
-            # never empty another cluster down to zero
-            counts = np.bincount(assign, minlength=P)
-            per_point = np.where(counts[assign] > 1, per_point, -np.inf)
-            steal = int(np.argmax(per_point))
-            assign[steal] = p
-            d2[steal, :] = np.sum((pts[steal] - centers) ** 2, axis=1)
-        obj = 0.0
-        for p in range(P):
-            members = pts[assign == p]
-            centers[p] = members.mean(axis=0)
-            obj += float(np.sum((members - centers[p]) ** 2))
-        if not obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-            raise InvariantError("k-means objective increased")
-        if prev_obj - obj <= tol:
-            prev_obj = obj
+        a = _repair(*assign(act), P)            # d2 dies before the next stack
+        centres[act], obj = _means(X[act], a, P)
+        check(obj, prev[act])
+        prev[act], act = obj, act[~(prev[act] - obj <= tol)]
+        if not act.size:
             break
-        prev_obj = obj
-    # final assignment consistent with the final centers
-    assign, _ = _assign(pts, centers)
-    obj = 0.0
-    for p in range(P):
-        members = pts[assign == p]
-        if members.shape[0] == 0:
-            continue
-        obj += float(np.sum((members - members.mean(axis=0)) ** 2))
-    if not obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-        raise InvariantError("k-means objective increased at finalization")
-    return assign, obj
+    a, _ = assign(np.arange(G))
+    obj = _means(X, a, P)[1]
+    check(obj, prev, " at finalization")
+    return a, obj
 
 
 def apportion(counts: list[int], P: int) -> list[int]:
@@ -114,8 +127,7 @@ def apportion(counts: list[int], P: int) -> list[int]:
     quotas = [P * c / n for c in counts]
     shares = [int(np.floor(q)) for q in quotas]
     remainder = P - sum(shares)
-    order = sorted(range(len(counts)),
-                   key=lambda k: (-(quotas[k] - shares[k]), k))
+    order = sorted(range(len(counts)), key=lambda k: (shares[k] - quotas[k], k))
     for k in order[:remainder]:
         shares[k] += 1
     # enforce 1 <= share <= count by moving slots between classes
@@ -134,63 +146,51 @@ def apportion(counts: list[int], P: int) -> list[int]:
     return shares
 
 
-def _kmeans_global(W_I, pts, P, seed, max_iters, tol, restarts, init=None,
-                   _seedseq=None):
-    if init is not None:
-        restarts = 1
-    seedseq = _seedseq if _seedseq is not None else np.random.SeedSequence(seed)
-    rngs = [np.random.default_rng(ss) for ss in seedseq.spawn(max(restarts, 1))]
-    best = None
-    for r in range(max(restarts, 1)):
-        assign, obj = _lloyd(pts, P, rngs[r], max_iters, tol, init=init)
-        if best is None or obj < best[1]:
-            best = (assign, obj)
-    membership = Membership(assignment=best[0], P=P, within_coarse=False,
-                            objective=best[1])
-    return membership, update_proxies(W_I, membership)
-
-
 def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
            tol: float = 1e-6, restarts: int = 4,
            coarse_labels: Optional[np.ndarray] = None,
-           init: Optional[np.ndarray] = None,
-           _seedseq: Optional[np.random.SeedSequence] = None
-           ) -> tuple[Membership, np.ndarray]:
-    """Cluster the columns of W_I into P clusters.
-
-    k-means++ initialization per restart, Lloyd iterations with empty-cluster
-    repair; the restart with the lowest objective wins (ties to the lower
-    restart index). With coarse_labels given, a per-class slot budget
-    proportional to class size is apportioned and k-means runs independently
-    inside each class, offsetting cluster ids by ascending class index.
-    Passing `init` (P x d centroids) skips k-means++ and runs one restart.
-    """
-    pts = W_I.T.astype(np.float64)
-    n = pts.shape[0]
+           init: Optional[np.ndarray] = None) -> tuple[Membership, np.ndarray]:
+    """Cluster the columns of W_I into P clusters: k-means++ and Lloyd with
+    empty-cluster repair per restart, and the lowest objective wins (ties to
+    the lower restart). With coarse_labels, P is apportioned to the classes
+    by size and each class is clustered alone, cluster ids offset by
+    ascending class. `init` (P x d centroids) replaces k-means++ and runs
+    one global restart. Restart r of class k draws from
+    SeedSequence(seed).spawn(classes)[k].spawn(restarts)[r]. Problems of
+    equal (n_k, P_k) are solved in one stack."""
+    n = W_I.shape[1]
     if P > n or P < 1:
         raise ValueError(f"P={P} out of range for n={n}")
-    if coarse_labels is None:
-        return _kmeans_global(W_I, pts, P, seed, max_iters, tol, restarts,
-                              init=init, _seedseq=_seedseq)
-
-    y = np.asarray(coarse_labels, dtype=np.int64)
-    classes = np.unique(y).tolist()
-    counts = [int(np.sum(y == k)) for k in classes]
-    if P < len(classes):
-        raise ValueError("P must be at least the number of coarse classes")
-    budgets = apportion(counts, P)
-    assign = np.empty(n, dtype=np.int64)
-    total_obj = 0.0
-    offset = 0
-    seedseq = _seedseq if _seedseq is not None else np.random.SeedSequence(seed)
-    subseeds = seedseq.spawn(len(classes))
-    for k, P_k, ss in zip(classes, budgets, subseeds):
-        idx = np.nonzero(y == k)[0]
-        sub, _ = kmeans(W_I[:, idx], P_k, max_iters=max_iters, tol=tol,
-                        restarts=restarts, _seedseq=ss)
-        assign[idx] = sub.assignment + offset
-        total_obj += sub.objective
-        offset += P_k
-    membership = Membership(assignment=assign, P=P, within_coarse=True,
-                            objective=total_obj)
+    W, seedseq = W_I.astype(np.float64), np.random.SeedSequence(seed)
+    if not np.isfinite(W).all():
+        raise ValueError("W_I has a non-finite entry")
+    labels, budgets, seqs = np.zeros(n, np.int64), np.array([P]), [seedseq]
+    if coarse_labels is not None:
+        if init is not None:
+            raise ValueError("init applies to global clustering only")
+        labels = np.unique(np.asarray(coarse_labels, np.int64), return_inverse=True)[1]
+        if P < labels.max() + 1:
+            raise ValueError("P must be at least the number of coarse classes")
+        budgets = np.array(apportion(np.bincount(labels).tolist(), P))
+        seqs = seedseq.spawn(budgets.size)
+    R = 1 if init is not None else max(restarts, 1)
+    rngs = [np.random.default_rng(s) for ss in seqs for s in ss.spawn(R)]
+    counts, members = np.bincount(labels), np.argsort(labels, kind="stable")
+    first, offsets = np.cumsum(counts) - counts, np.cumsum(budgets) - budgets
+    assign, objective = np.empty(n, np.int64), np.empty(counts.size)
+    shape = counts * (P + 1) + budgets
+    for key in np.unique(shape):            # one stack per (n_k, P_k)
+        cls = np.flatnonzero(shape == key)
+        n_k, P_k = counts[cls[0]], budgets[cls[0]]
+        idx = members[first[cls][:, None] + np.arange(n_k)]
+        # laid out as a lone problem's points: that fixes NumPy's sum order
+        X = np.repeat(W[None], R, axis=0).transpose(0, 2, 1) \
+            if coarse_labels is None else np.repeat(W.T[idx], R, axis=0)
+        centres = np.array(init, np.float64)[None] if init is not None else \
+            _kmeans_pp(X, P_k, [rngs[c * R + r] for c in cls for r in range(R)])
+        a, obj = _lloyd(X, centres, max_iters, tol)
+        best = np.arange(0, a.shape[0], R) + np.argmin(obj.reshape(-1, R), axis=1)
+        assign[idx], objective[cls] = a[best] + offsets[cls][:, None], obj[best]
+    membership = Membership(assign, P, coarse_labels is not None,
+                            float(np.cumsum(objective)[-1]))
     return membership, update_proxies(W_I, membership)

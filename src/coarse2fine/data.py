@@ -193,7 +193,9 @@ def _first_non_finite_row(examples: np.ndarray) -> Optional[int]:
     finite row can overflow its sum), so no n x dim mask is built."""
     if examples.ndim != 2:
         return None                     # no rows: a CSV with a header only
-    suspects = np.flatnonzero(~np.isfinite(examples.sum(axis=1)))
+    with np.errstate(over="ignore"):
+        sums = examples.sum(axis=1)
+    suspects = np.flatnonzero(~np.isfinite(sums))
     bad = suspects[~np.isfinite(examples[suspects]).all(axis=1)]
     return int(bad[0]) if bad.size else None
 
@@ -255,6 +257,9 @@ def load_dataset(path: str) -> Dataset:
             raise DatasetFormatError(
                 f"fine label out of range at offset {off + 4 * int(bad[0])}")
         off += 4 * n
+    if off != len(raw):
+        raise DatasetFormatError(
+            f"{len(raw) - off} trailing bytes at offset {off}")
     d = Dataset(examples=values, coarse_labels=coarse, C=C,
                 fine_labels=fine, F=F)
     d.validate()

@@ -113,8 +113,12 @@ def encode(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncodeCa
 
 
 def encode_backward(params: ModelParams, cache: EncodeCache,
-                    grad_f: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of a scalar loss w.r.t. encoder weights and biases."""
+                    grad_f: np.ndarray, out: Optional[list[np.ndarray]] = None
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradients of a scalar loss w.r.t. encoder weights and biases.
+
+    With `out` (one float64 buffer per layer, shaped like its weight) the
+    weight gradients are written there instead of into fresh arrays."""
     g = np.asarray(grad_f, dtype=np.float64)
     if params.cosine:
         g = normalize_rows_backward(cache.pre_norm, g)
@@ -125,7 +129,8 @@ def encode_backward(params: ModelParams, cache: EncodeCache,
         if li < n_layers - 1:
             g = g * cache.relu_masks[li]
         x = cache.layer_inputs[li]
-        grads[li] = (x.T @ g, g.sum(axis=0))
+        gW = x.T @ g if out is None else np.matmul(x.T, g, out=out[li])
+        grads[li] = (gW, g.sum(axis=0))
         if li > 0:
             g = g @ W.T
     return grads

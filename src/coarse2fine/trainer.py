@@ -79,6 +79,12 @@ class TrainConfig:
 _SGD_SLICE = 15 * 1024
 
 
+# largest |w| for which k-means over W_I cannot overflow, given d*n
+# entries: every squared distance, and every sum of n of them, stays
+# below the float64 maximum (|w_i - w_j|^2 <= d (2 max|w|)^2)
+_KMEANS_MAX_ABS = 0.5 * np.sqrt(np.finfo(np.float64).max)
+
+
 def sgd_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray,
              lr: float, momentum: float, weight_decay: float,
              scratch: Optional[np.ndarray] = None
@@ -118,6 +124,9 @@ class _Velocities:
     def __init__(self, params: ModelParams):
         self.enc = [(np.zeros_like(W), np.zeros_like(b))
                     for W, b in params.encoder]
+        # encoder weight gradients, rewritten by every step: a fresh
+        # weight-sized array would page-fault on each one
+        self.enc_grad = [np.empty_like(W) for W, _ in params.encoder]
         self.heads = {"coarse": np.zeros_like(params.W_C),
                       "instance": np.zeros_like(params.W_I)}
         self.mlp = None if params.mlp_head is None else \
@@ -128,7 +137,8 @@ def apply_gradients(params: ModelParams, lv: LossValue, vel: _Velocities,
                     lr: float, momentum: float, weight_decay: float) -> None:
     """One SGD step on everything the loss touched (proxy-head gradients are
     discarded: W_P is rebuilt from W_I by clustering, never trained)."""
-    enc_grads = encode_backward(params, lv.encoder_cache, lv.grad_embeddings)
+    enc_grads = encode_backward(params, lv.encoder_cache, lv.grad_embeddings,
+                                vel.enc_grad)
     scratch = np.empty(_SGD_SLICE)
     for (W, b), (gW, gb), (vW, vb) in zip(params.encoder, enc_grads, vel.enc):
         sgd_step(W, gW, vW, lr, momentum, weight_decay, scratch)
@@ -218,8 +228,12 @@ def train(config: TrainConfig, dataset: Dataset
     metrics: list[dict] = []
 
     def recluster(t: int) -> Membership:
-        if not np.all(np.isfinite(params.W_I)):
+        scale = np.max(np.abs(params.W_I))
+        if not np.isfinite(scale):
             raise DivergenceError(f"non-finite W_I after epoch {t}")
+        if scale > _KMEANS_MAX_ABS / np.sqrt(params.W_I.size):
+            raise DivergenceError(f"W_I too large to cluster after epoch {t}: "
+                                  f"max |w| = {scale:.3g}")
         m, _ = kmeans(params.W_I, P, seed=config.seed * 1000003 + t,
                       restarts=config.kmeans_restarts,
                       coarse_labels=dataset.coarse_labels

@@ -112,6 +112,23 @@ class TestTrain:
         assert not ckpt.exists()
         assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
 
+    def test_huge_instance_head_exits_5_before_clustering(self, tmp_path,
+                                                          capsys):
+        data = tmp_path / "blob.cfds"
+        assert run("gen-data", "--kind", "blob", "--classes", "4",
+                   "--fine-per-coarse", "5", "--z", "10", "--dim", "16",
+                   "--out", str(data)) == 0
+        ckpt = tmp_path / "m.ckpt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run("train", "--data", str(data), "--objective", "coinsP",
+                     "--m-epoch", "0", "--epochs", "3", "--lr", "1e300",
+                     "--out", str(ckpt))
+        assert rc == 5
+        assert "training diverged: W_I too large to cluster after epoch 1" \
+            in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
+
     def test_non_finite_example_is_bad_file(self, tmp_path, true_nan_file,
                                             capsys):
         rc = run("train", "--data", true_nan_file, "--epochs", "1",

@@ -5,8 +5,123 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse2fine import cluster
 from coarse2fine.cluster import (Membership, apportion, kmeans,
                                  update_proxies)
+from coarse2fine.numerics import InvariantError
+
+
+# --- the per-problem k-means: one Python loop per class, restart and
+# cluster. The batched `kmeans` must give the same result bit for bit.
+
+def _oracle_pp_init(pts, P, rng):
+    n = pts.shape[0]
+    centers = np.empty((P, pts.shape[1]))
+    first = int(rng.integers(0, n))
+    centers[0] = pts[first]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, P):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(0, n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[j] = pts[idx]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _oracle_assign(pts, centers):
+    d2 = (np.sum(pts * pts, axis=1, keepdims=True)
+          - 2.0 * pts @ centers.T + np.sum(centers * centers, axis=1))
+    d2 = np.maximum(d2, 0.0)
+    return np.argmin(d2, axis=1), d2
+
+
+def _oracle_lloyd(pts, P, rng, max_iters, tol, init=None):
+    centers = _oracle_pp_init(pts, P, rng) if init is None \
+        else np.array(init, dtype=np.float64)
+    prev_obj = np.inf
+    for _ in range(max_iters):
+        assign, d2 = _oracle_assign(pts, centers)
+        for p in range(P):
+            if np.any(assign == p):
+                continue
+            per_point = d2[np.arange(pts.shape[0]), assign]
+            counts = np.bincount(assign, minlength=P)
+            per_point = np.where(counts[assign] > 1, per_point, -np.inf)
+            steal = int(np.argmax(per_point))
+            assign[steal] = p
+            d2[steal, :] = np.sum((pts[steal] - centers) ** 2, axis=1)
+        obj = 0.0
+        for p in range(P):
+            members = pts[assign == p]
+            centers[p] = members.mean(axis=0)
+            obj += float(np.sum((members - centers[p]) ** 2))
+        if not obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
+            raise InvariantError("k-means objective increased")
+        if prev_obj - obj <= tol:
+            prev_obj = obj
+            break
+        prev_obj = obj
+    assign, _ = _oracle_assign(pts, centers)
+    obj = 0.0
+    for p in range(P):
+        members = pts[assign == p]
+        if members.shape[0] == 0:
+            continue
+        obj += float(np.sum((members - members.mean(axis=0)) ** 2))
+    if not obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
+        raise InvariantError("k-means objective increased at finalization")
+    return assign, obj
+
+
+def oracle_kmeans(W_I, P, seed=0, max_iters=100, tol=1e-6, restarts=4,
+                  coarse_labels=None, init=None, _seedseq=None):
+    """`kmeans` as one problem at a time: a recursion per coarse class, a
+    loop per restart and Lloyd's loops per cluster."""
+    pts = W_I.T.astype(np.float64)
+    n = pts.shape[0]
+    seedseq = _seedseq if _seedseq is not None else np.random.SeedSequence(seed)
+    if coarse_labels is None:
+        if init is not None:
+            restarts = 1
+        rngs = [np.random.default_rng(ss)
+                for ss in seedseq.spawn(max(restarts, 1))]
+        best = None
+        for r in range(max(restarts, 1)):
+            assign, obj = _oracle_lloyd(pts, P, rngs[r], max_iters, tol,
+                                        init=init)
+            if best is None or obj < best[1]:
+                best = (assign, obj)
+        return Membership(assignment=best[0], P=P, within_coarse=False,
+                          objective=best[1])
+    y = np.asarray(coarse_labels, dtype=np.int64)
+    classes = np.unique(y).tolist()
+    budgets = apportion([int(np.sum(y == k)) for k in classes], P)
+    assign = np.empty(n, dtype=np.int64)
+    total_obj = 0.0
+    offset = 0
+    for k, P_k, ss in zip(classes, budgets, seedseq.spawn(len(classes))):
+        idx = np.nonzero(y == k)[0]
+        sub = oracle_kmeans(W_I[:, idx], P_k, max_iters=max_iters, tol=tol,
+                            restarts=restarts, _seedseq=ss)
+        assign[idx] = sub.assignment + offset
+        total_obj += sub.objective
+        offset += P_k
+    return Membership(assignment=assign, P=P, within_coarse=True,
+                      objective=total_obj)
+
+
+def recompute_objective(membership, W_I):
+    """Sum of squared distances of the columns to their cluster's mean."""
+    pts = W_I.T
+    total = 0.0
+    for p in range(membership.P):
+        members = pts[membership.assignment == p]
+        if members.shape[0]:
+            total += float(np.sum((members - members.mean(axis=0)) ** 2))
+    return total
 
 
 def exhaustive_kmeans_oracle(pts, P):
@@ -90,7 +205,7 @@ class TestKmeans:
         W_I = rng.standard_normal((4, 7))
         m, W_P = kmeans(W_I, 1, seed=1)
         np.testing.assert_allclose(W_P[:, 0], W_I.mean(axis=1), atol=1e-12)
-        assert abs(m.objective - m.recompute_objective(W_I)) < 1e-9
+        assert abs(m.objective - recompute_objective(m, W_I)) < 1e-9
 
     def test_lower_bounded_by_exhaustive_oracle(self, rng):
         for trial in range(20):
@@ -119,7 +234,7 @@ class TestKmeans:
     def test_objective_matches_recompute(self, rng):
         W_I = rng.standard_normal((4, 30))
         m, _ = kmeans(W_I, 6, seed=5)
-        assert abs(m.objective - m.recompute_objective(W_I)) < 1e-9
+        assert abs(m.objective - recompute_objective(m, W_I)) < 1e-9
 
     def test_bad_P_rejected(self, rng):
         W_I = rng.standard_normal((2, 4))
@@ -162,7 +277,7 @@ class TestKmeansWithinCoarse:
         W_I = rng.standard_normal((3, 16))
         coarse = np.repeat([0, 1], 8)
         m, _ = kmeans(W_I, 4, seed=2, coarse_labels=coarse)
-        assert abs(m.objective - m.recompute_objective(W_I)) < 1e-9
+        assert abs(m.objective - recompute_objective(m, W_I)) < 1e-9
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -175,3 +290,198 @@ class TestKmeansWithinCoarse:
         m, W_P = kmeans(W_I, 5, seed=seed, coarse_labels=coarse)
         assert np.array_equal(np.unique(m.assignment), np.arange(5))
         assert W_P.shape == (3, 5)
+
+
+def assert_matches_oracle(W_I, P, **kw):
+    """The batched `kmeans` and the per-problem oracle agree: the same
+    assignment, bitwise-equal proxies and the same objective (equal bits,
+    so within 1e-12 relative too), or the same ValueError from the proxy
+    update."""
+    want = oracle_kmeans(W_I, P, **kw)
+    try:
+        want_W_P = update_proxies(W_I, want)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            kmeans(W_I, P, **kw)
+        return None
+    got, got_W_P = kmeans(W_I, P, **kw)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got_W_P.tobytes() == want_W_P.tobytes()
+    assert got.objective == want.objective
+    assert (got.P, got.within_coarse) == (want.P, want.within_coarse)
+    return got
+
+
+@st.composite
+def clustering_problems(draw):
+    """Columns to cluster, globally or within coarse classes of unequal
+    sizes (so several shape groups): Gaussian, on a small integer grid
+    (exact distance ties, duplicates), or all equal (every k-means++
+    total is 0, so each later centre is an integers draw)."""
+    d = draw(st.sampled_from([1, 2, 3, 9, 17]))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    n = sum(sizes)
+    r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["gauss", "grid", "equal"]))
+    if kind == "gauss":
+        W_I = r.standard_normal((d, n)) * 10.0 ** draw(st.integers(-3, 3))
+    elif kind == "grid":
+        W_I = r.integers(-1, 2, (d, n)).astype(np.float64)
+    else:
+        W_I = np.repeat(r.standard_normal((d, 1)), n, axis=1)
+    kw = dict(seed=draw(st.integers(0, 2 ** 31 - 1)),
+              restarts=draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        labels = r.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        kw["coarse_labels"] = labels * 3          # ids need not be 0..C-1
+        P = draw(st.integers(len(sizes), n))
+    else:
+        P = draw(st.integers(1, n))
+    return W_I, P, kw
+
+
+class TestBatchedMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(clustering_problems())
+    def test_random_problems(self, problem):
+        W_I, P, kw = problem
+        assert_matches_oracle(W_I, P, **kw)
+
+    @pytest.mark.parametrize("per_class", ["one", "all"])
+    def test_budget_extremes(self, rng, per_class):
+        """P_k = 1 for every class, or P_k = n_k (zero objective)."""
+        coarse = np.repeat([0, 1, 2, 3], [5, 3, 5, 1])
+        W_I = rng.standard_normal((4, coarse.size))
+        P = 4 if per_class == "one" else coarse.size
+        m = assert_matches_oracle(W_I, P, seed=3, coarse_labels=coarse)
+        assert (m.objective == 0.0) == (per_class == "all")
+
+    def test_patch_shaped_refresh(self, rng):
+        """32 classes of 16 columns and budgets 3 or 4: two shape groups of
+        104 and 24 problems, as in a patch-image coinsP refresh."""
+        coarse = rng.permutation(np.repeat(np.arange(32), 16))
+        W_I = rng.standard_normal((16, coarse.size))
+        assert_matches_oracle(W_I, 102, seed=11, coarse_labels=coarse)
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_large_clusters(self, rng, d):
+        """Clusters of more than 128 / d members: NumPy's pairwise sums
+        recurse, and for d = 1 a mean sums its members pairwise too."""
+        W_I = rng.standard_normal((d, 400))
+        for seed in range(6):
+            assert_matches_oracle(W_I[:, :100 + 50 * seed], 1 + seed % 3,
+                                  seed=seed, restarts=2)
+        assert_matches_oracle(W_I, 5, seed=6, coarse_labels=np.arange(400) % 2)
+
+    @pytest.mark.parametrize("far", [[2], [1, 3], [0, 2, 3]])
+    def test_init_path_with_forced_repair(self, rng, far):
+        """Centres far from every point are empty after the first
+        assignment; the repair fills them, lowest first, each with the
+        farthest point of a cluster that keeps a member."""
+        W_I = rng.standard_normal((2, 12))
+        init = rng.standard_normal((4, 2))
+        init[far] = 1e3 * (1.0 + np.arange(len(far)))[:, None]
+        m = assert_matches_oracle(W_I, 4, init=init)
+        assert np.array_equal(np.unique(m.assignment), np.arange(4))
+
+    def test_duplicate_points_repair(self):
+        """Six copies of one point and two of another: seeding places
+        equal centres, and the repair splits the copies."""
+        W_I = np.array([[0.0] * 6 + [1.0] * 2])
+        for seed in range(20):
+            assert_matches_oracle(W_I, 3, seed=seed, restarts=2)
+
+    def test_init_with_coarse_labels_rejected(self, rng):
+        with pytest.raises(ValueError, match="global"):
+            kmeans(rng.standard_normal((2, 6)), 2, init=np.zeros((2, 2)),
+                   coarse_labels=np.repeat([0, 1], 3))
+
+    def test_non_finite_columns_rejected(self, rng):
+        W_I = rng.standard_normal((2, 6))
+        W_I[1, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            kmeans(W_I, 2)
+
+
+class _Recorder:
+    """A generator that logs its draws; a choice() is logged as the one
+    random() it makes."""
+
+    def __init__(self, seed):
+        self.rng, self.log = np.random.default_rng(seed), []
+
+    def integers(self, low, high):
+        self.log.append("integers")
+        return self.rng.integers(low, high)
+
+    def random(self):
+        self.log.append("random")
+        return self.rng.random()
+
+    def choice(self, n, p):
+        self.log.append("random")
+        return self.rng.choice(n, p=p)
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_seeding_draws_as_a_lone_seeding(d):
+    """The stacked k-means++ makes each problem's draws in the order of a
+    lone seeding, integers() once every point sits on a centre, and picks
+    the same centres."""
+    r = np.random.default_rng(d)
+    X = r.standard_normal((5, 7, d))
+    X[1] = X[1, 0]                             # all equal: every total is 0
+    X[2, 3:] = X[2, 0]                         # duplicates: total 0 late
+    X[3] = np.round(X[3])
+    P = 5
+    new = [_Recorder(g) for g in range(5)]
+    centres = cluster._kmeans_pp(X, P, new)
+    for g in range(5):
+        old = _Recorder(g)
+        assert centres[g].tobytes() == _oracle_pp_init(X[g], P, old).tobytes()
+        assert new[g].log == old.log
+    assert "integers" in new[1].log[1:]
+
+
+@pytest.mark.parametrize("within", [False, True])
+def test_stacks_keep_the_lone_layout(monkeypatch, rng, within):
+    """Each stacked point set has the memory order a lone problem's points
+    have (W_I's columns globally, gathered rows per class), which fixes
+    the order in which NumPy sums over d."""
+    seen = []
+    lloyd = cluster._lloyd
+
+    def spy(X, centres, max_iters, tol):
+        seen.append(X)
+        return lloyd(X, centres, max_iters, tol)
+
+    monkeypatch.setattr(cluster, "_lloyd", spy)
+    W_I = rng.standard_normal((9, 20))
+    coarse = np.repeat([0, 1], 10) if within else None
+    kmeans(W_I, 4, coarse_labels=coarse)
+    lone = (W_I[:, np.arange(10)] if within else W_I).T.astype(np.float64)
+    assert seen and all(
+        (X[g].flags.c_contiguous, X[g].flags.f_contiguous)
+        == (lone.flags.c_contiguous, lone.flags.f_contiguous)
+        for X in seen for g in range(X.shape[0]))
+
+
+@pytest.mark.parametrize("max_iters, message", [
+    (5, "objective increased$"),
+    (1, "objective increased at finalization$")])
+def test_objective_increase_is_invariant_error(monkeypatch, rng, max_iters,
+                                                message):
+    """Each call of the mean step reports an objective 1 higher than the
+    last: the first Lloyd iteration that follows another, or else the
+    final re-assignment, sees an increase."""
+    means, calls = cluster._means, []
+
+    def rising(X, assign, P):
+        centres, obj = means(X, assign, P)
+        calls.append(None)
+        return centres, obj + len(calls)
+
+    monkeypatch.setattr(cluster, "_means", rising)
+    W_I = rng.standard_normal((3, 12))
+    with pytest.raises(InvariantError, match=message):
+        kmeans(W_I, 3, restarts=1, max_iters=max_iters, tol=-1.0)

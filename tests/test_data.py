@@ -1,9 +1,12 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coarse2fine.data import (MAGIC, Dataset, DatasetFormatError, augment,
                               gen_blob_dataset, gen_patch_dataset,
@@ -221,6 +224,63 @@ class TestDatasetFile:
                            match=f"example row 4 is not finite "
                                  f"\\(at offset {23 + 4 * 4 * itemsize}\\)"):
             load_dataset(str(path))
+
+
+
+@st.composite
+def cfds_datasets(draw):
+    """Small valid data sets: f4 or f8 examples (any finite value, -0.0
+    and subnormals included), with or without fine labels nested as
+    fine s -> coarse s mod C."""
+    n, dim, C = draw(st.integers(1, 5)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    examples = draw(arrays(dtype, (n, dim), elements=st.floats(
+        allow_nan=False, allow_infinity=False,
+        width=8 * np.dtype(dtype).itemsize)))
+    if draw(st.booleans()):
+        F = C * draw(st.integers(1, 2))
+        fine = np.array(draw(st.lists(st.integers(0, F - 1), min_size=n,
+                                      max_size=n)))
+        return Dataset(examples=examples, coarse_labels=fine % C, C=C,
+                       fine_labels=fine, F=F)
+    coarse = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n,
+                                    max_size=n)))
+    return Dataset(examples=examples, coarse_labels=coarse, C=C)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfds_datasets(), st.binary(min_size=1, max_size=9))
+def test_cfds_round_trip_prefixes_and_trailing_bytes(d, extra):
+    """A save, load and save again gives the same bytes; every strict
+    prefix of the file, and the file with bytes appended, raise
+    DatasetFormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.cfds")
+        save_dataset(d, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        back = load_dataset(path)
+        assert back.examples.dtype == d.examples.dtype
+        save_dataset(back, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == blob
+        for data in [blob[:cut] for cut in range(len(blob))] + [blob + extra]:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(DatasetFormatError):
+                load_dataset(path)
+
+
+def test_trailing_bytes_name_their_offset(tmp_path):
+    d = gen_blob_dataset(2, 2, 2, 3, seed=0)
+    path = tmp_path / "t.cfds"
+    save_dataset(d, str(path))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0\0")
+    with pytest.raises(DatasetFormatError,
+                       match=f"2 trailing bytes at offset {size}"):
+        load_dataset(str(path))
 
 
 class TestCsv:

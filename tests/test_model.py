@@ -41,6 +41,22 @@ class TestEncode:
         b, _ = encode(params, X)
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_backward_into_buffers_is_bitwise_fresh(self, rng, cosine):
+        params = make_params(rng, input_dim=7, hidden=(5, 4), d=3,
+                             cosine=cosine)
+        X = rng.standard_normal((6, 7)).astype(np.float32)
+        bufs = [np.full_like(W, np.nan) for W, _ in params.encoder]
+        for rows in (6, 2):              # a short last batch reuses them
+            f, cache = encode(params, X[:rows])
+            probe = rng.standard_normal(f.shape)
+            fresh = encode_backward(params, cache, probe)
+            into = encode_backward(params, cache, probe, bufs)
+            for (gW, gb), (hW, hb), buf in zip(fresh, into, bufs):
+                assert hW is buf
+                assert hW.tobytes() == gW.tobytes()
+                assert hb.tobytes() == gb.tobytes()
+
     def test_backward_matches_finite_differences(self, rng):
         params = make_params(rng, input_dim=3, hidden=(4,), d=2)
         X = rng.standard_normal((3, 3))
