@@ -122,11 +122,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    ks = _int_list(args.recall_at)
+    if min(ks, default=1) < 1:
+        raise UsageError("--recall-at values must be >= 1")
     dataset = _load_data(args.data, args.format)
     params = load_checkpoint(args.checkpoint)
     if params.encoder[0][0].shape[0] != dataset.dim:
         raise UsageError("checkpoint input dimension does not match dataset")
-    report = evaluate_model(params, dataset, _int_list(args.recall_at))
+    report = evaluate_model(params, dataset, ks)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
     print(f"wrote {args.out}: " +
@@ -303,36 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the message prefix and exit code of each expected failure, matched in order
+_FAILURES = [
+    (NonUniformClassSizeError, "unsupported data", EXIT_UNSUPPORTED),
+    (DatasetFormatError, "bad dataset file", EXIT_UNSUPPORTED),
+    (CheckpointFormatError, "bad checkpoint file", EXIT_UNSUPPORTED),
+    (DegenerateInputError, "degenerate input", EXIT_UNSUPPORTED),
+    (DivergenceError, "training diverged", EXIT_DIVERGED),
+    (InvariantError, "internal error: check failed", EXIT_INTERNAL),
+    ((UsageError, ValueError), "usage error", EXIT_USAGE),
+    (OSError, "io error", EXIT_IO),
+]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonUniformClassSizeError as exc:
-        print(f"unsupported data: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DatasetFormatError as exc:
-        print(f"bad dataset file: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except CheckpointFormatError as exc:
-        print(f"bad checkpoint file: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DegenerateInputError as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except InvariantError as exc:
-        print(f"internal error: check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except Exception as exc:  # noqa: BLE001
+        for kind, what, code in _FAILURES:
+            if isinstance(exc, kind):
+                print(f"{what}: {exc}", file=sys.stderr)
+                return code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

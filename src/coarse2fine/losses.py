@@ -17,7 +17,7 @@ import numpy as np
 from .cluster import Membership
 from .model import (EncodeCache, ModelParams, branch_backward, branch_forward,
                     encode, head_logits)
-from .numerics import log_softmax_rows, softmax_rows
+from .numerics import row_blocks
 
 
 class AccessCounter:
@@ -40,7 +40,7 @@ WI_READS = AccessCounter()
 @dataclass
 class LossValue:
     value: float
-    grad_embeddings: np.ndarray                 # w.r.t. backbone f(x)
+    grad_embeddings: Optional[np.ndarray]       # w.r.t. backbone f(x)
     grad_heads: dict[str, np.ndarray]           # head -> dense d x K gradient
     grad_mlp_head: Optional[tuple[np.ndarray, np.ndarray]] = None
     encoder_cache: Optional[EncodeCache] = None
@@ -48,7 +48,8 @@ class LossValue:
     components: dict[str, float] = field(default_factory=dict)  # head -> CE
 
     def check_finite(self) -> "LossValue":
-        if not np.isfinite(self.value) or not np.all(np.isfinite(self.grad_embeddings)):
+        grads = () if self.grad_embeddings is None else self.grad_embeddings
+        if not (np.isfinite(self.value) and np.all(np.isfinite(grads))):
             raise FloatingPointError("non-finite loss or gradient")
         return self
 
@@ -61,20 +62,47 @@ TERMS = ("coarse", "instance", "within", "proxy")
 _CHUNK_FLOATS = 1 << 14
 
 
+def _log_softmax_at(logits: np.ndarray, at: tuple[np.ndarray, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax over the last axis, read at the label cells `at` (one
+    index array per axis): `own - log(sum exp)` after the max is subtracted.
+    In place: `logits` is left holding exp(logits - max), and the sums
+    (last axis kept) come back with the values."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    own = logits[at]
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=-1, keepdims=True)
+    return own - np.log(total[at[:-1]][:, 0]), total
+
+
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,
-              labels: np.ndarray, denom: int
-              ) -> tuple[float, np.ndarray, np.ndarray]:
+              labels: np.ndarray, denom: int, values_only: bool = False
+              ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """Cross-entropy of G against every column of a head, summed and divided
-    by denom. Returns (value, grad wrt G, d x K grad wrt the head)."""
-    logits = head_logits(params, G, head)
-    logp = log_softmax_rows(logits)
-    rows = np.arange(G.shape[0])
-    value = float(-np.sum(logp[rows, labels])) / denom
-    dlogits = softmax_rows(logits)
-    dlogits[rows, labels] -= 1.0
+    by denom. Returns (value, grad wrt G, d x K grad wrt the head).
+
+    With `values_only` the gradients are None and G is scored one row
+    block at a time, so at most block x K logits are held; each row's
+    log-probability is bitwise the same and all are summed in one np.sum."""
+    if values_only:
+        W = params.head_matrix(head)
+        log_p = np.empty(G.shape[0])
+        for blk, logits in row_blocks(G.shape[0], W.shape[1]):
+            np.matmul(G[blk], W, out=logits)
+            if params.cosine:
+                logits /= params.temperature
+            log_p[blk] = _log_softmax_at(
+                logits, (np.arange(blk.size), labels[blk]))[0]
+        return float(-np.sum(log_p)) / denom, None, None
+    at = (np.arange(G.shape[0]), labels)
+    dlogits = head_logits(params, G, head)
+    log_p, total = _log_softmax_at(dlogits, at)
+    value = float(-np.sum(log_p)) / denom
+    dlogits /= total                                         # softmax
+    dlogits[at] -= 1.0
     dlogits /= denom
     if params.cosine:
-        dlogits = dlogits / params.temperature
+        dlogits /= params.temperature
     return value, dlogits @ params.head_matrix(head).T, G.T @ dlogits
 
 
@@ -152,11 +180,8 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
         if params.cosine:
             logits /= params.temperature
         np.copyto(logits, -np.inf, where=not_member[c0:c1])
-        logits -= logits.max(axis=2, keepdims=True)
-        own = logits[cls, pos, lab]
-        np.exp(logits, out=logits)
-        total = logits.sum(axis=2, keepdims=True)
-        value -= float(np.sum(own - np.log(total[cls, pos, 0]))) / denom
+        log_p, total = _log_softmax_at(logits, (cls, pos, lab))
+        value -= float(np.sum(log_p)) / denom
         logits /= total                                      # softmax
         logits[cls, pos, lab] -= 1.0
         logits /= denom
@@ -181,7 +206,8 @@ def objective(params: ModelParams, batch: np.ndarray,
               instance_ids: Optional[np.ndarray], terms: Mapping[str, float],
               coarse_labels: Optional[np.ndarray] = None,
               coarse_index: Optional[Mapping[int, Sequence[int]]] = None,
-              membership: Optional[Membership] = None) -> LossValue:
+              membership: Optional[Membership] = None,
+              values_only: bool = False) -> LossValue:
     """Weighted sum of mean cross-entropy terms over the batch.
 
     `terms` maps a term to its weight: "coarse" (`coarse_labels` on the
@@ -191,7 +217,8 @@ def objective(params: ModelParams, batch: np.ndarray,
     `membership` over the P proxy columns). A term that is absent or
     weighted 0 is not computed. Head gradients are dense d x K arrays,
     present only for heads some term read; `components` holds each head's
-    unweighted cross-entropy.
+    unweighted cross-entropy. `values_only` forms no gradient (None or
+    empty) and scores the full-softmax terms in row blocks, bitwise alike.
     """
     if set(terms) - set(TERMS):
         raise ValueError(f"unknown loss terms {sorted(set(terms) - set(TERMS))}")
@@ -235,9 +262,12 @@ def objective(params: ModelParams, batch: np.ndarray,
                 labels = ids
             else:
                 labels = membership.assignment[ids]
-            v, dG, dW = _ce_block(params, G, head, labels, B)
-        dF_term, dmlp = branch_backward(params, bcache, dG)
+            v, dG, dW = _ce_block(params, G, head, labels, B, values_only)
         value = _accumulate(value, weight, v)
+        components[head] = v
+        if values_only:
+            continue
+        dF_term, dmlp = branch_backward(params, bcache, dG)
         dF = _accumulate(dF, weight, dF_term)
         dW *= weight                      # fresh array: scaled in place
         grad_heads[head] = dW
@@ -245,7 +275,6 @@ def objective(params: ModelParams, batch: np.ndarray,
             prev = mlp_grad or (None, None)
             mlp_grad = (_accumulate(prev[0], weight, dmlp[0]),
                         _accumulate(prev[1], weight, dmlp[1]))
-        components[head] = v
     return LossValue(value=value, grad_embeddings=dF, grad_heads=grad_heads,
                      grad_mlp_head=mlp_grad, encoder_cache=ecache,
                      embeddings=f, components=components).check_finite()

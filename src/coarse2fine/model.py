@@ -181,17 +181,11 @@ def branch_backward(params: ModelParams, cache: BranchCache, grad_g: np.ndarray
     return dh @ A.T, (dA, dB)
 
 
-def head_logits(params: ModelParams, embeddings: np.ndarray, head: str,
-                column_subset: Optional[np.ndarray] = None) -> np.ndarray:
-    """Branch embeddings times selected head columns (temperature-scaled
-    when cosine softmax is on). `embeddings` is the branch output."""
-    W = params.head_matrix(head)
-    if column_subset is not None:
-        cols = np.asarray(column_subset, dtype=np.int64)
-        if cols.size and (cols.min() < 0 or cols.max() >= W.shape[1]):
-            raise ValueError("column subset index out of range")
-        W = W[:, cols]
-    logits = embeddings @ W
+def head_logits(params: ModelParams, embeddings: np.ndarray,
+                head: str) -> np.ndarray:
+    """Branch embeddings times every head column (temperature-scaled when
+    cosine softmax is on). `embeddings` is the branch output."""
+    logits = embeddings @ params.head_matrix(head)
     if params.cosine:
         logits = logits / params.temperature
     return logits

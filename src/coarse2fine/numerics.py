@@ -1,6 +1,5 @@
-"""Stable softmax / cross-entropy primitives, grouped column means, the
-row blocks the O(n^2) read paths stream over, and a finite-difference
-checker.
+"""Row normalisation, grouped column means, the row blocks the O(n^2)
+read paths stream over, and a finite-difference checker.
 
 Everything here operates on float64 numpy arrays. The training path may
 downcast to float32, but theory verification and all tests run in float64
@@ -15,7 +14,8 @@ import numpy as np
 
 
 # rows per block in the passes that score every example against all n
-# columns (retrieval, bound constants): memory is O(block * n), not n x n
+# columns (retrieval, bound constants, the epoch metrics): memory is
+# O(block * n), not n x n
 _ROW_BLOCK = 128
 
 
@@ -50,34 +50,6 @@ def check_finite_embeddings(emb: np.ndarray) -> None:
     if bad.any():
         raise DegenerateInputError(
             f"embedding row {int(np.argmax(bad))} is not finite")
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a 2-D logit matrix."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[1] == 0:
-        raise ValueError("softmax_rows expects a non-empty 2-D matrix")
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], computed in log space."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ValueError("cross_entropy expects a non-empty 1-D vector")
-    label = int(label)
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} logits")
-    shifted = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
 
 
 def normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:

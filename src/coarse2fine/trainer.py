@@ -50,6 +50,14 @@ class TrainConfig:
     def validate(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        for name in ("lambda_I", "lambda_P", "lr", "weight_decay",
+                     "lr_decay_factor", "temperature"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError("hidden widths must be >= 1")
         if self.epochs < 0 or self.lr <= 0:
             raise ValueError("epochs must be >= 0 and lr > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -174,11 +182,12 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
                    coarse_index, class_labels: np.ndarray,
                    membership: Optional[Membership], proxy_phase: bool,
                    epoch: int, lr: float) -> dict:
-    """Full-batch loss terms on clean data at the current parameters."""
+    """Full-batch loss values (no gradients) on clean data at the current
+    parameters."""
     try:
         lv = objective(params, dataset.examples, np.arange(dataset.n),
                        objective_terms(config, proxy_phase), class_labels,
-                       coarse_index, membership)
+                       coarse_index, membership, values_only=True)
     except FloatingPointError as exc:
         raise DivergenceError(f"{exc} in the epoch {epoch} metrics pass") from exc
     g, _ = branch_forward(params, lv.embeddings, "instance")

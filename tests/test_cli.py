@@ -209,6 +209,17 @@ class TestTrain:
         (["--wd", "-0.1"], "weight_decay"),
         (["--objective", "coinsP", "--clusters", "1"], "P=1"),
         (["--objective", "coinsP", "--clusters", "13"], "P=13"),
+        (["--embed-dim", "0"], "embed_dim must be >= 1"),
+        (["--hidden", "0"], "hidden widths must be >= 1"),
+        (["--hidden", "8,0"], "hidden widths must be >= 1"),
+        (["--objective", "coins", "--lambda-i", "nan"], "lambda_I must be finite"),
+        (["--objective", "coinsP", "--lambda-p", "inf"], "lambda_P must be finite"),
+        (["--lr", "nan"], "lr must be finite"),
+        (["--lr", "inf"], "lr must be finite"),
+        (["--cosine", "--temp", "inf"], "temperature must be finite"),
+        (["--wd", "inf"], "weight_decay must be finite"),
+        (["--decay-factor", "inf", "--decay-epochs", "1"],
+         "lr_decay_factor must be finite"),
     ])
     def test_bad_config_field_is_usage_error(self, tmp_path, blob_file,
                                              capsys, flags, field):
@@ -217,6 +228,7 @@ class TestTrain:
                  "--out", str(tmp_path / "m.ckpt"))
         assert rc == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestEval:
@@ -229,6 +241,16 @@ class TestEval:
         vals = [report["recall_at"][k] for k in ("1", "2", "4")]
         assert vals[0] <= vals[1] <= vals[2]
         assert report["n_queries"] == 12
+
+    @pytest.mark.parametrize("ks", ["0", "-3", "1,0,4"])
+    def test_recall_at_below_one_is_usage_error(self, tmp_path, blob_file,
+                                                trained, capsys, ks):
+        out = tmp_path / "report.json"
+        rc = run("eval", "--data", blob_file, "--checkpoint", trained,
+                 "--recall-at", ks, "--out", str(out))
+        assert rc == 2
+        assert "--recall-at values must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch(self, tmp_path, trained):
         other = tmp_path / "other.cfds"

@@ -8,8 +8,8 @@ from coarse2fine.data import gen_blob_dataset
 from coarse2fine.evaluate import (NoValidQueriesError, evaluate_model,
                                   fine_class_prob, recall_at_k,
                                   topk_accuracy)
-from coarse2fine.numerics import DegenerateInputError, column_means, softmax_rows
-from conftest import identity_params, make_params
+from coarse2fine.numerics import DegenerateInputError, column_means
+from conftest import identity_params, make_params, softmax_rows
 
 
 def brute_force_recall(emb, labels, ks):

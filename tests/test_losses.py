@@ -8,12 +8,12 @@ from coarse2fine.losses import (WI_READS, _within_coarse_term,
                                 combined_objective, instance_loss_full,
                                 instance_loss_within_coarse,
                                 instance_proxy_loss, objective)
-from coarse2fine.model import encode, head_logits
-from coarse2fine.numerics import (cross_entropy, grad_check, log_softmax_rows,
-                                  softmax_rows)
+from coarse2fine.model import encode
+from coarse2fine.numerics import grad_check
 from coarse2fine.trainer import (gradient_vector, param_vector,
                                  set_param_vector)
-from conftest import make_params
+from conftest import (ce_block_oracle, cross_entropy, log_softmax_rows,
+                      make_params, softmax_rows)
 
 
 def _loss_fn_builder(params, call):
@@ -35,7 +35,9 @@ def per_class_within_oracle(params, G, ids, coarse_labels, coarse_index,
         rows = np.nonzero(coarse_labels == k)[0]
         pos_of = {int(j): p for p, j in enumerate(members)}
         label_pos = np.asarray([pos_of[int(i)] for i in ids[rows]])
-        logits = head_logits(params, G[rows], "instance", members)
+        logits = G[rows] @ params.W_I[:, members]
+        if params.cosine:
+            logits = logits / params.temperature
         at_label = (np.arange(rows.size), label_pos)
         value += float(-np.sum(log_softmax_rows(logits)[at_label])) / denom
         dlogits = softmax_rows(logits)
@@ -376,6 +378,87 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(params, rng.standard_normal((4, 4)), np.arange(4),
                       terms, coarse, build_coarse_index(coarse))
+
+
+class TestOneSoftmaxCeBlock:
+    """_ce_block exponentiates once, in place; its values-only form scores
+    row blocks. Both must give the two-softmax form's bits."""
+
+    @pytest.mark.parametrize("cosine", [False, True])
+    @pytest.mark.parametrize("head", ["coarse", "instance", "proxy"])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
+    def test_bitwise_equal_to_two_softmax_form(self, rng, cosine, head, rows):
+        params = make_params(rng, d=5, C=4, n=40, with_proxy=9,
+                             cosine=cosine, temperature=0.1)
+        G = 3.0 * rng.standard_normal((rows, 5))
+        K = params.head_matrix(head).shape[1]
+        labels = rng.integers(0, K, rows)
+        got = losses._ce_block(params, G, head, labels, rows + 3)
+        want = ce_block_oracle(params, G, head, labels, rows + 3)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("cosine", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 127, 128, 129, 255, 257, 300])
+    def test_values_only_bitwise_across_row_blocks(self, rng, cosine, rows):
+        params = make_params(rng, d=5, C=4, n=rows, cosine=cosine,
+                             temperature=0.05)
+        G = 3.0 * rng.standard_normal((rows, 5))
+        for head, K in (("coarse", 4), ("instance", rows)):
+            labels = rng.integers(0, K, rows)
+            value, dG, dW = losses._ce_block(params, G, head, labels, rows,
+                                             values_only=True)
+            assert dG is None and dW is None
+            assert value == ce_block_oracle(params, G, head, labels, rows)[0]
+
+    @pytest.mark.parametrize("terms", [{"coarse": 1.0, "instance": 0.7},
+                                       {"coarse": 1.0, "within": 0.7,
+                                        "proxy": 1.3}])
+    def test_objective_values_only(self, rng, terms):
+        params = make_params(rng, hidden=(8,), d=6, C=2, n=9, with_proxy=3,
+                             cosine=True, mlp_head=True)
+        X = rng.standard_normal((9, 4)) + 0.4
+        coarse = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1])
+        m = Membership(assignment=np.array([0, 0, 1, 1, 2, 2, 2, 2, 2]), P=3,
+                       within_coarse=True, objective=0.0)
+        args = (params, X, np.arange(9), terms, coarse,
+                build_coarse_index(coarse), m)
+        WI_READS.reset()
+        full = objective(*args)
+        reads = WI_READS.reads
+        WI_READS.reset()
+        lv = objective(*args, values_only=True)
+        assert WI_READS.reads == reads
+        assert lv.value == full.value and lv.components == full.components
+        assert lv.grad_embeddings is None and lv.grad_heads == {}
+        np.testing.assert_array_equal(lv.embeddings, full.embeddings)
+
+    def test_values_only_non_finite_raises(self, rng):
+        params = make_params(rng, n=4)
+        params.W_I[0, 2] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match="non-finite loss or gradient"):
+            objective(params, rng.standard_normal((4, 4)), np.arange(4),
+                      {"instance": 1.0}, values_only=True)
+
+    def test_values_only_keeps_input_checks(self, rng):
+        params = make_params(rng, C=2, n=4)
+        X = rng.standard_normal((4, 4))
+        coarse = np.array([0, 0, 1, 1])
+        index = build_coarse_index(coarse)
+        for terms, labels, ids, match in [
+                ({"coarse": -1.0}, coarse, np.arange(4), "non-negative"),
+                ({"bogus": 1.0}, coarse, np.arange(4), "unknown"),
+                ({"coarse": 1.0}, coarse + 1, np.arange(4), "coarse label"),
+                ({"instance": 1.0}, coarse, np.arange(1, 5), "instance id"),
+                ({"within": 1.0}, coarse[::-1], np.arange(4), "not listed")]:
+            with pytest.raises(ValueError, match=match):
+                objective(params, X, ids, terms, labels, index,
+                          values_only=True)
+        with pytest.raises(RuntimeError, match="proxy"):
+            objective(params, X, np.arange(4), {"proxy": 1.0},
+                      values_only=True)
 
 
 class TestGradients:

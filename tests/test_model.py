@@ -97,26 +97,6 @@ class TestHeadLogits:
         np.testing.assert_array_equal(head_logits(params, emb, "coarse"),
                                       emb)
 
-    def test_full_subset_equals_unrestricted(self, rng):
-        params = make_params(rng, n=5)
-        emb = rng.standard_normal((3, 3))
-        full = head_logits(params, emb, "instance")
-        subset = head_logits(params, emb, "instance", np.arange(5))
-        np.testing.assert_array_equal(full, subset)
-
-    def test_subset_order_respected(self, rng):
-        params = make_params(rng, n=5)
-        emb = rng.standard_normal((2, 3))
-        got = head_logits(params, emb, "instance", np.array([3, 1]))
-        np.testing.assert_array_equal(got[:, 0],
-                                      head_logits(params, emb, "instance")[:, 3])
-
-    def test_subset_out_of_range(self, rng):
-        params = make_params(rng, n=4)
-        with pytest.raises(ValueError):
-            head_logits(params, rng.standard_normal((1, 3)), "instance",
-                        np.array([4]))
-
     def test_cosine_direct_recomputation(self, rng):
         params = make_params(rng, cosine=True, temperature=0.05)
         X = rng.standard_normal((4, 4)) + 0.3

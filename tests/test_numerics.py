@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from coarse2fine import numerics
 from coarse2fine.numerics import (DegenerateInputError, column_means,
-                                  cross_entropy, grad_check, normalize_rows,
-                                  normalize_rows_backward, row_blocks,
-                                  softmax_rows)
+                                  grad_check, normalize_rows,
+                                  normalize_rows_backward, row_blocks)
+from conftest import cross_entropy, softmax_rows
 
 
 def softmax(logits):

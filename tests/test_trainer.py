@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +8,14 @@ from hypothesis import strategies as st
 
 from coarse2fine import losses, model, trainer
 from coarse2fine.cluster import update_proxies
-from coarse2fine.data import gen_blob_dataset
-from coarse2fine.losses import (build_coarse_index, coarse_loss,
+from coarse2fine.data import Dataset, gen_blob_dataset
+from coarse2fine.losses import (WI_READS, build_coarse_index, coarse_loss,
                                 combined_objective, instance_loss_full)
 from coarse2fine.model import init_params
 from coarse2fine.trainer import (TrainConfig, apply_gradients, lr_at,
                                  param_vector, set_param_vector, sgd_step,
                                  train, _Velocities)
-from conftest import make_params
+from conftest import ce_block_oracle, make_params
 
 
 def small_blob_config(objective, epochs, **kw):
@@ -260,6 +263,88 @@ class TestDivergence:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(trainer.DivergenceError, match=where):
             train(cfg, d)
+
+
+def uneven_dataset(n, seed=0):
+    """n blobs in 8 dims over 3 coarse x 2 fine classes; the class sizes
+    differ by one when 6 does not divide n."""
+    rng = np.random.default_rng(seed)
+    fine = np.arange(n) % 6
+    X = 4.0 * rng.standard_normal((6, 8))[fine] + rng.standard_normal((n, 8))
+    return Dataset(examples=X, coarse_labels=fine // 2, C=3,
+                   fine_labels=fine, F=6)
+
+
+def gradient_metrics_oracle(params, config, dataset, coarse_index,
+                            class_labels, membership, proxy_phase, epoch, lr):
+    """The epoch-metrics record as the gradient-carrying pass made it: the
+    whole data set through the training objective at once, with the
+    two-softmax cross-entropy block and every gradient formed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_ce_block", ce_block_oracle)
+        lv = losses.objective(params, dataset.examples, np.arange(dataset.n),
+                              trainer.objective_terms(config, proxy_phase),
+                              class_labels, coarse_index, membership)
+    g, _ = model.branch_forward(params, lv.embeddings, "instance")
+    return {"epoch": epoch, "lr": lr,
+            "loss_coarse": lv.components.get("coarse", 0.0),
+            "loss_instance": lv.components.get("instance", 0.0),
+            "loss_proxy": lv.components.get("proxy", 0.0),
+            "loss_total": lv.value,
+            "w_gap": float(np.mean(np.sum((g - params.W_I.T) ** 2, axis=1)))}
+
+
+class TestValuesOnlyMetrics:
+    @pytest.mark.parametrize("n", [127, 128, 129, 300])
+    @pytest.mark.parametrize("head", ["plain", "cosine-mlp"])
+    @pytest.mark.parametrize("objective", trainer.OBJECTIVES)
+    def test_records_bitwise_equal_to_gradient_pass(self, monkeypatch, n,
+                                                    head, objective):
+        extra = {} if head == "plain" else dict(cosine=True, mlp_head=True,
+                                                temperature=0.1)
+        cfg = small_blob_config(objective, epochs=3, ip_start_epoch=1,
+                                **extra)
+        values_only = trainer._epoch_metrics
+        records = []
+
+        def both(*args):
+            WI_READS.reset()
+            record = values_only(*args)
+            reads = WI_READS.reads
+            oracle = gradient_metrics_oracle(*args)
+            assert json.dumps(record) == json.dumps(oracle)
+            records.append((record, reads))
+            return record
+        monkeypatch.setattr(trainer, "_epoch_metrics", both)
+        d = uneven_dataset(n)
+        train(cfg, d)
+        assert len(records) == 3
+        if objective == "coins":
+            assert all(reads == n * n for _, reads in records)
+
+    @pytest.mark.parametrize("objective", ["coins", "coins-imp"])
+    def test_wi_reads_per_train(self, objective):
+        d = uneven_dataset(129)
+        per_pass = {"coins": d.n * d.n,
+                    "coins-imp": int(np.sum(np.bincount(d.coarse_labels) ** 2))}
+        WI_READS.reset()
+        train(small_blob_config(objective, epochs=2), d)
+        assert WI_READS.reads == 2 * 2 * per_pass[objective]
+
+    def test_peak_memory_below_one_n_by_n_array(self):
+        n = 2048
+        d = uneven_dataset(n)
+        cfg = small_blob_config("coins", epochs=1)
+        params = init_params(d.dim, cfg.hidden, cfg.embed_dim, d.C, n, seed=0)
+        index = build_coarse_index(d.coarse_labels)
+        tracemalloc.start()
+        try:
+            trainer._epoch_metrics(params, cfg, d, index, d.coarse_labels,
+                                   None, False, 1, cfg.lr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestParamVector:
