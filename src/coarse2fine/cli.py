@@ -16,6 +16,7 @@ import json
 import os
 import statistics
 import sys
+import typing
 
 import numpy as np
 
@@ -69,6 +70,22 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_config_value(key: str, val) -> None:
+    """Reject a --config value that misfits its TrainConfig field's type:
+    a bool is no int, a float takes any number, null fits Optional only."""
+    hint = typing.get_type_hints(TrainConfig)[key]
+    if val is None and type(None) in typing.get_args(hint):
+        return
+    kind = typing.get_args(hint)[0] if typing.get_origin(hint) else hint
+    items = val if typing.get_origin(hint) is list else [val]
+    if not isinstance(items, list) or not all(
+            isinstance(v, bool) == (kind is bool)
+            and isinstance(v, (int, float) if kind is float else kind)
+            for v in items):
+        raise UsageError(f"config key {key!r} must be "
+                         f"{TrainConfig.__annotations__[key]}, not {val!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> TrainConfig:
     """Flags override the optional --config JSON, which overrides defaults."""
     cfg = TrainConfig()
@@ -76,6 +93,8 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise UsageError("--config must hold a JSON object")
     flag_map = {
         "objective": args.objective, "epochs": args.epochs,
         "ip_start_epoch": args.m_epoch, "P": args.clusters,
@@ -92,6 +111,7 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
     for key, val in file_cfg.items():
         if not hasattr(cfg, key):
             raise UsageError(f"unknown config key {key!r}")
+        _check_config_value(key, val)
         setattr(cfg, key, val)
     for key, val in flag_map.items():
         if val is not None:

@@ -39,15 +39,11 @@ class ModelParams:
         return self.encoder[-1][0].shape[1]
 
     def head_matrix(self, head: str) -> np.ndarray:
-        if head == "coarse":
-            return self.W_C
-        if head == "instance":
-            return self.W_I
-        if head == "proxy":
-            if self.W_P is None:
-                raise RuntimeError("proxy head requested before it was initialized")
-            return self.W_P
-        raise ValueError(f"unknown head {head!r}")
+        if head not in HEADS:
+            raise ValueError(f"unknown head {head!r}")
+        if head == "proxy" and self.W_P is None:
+            raise RuntimeError("proxy head requested before it was initialized")
+        return param_arrays(self)[head]
 
 
 def init_params(input_dim: int, hidden: list[int], d: int, C: int, n: int,
@@ -191,6 +187,22 @@ def head_logits(params: ModelParams, embeddings: np.ndarray,
     return logits
 
 
+def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """Every array of `params` by name, in checkpoint body order: W0, b0,
+    ... per encoder layer, the HEADS (proxy once W_P exists), then mlp0,
+    mlp1 when the projection is on. The one place that order is written;
+    built from the current attributes, so rebinding an array is safe."""
+    arrays = {}
+    for li, (W, b) in enumerate(params.encoder):
+        arrays[f"W{li}"], arrays[f"b{li}"] = W, b
+    arrays["coarse"], arrays["instance"] = params.W_C, params.W_I
+    if params.W_P is not None:
+        arrays["proxy"] = params.W_P
+    if params.mlp_head is not None:
+        arrays["mlp0"], arrays["mlp1"] = params.mlp_head
+    return arrays
+
+
 # --- checkpoint format -------------------------------------------------
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -199,22 +211,13 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         fh.write(struct.pack("<I", len(params.encoder)))
         for W, _ in params.encoder:
             fh.write(struct.pack("<II", W.shape[0], W.shape[1]))
-        C = params.W_C.shape[1]
-        n = params.W_I.shape[1]
-        P = 0 if params.W_P is None else params.W_P.shape[1]
-        d_h = 0 if params.mlp_head is None else params.mlp_head[0].shape[1]
-        fh.write(struct.pack("<IIIIBd", C, n, P, d_h,
+        arrays = param_arrays(params)
+        widths = [arrays[k].shape[1] if k in arrays else 0
+                  for k in ("coarse", "instance", "proxy", "mlp0")]
+        fh.write(struct.pack("<IIIIBd", *widths,
                              1 if params.cosine else 0, params.temperature))
-        for W, b in params.encoder:
-            fh.write(W.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
-        fh.write(params.W_C.astype("<f8").tobytes())
-        fh.write(params.W_I.astype("<f8").tobytes())
-        if params.W_P is not None:
-            fh.write(params.W_P.astype("<f8").tobytes())
-        if params.mlp_head is not None:
-            fh.write(params.mlp_head[0].astype("<f8").tobytes())
-            fh.write(params.mlp_head[1].astype("<f8").tobytes())
+        for a in arrays.values():
+            fh.write(a.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelParams:
@@ -235,11 +238,6 @@ def load_checkpoint(path: str) -> ModelParams:
     def unpack(fmt: str) -> tuple:
         return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt)))
 
-    def matrix(rows: int, cols: int) -> np.ndarray:
-        count = rows * cols
-        return np.frombuffer(raw, dtype="<f8", count=count,
-                             offset=take(8 * count)).reshape(rows, cols).copy()
-
     (n_layers,) = unpack("<I")
     if n_layers == 0:
         raise CheckpointFormatError("zero encoder layers at offset 6")
@@ -251,16 +249,22 @@ def load_checkpoint(path: str) -> ModelParams:
                 f"{li - 1} gives {shapes[li - 1][1]} outputs "
                 f"(shape at offset {10 + 8 * li})")
     C, n, P, d_h, cosine_flag, temperature = unpack("<IIIIBd")
-    encoder = [(matrix(rows, cols), matrix(1, cols).reshape(cols))
-               for rows, cols in shapes]
     d = shapes[-1][1]
-    W_C = matrix(d, C)
-    W_I = matrix(d, n)
-    W_P = matrix(d, P) if P > 0 else None
-    mlp = (matrix(d, d_h), matrix(d_h, d)) if d_h > 0 else None
-    if off != len(raw):
+    # the header's body size is checked before any array of it is allocated
+    end = off + 8 * (sum(r * c + c for r, c in shapes)
+                     + d * (C + n + P + 2 * d_h))
+    if len(raw) < end:
+        raise CheckpointFormatError(f"truncated at offset {len(raw)}")
+    if len(raw) > end:
         raise CheckpointFormatError(
-            f"{len(raw) - off} trailing bytes at offset {off}")
-    return ModelParams(encoder=encoder, W_C=W_C, W_I=W_I, W_P=W_P,
-                       mlp_head=mlp, cosine=bool(cosine_flag),
-                       temperature=float(temperature))
+            f"{len(raw) - end} trailing bytes at offset {end}")
+    params = ModelParams(
+        encoder=[(np.empty(shape), np.empty(shape[1])) for shape in shapes],
+        W_C=np.empty((d, C)), W_I=np.empty((d, n)),
+        W_P=np.empty((d, P)) if P > 0 else None,
+        mlp_head=(np.empty((d, d_h)), np.empty((d_h, d))) if d_h > 0 else None,
+        cosine=bool(cosine_flag), temperature=float(temperature))
+    for a in param_arrays(params).values():
+        a[...] = np.frombuffer(raw, dtype="<f8", count=a.size,
+                               offset=take(8 * a.size)).reshape(a.shape)
+    return params

@@ -4,6 +4,7 @@ refreshes the proxies by k-means after every later epoch."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -12,8 +13,8 @@ import numpy as np
 from .cluster import Membership, kmeans, update_proxies
 from .data import Dataset, augment
 from .losses import LossValue, build_coarse_index, objective
-from .model import (HEADS, ModelParams, branch_forward, encode_backward,
-                    init_params, renormalize_heads)
+from .model import (ModelParams, branch_forward, encode_backward,
+                    init_params, param_arrays, renormalize_heads)
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -64,6 +65,10 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.pad < 0:
+            raise ValueError("pad must be >= 0")
+        if self.kmeans_restarts < 1:
+            raise ValueError("kmeans_restarts must be >= 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
         if not self.lr_decay_factor > 0:
@@ -130,34 +135,37 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 class _Velocities:
     def __init__(self, params: ModelParams):
-        self.enc = [(np.zeros_like(W), np.zeros_like(b))
-                    for W, b in params.encoder]
+        self.v = {name: np.zeros_like(a)
+                  for name, a in param_arrays(params).items()}
         # encoder weight gradients, rewritten by every step: a fresh
         # weight-sized array would page-fault on each one
         self.enc_grad = [np.empty_like(W) for W, _ in params.encoder]
-        self.heads = {"coarse": np.zeros_like(params.W_C),
-                      "instance": np.zeros_like(params.W_I)}
-        self.mlp = None if params.mlp_head is None else \
-            (np.zeros_like(params.mlp_head[0]), np.zeros_like(params.mlp_head[1]))
+
+
+def _gradients(params: ModelParams, lv: LossValue,
+               enc_out: Optional[list] = None) -> dict[str, np.ndarray]:
+    """Gradient of every array the loss touched, by `param_arrays` name
+    (encoder weight gradients go into `enc_out` when given)."""
+    grads = {}
+    for li, (gW, gb) in enumerate(encode_backward(
+            params, lv.encoder_cache, lv.grad_embeddings, enc_out)):
+        grads[f"W{li}"], grads[f"b{li}"] = gW, gb
+    grads.update(lv.grad_heads)
+    if lv.grad_mlp_head is not None:
+        grads["mlp0"], grads["mlp1"] = lv.grad_mlp_head
+    return grads
 
 
 def apply_gradients(params: ModelParams, lv: LossValue, vel: _Velocities,
                     lr: float, momentum: float, weight_decay: float) -> None:
-    """One SGD step on everything the loss touched (proxy-head gradients are
-    discarded: W_P is rebuilt from W_I by clustering, never trained)."""
-    enc_grads = encode_backward(params, lv.encoder_cache, lv.grad_embeddings,
-                                vel.enc_grad)
+    """One SGD step on every array the loss touched, biases undecayed (the
+    proxy gradient is discarded: clustering rebuilds W_P, never SGD)."""
+    arrays = param_arrays(params)
     scratch = np.empty(_SGD_SLICE)
-    for (W, b), (gW, gb), (vW, vb) in zip(params.encoder, enc_grads, vel.enc):
-        sgd_step(W, gW, vW, lr, momentum, weight_decay, scratch)
-        sgd_step(b, gb, vb, lr, momentum, 0.0, scratch)   # no decay on biases
-    for head, grad in lv.grad_heads.items():
-        if head != "proxy":
-            sgd_step(params.head_matrix(head), grad, vel.heads[head],
-                     lr, momentum, weight_decay, scratch)
-    if lv.grad_mlp_head is not None:
-        for p, g, v in zip(params.mlp_head, lv.grad_mlp_head, vel.mlp):
-            sgd_step(p, g, v, lr, momentum, weight_decay, scratch)
+    for name, grad in _gradients(params, lv, vel.enc_grad).items():
+        if name != "proxy":
+            sgd_step(arrays[name], grad, vel.v[name], lr, momentum,
+                     0.0 if name.startswith("b") else weight_decay, scratch)
     if params.cosine:
         renormalize_heads(params)
 
@@ -290,57 +298,24 @@ def train(config: TrainConfig, dataset: Dataset
 # --- flat parameter vector helpers (used by the gradient checks) --------
 
 def param_vector(params: ModelParams) -> np.ndarray:
-    parts = []
-    for W, b in params.encoder:
-        parts += [W.ravel(), b.ravel()]
-    parts += [params.W_C.ravel(), params.W_I.ravel()]
-    if params.W_P is not None:
-        parts.append(params.W_P.ravel())
-    if params.mlp_head is not None:
-        parts += [params.mlp_head[0].ravel(), params.mlp_head[1].ravel()]
-    return np.concatenate(parts)
+    return np.concatenate([a.ravel() for a in param_arrays(params).values()])
 
 
 def set_param_vector(params: ModelParams, vec: np.ndarray) -> ModelParams:
     """New ModelParams with the same shapes, values taken from vec."""
-    off = 0
-
-    def take(shape):
-        nonlocal off
-        size = int(np.prod(shape))
-        out = vec[off:off + size].reshape(shape).copy()
-        off += size
-        return out
-
-    encoder = [(take(W.shape), take(b.shape)) for W, b in params.encoder]
-    W_C = take(params.W_C.shape)
-    W_I = take(params.W_I.shape)
-    W_P = take(params.W_P.shape) if params.W_P is not None else None
-    mlp = None
-    if params.mlp_head is not None:
-        mlp = (take(params.mlp_head[0].shape), take(params.mlp_head[1].shape))
-    if off != vec.size:
+    out = copy.deepcopy(params)
+    arrays = list(param_arrays(out).values())
+    ends = np.cumsum([a.size for a in arrays])
+    if ends[-1] != vec.size:
         raise ValueError("vector length does not match parameter count")
-    return ModelParams(encoder=encoder, W_C=W_C, W_I=W_I, W_P=W_P,
-                       mlp_head=mlp, cosine=params.cosine,
-                       temperature=params.temperature)
+    for a, part in zip(arrays, np.split(vec, ends[:-1])):
+        a[...] = part.reshape(a.shape)
+    return out
 
 
 def gradient_vector(params: ModelParams, lv: LossValue) -> np.ndarray:
     """Flat end-to-end gradient matching param_vector's layout."""
-    enc_grads = encode_backward(params, lv.encoder_cache, lv.grad_embeddings)
-    parts = []
-    for gW, gb in enc_grads:
-        parts += [gW.ravel(), gb.ravel()]
-    for head in HEADS:
-        if head in lv.grad_heads:
-            parts.append(lv.grad_heads[head].ravel())
-        elif head != "proxy" or params.W_P is not None:
-            parts.append(np.zeros_like(params.head_matrix(head)).ravel())
-    if params.mlp_head is not None:
-        if lv.grad_mlp_head is None:
-            parts += [np.zeros_like(params.mlp_head[0]).ravel(),
-                      np.zeros_like(params.mlp_head[1]).ravel()]
-        else:
-            parts += [lv.grad_mlp_head[0].ravel(), lv.grad_mlp_head[1].ravel()]
-    return np.concatenate(parts)
+    grads = _gradients(params, lv)
+    return np.concatenate([grads[name].ravel() if name in grads
+                           else np.zeros(a.size)
+                           for name, a in param_arrays(params).items()])

@@ -212,6 +212,7 @@ class TestTrain:
         (["--embed-dim", "0"], "embed_dim must be >= 1"),
         (["--hidden", "0"], "hidden widths must be >= 1"),
         (["--hidden", "8,0"], "hidden widths must be >= 1"),
+        (["--pad", "-20"], "pad must be >= 0"),
         (["--objective", "coins", "--lambda-i", "nan"], "lambda_I must be finite"),
         (["--objective", "coinsP", "--lambda-p", "inf"], "lambda_P must be finite"),
         (["--lr", "nan"], "lr must be finite"),
@@ -229,6 +230,38 @@ class TestTrain:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"epochs": "3"}, "'epochs' must be int, not '3'"),
+        ({"epochs": True}, "'epochs' must be int, not True"),
+        ({"lr": "0.1"}, "'lr' must be float"),
+        ({"cosine": 1}, "'cosine' must be bool"),
+        ({"hidden": 64}, "'hidden' must be list[int]"),
+        ({"lr_decay_epochs": [1, 2.5]}, "'lr_decay_epochs' must be list[int]"),
+        ({"epochs": None}, "'epochs' must be int, not None"),
+        ({"kmeans_restarts": -3}, "kmeans_restarts must be >= 1"),
+        ([1], "--config must hold a JSON object"),
+    ])
+    def test_bad_config_json_is_usage_error(self, tmp_path, blob_file,
+                                            capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = run("train", "--data", blob_file, "--config", str(path),
+                 "--out", str(tmp_path / "m.ckpt"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_config_json_takes_ints_as_floats_and_null_where_optional(
+            self, tmp_path, blob_file):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lr": 1, "epochs": 1, "hidden": [8],
+                                    "embed_dim": 4, "ip_start_epoch": None,
+                                    "P": None}))
+        rc = run("train", "--data", blob_file, "--config", str(path),
+                 "--lr", "0.003", "--out", str(tmp_path / "m.ckpt"))
+        assert rc == 0
 
 
 class TestEval:

@@ -1,4 +1,5 @@
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from coarse2fine.model import (CheckpointFormatError, ModelParams,
                                branch_forward, encode, encode_backward,
                                head_logits, init_params, load_checkpoint,
-                               renormalize_heads, save_checkpoint)
+                               param_arrays, renormalize_heads,
+                               save_checkpoint)
 from coarse2fine.numerics import grad_check
+from coarse2fine.trainer import param_vector
 from conftest import identity_params, make_params
 
 
@@ -190,6 +193,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError,
                            match="layer 1 takes 5 inputs but layer 0 "
                                  "gives 3 outputs"):
+            load_checkpoint(str(path))
+
+    def test_body_is_the_one_parameter_layout(self, tmp_path, rng):
+        params = make_params(rng, hidden=(3,), with_proxy=2, mlp_head=True)
+        arrays = param_arrays(params)
+        assert list(arrays) == ["W0", "b0", "W1", "b1", "coarse", "instance",
+                                "proxy", "mlp0", "mlp1"]
+        expected = [params.encoder[0][0], params.encoder[0][1],
+                    params.encoder[1][0], params.encoder[1][1], params.W_C,
+                    params.W_I, params.W_P, *params.mlp_head]
+        assert all(a is b for a, b in zip(arrays.values(), expected))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+        body = param_vector(params).astype("<f8").tobytes()
+        assert path.read_bytes()[-len(body):] == body
+
+    def test_header_larger_than_file_is_truncated_not_allocated(
+            self, tmp_path, rng):
+        params = make_params(rng, input_dim=4, hidden=(), d=2)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+        raw = bytearray(path.read_bytes())
+        # n, after the magic, the layer count, one shape and C
+        struct.pack_into("<I", raw, 6 + 4 + 8 + 4, 2 ** 32 - 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError, match="truncated"):
             load_checkpoint(str(path))
 
     def test_optional_parts_absent(self, tmp_path, rng):

@@ -180,13 +180,32 @@ class TestTrain:
         assert rows == [8, 8, 4, 20]
         assert len(metrics) == 1
 
-    def test_deterministic_rerun(self):
+    @pytest.mark.parametrize("extra", [{}, {"cosine": True, "mlp_head": True,
+                                            "temperature": 0.1}],
+                             ids=["plain", "cosine-mlp"])
+    @pytest.mark.parametrize("objective", trainer.OBJECTIVES)
+    def test_deterministic_rerun(self, objective, extra):
         d = gen_blob_dataset(2, 2, 5, 8, seed=2)
-        cfg = small_blob_config("coinsP", epochs=6, P=4)
+        cfg = small_blob_config(objective, epochs=3, ip_start_epoch=1, P=4,
+                                batch_size=8, **extra)
         a, ma, _ = train(cfg, d)
         b, mb, _ = train(cfg, d)
         assert param_vector(a).tobytes() == param_vector(b).tobytes()
-        assert ma == mb
+        assert json.dumps(ma) == json.dumps(mb)
+
+    @pytest.mark.parametrize("objective, unread", [
+        ("cos", "W_I"), ("opt", "W_I"), ("ins", "W_C")])
+    def test_unread_head_never_moves(self, objective, unread):
+        """Not even weight decay reaches a head the objective never reads."""
+        d = gen_blob_dataset(2, 2, 5, 8, seed=2)
+        cfg = small_blob_config(objective, epochs=3, batch_size=8,
+                                weight_decay=0.5)
+        params, _, _ = train(cfg, d)
+        ref = init_params(d.dim, cfg.hidden, cfg.embed_dim,
+                          d.F if objective == "opt" else d.C, d.n,
+                          seed=cfg.seed)
+        assert getattr(params, unread).tobytes() == \
+            getattr(ref, unread).tobytes()
 
     def test_loss_decreases_on_blob(self):
         d = gen_blob_dataset(4, 5, 10, 16, seed=0)
