@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import statistics
@@ -54,14 +55,10 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.kind == "patch":
-        if args.big < 1 or args.small < 1:
-            raise UsageError("--big and --small must be >= 1")
         d = gen_patch_dataset(args.n, args.big, args.small, args.img_h,
                               args.img_w, args.big_size, args.small_size,
                               seed=args.seed)
     else:
-        if min(args.classes, args.fine_per_coarse, args.z, args.dim) < 1:
-            raise UsageError("blob counts must be >= 1")
         d = gen_blob_dataset(args.classes, args.fine_per_coarse, args.z,
                              args.dim, args.coarse_spread, args.fine_spread,
                              args.noise, seed=args.seed)
@@ -87,7 +84,8 @@ def _check_config_value(key: str, val) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> TrainConfig:
-    """Flags override the optional --config JSON, which overrides defaults."""
+    """Flags override the optional --config JSON, which overrides defaults:
+    each train flag's dest is the TrainConfig field it sets."""
     cfg = TrainConfig()
     file_cfg = {}
     if args.config:
@@ -95,27 +93,14 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
-    flag_map = {
-        "objective": args.objective, "epochs": args.epochs,
-        "ip_start_epoch": args.m_epoch, "P": args.clusters,
-        "lambda_I": args.lambda_i, "lambda_P": args.lambda_p,
-        "lr": args.lr, "momentum": args.momentum,
-        "weight_decay": args.wd, "lr_decay_factor": args.decay_factor,
-        "batch_size": args.batch, "seed": args.seed,
-        "cosine": args.cosine, "mlp_head": args.mlp_head,
-        "temperature": args.temp, "embed_dim": args.embed_dim,
-        "pad": args.pad,
-        "lr_decay_epochs": _int_list(args.decay_epochs) if args.decay_epochs else None,
-        "hidden": _int_list(args.hidden) if args.hidden else None,
-    }
     for key, val in file_cfg.items():
         if not hasattr(cfg, key):
             raise UsageError(f"unknown config key {key!r}")
         _check_config_value(key, val)
         setattr(cfg, key, val)
-    for key, val in flag_map.items():
-        if val is not None:
-            setattr(cfg, key, val)
+    for f in dataclasses.fields(cfg):
+        if (val := getattr(args, f.name, None)) is not None:
+            setattr(cfg, f.name, val)
     return cfg
 
 
@@ -124,12 +109,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.img_h and args.img_w:
         dataset.image_shape = (args.img_h, args.img_w)
     cfg = _merge_config(args)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if cfg.objective == "opt" and dataset.fine_labels is None:
-        raise UsageError("objective 'opt' needs fine labels in the dataset")
     params, metrics, _ = train(cfg, dataset)
     save_checkpoint(params, args.out)
     metrics_path = args.metrics or args.out + ".metrics.jsonl"
@@ -279,21 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--objective", choices=list(OBJECTIVES))
     p.add_argument("--epochs", type=int)
-    p.add_argument("--m-epoch", type=int)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--lambda-i", type=float)
-    p.add_argument("--lambda-p", type=float)
+    p.add_argument("--m-epoch", dest="ip_start_epoch", type=int)
+    p.add_argument("--clusters", dest="P", type=int)
+    p.add_argument("--lambda-i", dest="lambda_I", type=float)
+    p.add_argument("--lambda-p", dest="lambda_P", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--momentum", type=float)
-    p.add_argument("--wd", type=float)
-    p.add_argument("--decay-epochs")
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--wd", dest="weight_decay", type=float)
+    p.add_argument("--decay-epochs", dest="lr_decay_epochs", type=_int_list)
+    p.add_argument("--decay-factor", dest="lr_decay_factor", type=float)
+    p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cosine", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--mlp-head", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--temp", type=float)
-    p.add_argument("--hidden")
+    p.add_argument("--temp", dest="temperature", type=float)
+    p.add_argument("--hidden", type=_int_list)
     p.add_argument("--embed-dim", type=int)
     p.add_argument("--pad", type=int)
     p.add_argument("--img-h", type=int, help="treat loaded data as images")

@@ -131,22 +131,19 @@ def gen_blob_dataset(C: int, fine_per_coarse: int, z: int, dim: int,
     rng = np.random.default_rng(seed)
     n = C * fine_per_coarse * z
     F = C * fine_per_coarse
-    examples = np.empty((n, dim), dtype=np.float64)
-    coarse = np.empty(n, dtype=np.int64)
-    fine = np.empty(n, dtype=np.int64)
-    i = 0
+    examples = np.empty((F, z, dim), dtype=np.float64)
     for c in range(C):
         c_center = rng.normal(0.0, coarse_spread, size=dim)
         for s in range(fine_per_coarse):
             f_center = c_center + rng.normal(0.0, fine_spread, size=dim)
-            for _ in range(z):
-                examples[i] = f_center + (rng.normal(0.0, noise, size=dim)
-                                          if noise > 0 else 0.0)
-                coarse[i] = c
-                fine[i] = c * fine_per_coarse + s
-                i += 1
-    return Dataset(examples=examples, coarse_labels=coarse, C=C,
-                   fine_labels=fine, F=F)
+            # one (z, dim) draw is the same stream as z draws of dim
+            examples[c * fine_per_coarse + s] = f_center + (
+                rng.normal(0.0, noise, size=(z, dim)) if noise > 0 else 0.0)
+    return Dataset(examples=examples.reshape(n, dim),
+                   coarse_labels=np.repeat(np.arange(C, dtype=np.int64),
+                                           fine_per_coarse * z),
+                   C=C, fine_labels=np.repeat(np.arange(F, dtype=np.int64), z),
+                   F=F)
 
 
 def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,

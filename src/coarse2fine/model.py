@@ -249,6 +249,9 @@ def load_checkpoint(path: str) -> ModelParams:
                 f"{li - 1} gives {shapes[li - 1][1]} outputs "
                 f"(shape at offset {10 + 8 * li})")
     C, n, P, d_h, cosine_flag, temperature = unpack("<IIIIBd")
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise CheckpointFormatError(f"temperature {temperature!r} at offset "
+                                    f"{off - 8} must be finite and > 0")
     d = shapes[-1][1]
     # the header's body size is checked before any array of it is allocated
     end = off + 8 * (sum(r * c + c for r, c in shapes)

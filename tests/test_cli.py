@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,12 +9,19 @@ import pytest
 from coarse2fine import cli
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import load_dataset, save_dataset
-from coarse2fine.model import ModelParams, save_checkpoint
+from coarse2fine.model import ModelParams, load_checkpoint, save_checkpoint
 from coarse2fine.numerics import InvariantError
+from coarse2fine.trainer import TrainConfig
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def train_config(*flags):
+    """The TrainConfig that `train` would run for these flags."""
+    return cli._merge_config(cli.build_parser().parse_args(
+        ["train", "--data", "d.cfds", "--out", "m.ckpt", *flags]))
 
 
 @pytest.fixture
@@ -253,6 +263,67 @@ class TestTrain:
         assert err.startswith("usage error:") and message in err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_flag_dests_are_config_fields(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["train"]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert dests - fields == {"data", "format", "img_h", "img_w",
+                                  "config", "out", "metrics"}
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--m-epoch", "3", "ip_start_epoch", 3),
+        ("--clusters", "7", "P", 7),
+        ("--lambda-i", "0.25", "lambda_I", 0.25),
+        ("--lambda-p", "0.5", "lambda_P", 0.5),
+        ("--wd", "0.01", "weight_decay", 0.01),
+        ("--decay-epochs", "3,9", "lr_decay_epochs", [3, 9]),
+        ("--decay-factor", "2.5", "lr_decay_factor", 2.5),
+        ("--batch", "17", "batch_size", 17),
+        ("--temp", "0.2", "temperature", 0.2),
+    ])
+    def test_renamed_flag_sets_its_field(self, flag, value, field, expected):
+        assert train_config(flag, value) == \
+            dataclasses.replace(TrainConfig(), **{field: expected})
+
+    def test_empty_list_flags_mean_empty_lists(self, tmp_path, blob_file):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"hidden": [], "lr_decay_epochs": []}))
+        cfg = train_config("--hidden", "", "--decay-epochs", "")
+        assert cfg == train_config("--config", str(path))
+        assert cfg.hidden == [] and cfg.lr_decay_epochs == []
+        # the flags override a file that asks for a hidden layer and decay
+        path.write_text(json.dumps({"hidden": [8], "lr_decay_epochs": [1]}))
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", blob_file, "--config", str(path),
+                   "--epochs", "2", "--lr", "0.003", "--embed-dim", "4",
+                   "--hidden", "", "--decay-epochs", "",
+                   "--out", str(ckpt)) == 0
+        assert len(load_checkpoint(str(ckpt)).encoder) == 1
+        lines = (tmp_path / "m.ckpt.metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["lr"] for line in lines] == [0.003, 0.003]
+
+    def test_global_clustering_through_config(self, tmp_path, blob_file):
+        # P = 1 below C = 2: legal only when clustering over all of W_I
+        cfg = {"objective": "coinsP", "epochs": 3, "ip_start_epoch": 1,
+               "P": 1, "lr": 0.003, "hidden": [8], "embed_dim": 4,
+               "batch_size": 4, "seed": 2}
+        path = tmp_path / "within.json"
+        path.write_text(json.dumps(cfg))
+        assert run("train", "--data", blob_file, "--config", str(path),
+                   "--out", str(tmp_path / "w.ckpt")) == 2
+        path = tmp_path / "global.json"
+        path.write_text(json.dumps({**cfg, "cluster_within_coarse": False}))
+        outs = []
+        for name in ("a.ckpt", "b.ckpt"):
+            ckpt = tmp_path / name
+            assert run("train", "--data", blob_file, "--config", str(path),
+                       "--out", str(ckpt)) == 0
+            outs.append((ckpt.read_bytes(),
+                         (tmp_path / f"{name}.metrics.jsonl").read_bytes()))
+        assert outs[0] == outs[1]
+
     def test_config_json_takes_ints_as_floats_and_null_where_optional(
             self, tmp_path, blob_file):
         path = tmp_path / "cfg.json"
@@ -306,6 +377,22 @@ class TestEval:
         assert rc == 4
         assert "bad checkpoint file" in capsys.readouterr().err
 
+
+    def test_zero_checkpoint_temperature_is_bad_file(self, tmp_path,
+                                                     blob_file, trained,
+                                                     capsys):
+        raw = bytearray(open(trained, "rb").read())
+        # after the magic, the layer count, two shapes, C, n, P, d_h, cosine
+        struct.pack_into("<d", raw, 6 + 4 + 2 * 8 + 4 * 4 + 1, 0.0)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "r.json"
+        rc = run("eval", "--data", blob_file, "--checkpoint", str(bad),
+                 "--out", str(out))
+        assert rc == 4
+        assert "bad checkpoint file: temperature 0.0 at offset 43" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_embedding_is_degenerate_data(self, tmp_path, trained,
                                                       overflow_row_file, capsys):

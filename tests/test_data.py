@@ -66,7 +66,45 @@ class TestPatchDataset:
         assert np.array_equal(d.coarse_labels, d.fine_labels % d.C)
 
 
+def blob_loop_oracle(C, fine_per_coarse, z, dim, coarse_spread=10.0,
+                     fine_spread=1.0, noise=0.1, seed=0):
+    """gen_blob_dataset as one noise draw and one label pair per example."""
+    rng = np.random.default_rng(seed)
+    n = C * fine_per_coarse * z
+    examples = np.empty((n, dim))
+    coarse = np.empty(n, dtype=np.int64)
+    fine = np.empty(n, dtype=np.int64)
+    i = 0
+    for c in range(C):
+        c_center = rng.normal(0.0, coarse_spread, size=dim)
+        for s in range(fine_per_coarse):
+            f_center = c_center + rng.normal(0.0, fine_spread, size=dim)
+            for _ in range(z):
+                examples[i] = f_center + (rng.normal(0.0, noise, size=dim)
+                                          if noise > 0 else 0.0)
+                coarse[i] = c
+                fine[i] = c * fine_per_coarse + s
+                i += 1
+    return examples, coarse, fine
+
+
 class TestBlobDataset:
+    @pytest.mark.parametrize("shape, kw", [
+        ((4, 5, 10, 16), {}),
+        ((1, 1, 1, 1), {}),
+        ((3, 2, 7, 5), {"noise": 0.0, "seed": 4}),
+        ((8, 16, 16, 32), {"seed": 9}),
+        ((2, 3, 4, 6), {"coarse_spread": 2.5, "fine_spread": 0.5,
+                        "noise": 1.5, "seed": 123}),
+    ])
+    def test_bytes_equal_to_per_example_loop(self, shape, kw):
+        d = gen_blob_dataset(*shape, **kw)
+        examples, coarse, fine = blob_loop_oracle(*shape, **kw)
+        assert d.examples.tobytes() == examples.tobytes()
+        assert d.coarse_labels.dtype == coarse.dtype
+        assert d.coarse_labels.tobytes() == coarse.tobytes()
+        assert d.fine_labels.tobytes() == fine.tobytes()
+
     def test_counts(self):
         d = gen_blob_dataset(4, 5, 10, 16, seed=0)
         assert (d.n, d.C, d.F) == (200, 4, 20)

@@ -221,6 +221,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="truncated"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+    def test_temperature_not_finite_and_positive_rejected(self, tmp_path, rng,
+                                                          temperature):
+        params = make_params(rng, input_dim=4, hidden=(3,), d=2, cosine=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+        raw = bytearray(path.read_bytes())
+        # after the magic, the layer count, two shapes, C, n, P, d_h, cosine
+        at = 6 + 4 + 2 * 8 + 4 * 4 + 1
+        assert struct.unpack_from("<d", raw, at)[0] == params.temperature
+        struct.pack_into("<d", raw, at, temperature)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"temperature .* at offset {at} "):
+            load_checkpoint(str(path))
+
     def test_optional_parts_absent(self, tmp_path, rng):
         params = make_params(rng)  # no proxy head, no projection
         path = tmp_path / "m.ckpt"

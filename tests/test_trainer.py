@@ -225,6 +225,17 @@ class TestTrain:
         with pytest.warns(UserWarning, match="never runs"):
             train(cfg, d)
 
+    def test_global_clustering_mixes_coarse_classes(self):
+        # P = 2 below C = 3 is legal only when clustering over all of W_I
+        d = gen_blob_dataset(3, 2, 4, 5, seed=0)
+        cfg = small_blob_config("coinsP", epochs=3, ip_start_epoch=1, P=2,
+                                cluster_within_coarse=False, hidden=[8],
+                                embed_dim=4, batch_size=8)
+        _, _, membership = train(cfg, d)
+        assert membership.within_coarse is False and membership.P == 2
+        assert any(len(set(d.coarse_labels[membership.assignment == p])) > 1
+                   for p in range(membership.P))
+
     def test_proxies_are_cluster_means_after_refresh(self):
         d = gen_blob_dataset(2, 3, 4, 8, seed=3)
         cfg = small_blob_config("coinsP", epochs=6, ip_start_epoch=3, P=5)
