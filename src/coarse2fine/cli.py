@@ -19,8 +19,6 @@ import statistics
 import sys
 import typing
 
-import numpy as np
-
 from .data import (Dataset, DatasetFormatError, gen_blob_dataset,
                    gen_patch_dataset, load_dataset, load_dataset_csv,
                    save_dataset)
@@ -36,6 +34,11 @@ EXIT_DIVERGED = 5
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):     # main reports it in one line, exit 2
+        raise UsageError(message)
 
 
 def _int_list(s: str) -> list[int]:
@@ -228,7 +231,7 @@ def cmd_reproduce_synthetic(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarse2fine",
         description="Representation learning from coarse labels, with "
                     "retrieval evaluation and bound verification.")
@@ -319,9 +322,8 @@ _FAILURES = [
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001
         for kind, what, code in _FAILURES:

@@ -8,7 +8,12 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import InvariantError, column_means
+from .numerics import DegenerateInputError, InvariantError, column_means
+
+
+# largest |w| of d*n entries for which no squared distance, nor a sum of n
+# of them, passes the float64 maximum (|w_i - w_j|^2 <= d (2 max|w|)^2)
+_KMEANS_MAX_ABS = 0.5 * np.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass
@@ -157,13 +162,17 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
     ascending class. `init` (P x d centroids) replaces k-means++ and runs
     one global restart. Restart r of class k draws from
     SeedSequence(seed).spawn(classes)[k].spawn(restarts)[r]. Problems of
-    equal (n_k, P_k) are solved in one stack."""
+    equal (n_k, P_k) are solved in one stack. DegenerateInputError: W_I is
+    non-finite, or so large that a squared distance could overflow."""
     n = W_I.shape[1]
     if P > n or P < 1:
         raise ValueError(f"P={P} out of range for n={n}")
     W, seedseq = W_I.astype(np.float64), np.random.SeedSequence(seed)
-    if not np.isfinite(W).all():
-        raise ValueError("W_I has a non-finite entry")
+    scale = np.max(np.abs(W), initial=0.0)
+    if not np.isfinite(scale):
+        raise DegenerateInputError("non-finite W_I")
+    if scale > _KMEANS_MAX_ABS / np.sqrt(W.size):
+        raise DegenerateInputError(f"W_I too large to cluster: max |w| = {scale:.3g}")
     labels, budgets, seqs = np.zeros(n, np.int64), np.array([P]), [seedseq]
     if coarse_labels is not None:
         if init is not None:

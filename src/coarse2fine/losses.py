@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import Membership
 from .model import (EncodeCache, ModelParams, branch_backward, branch_forward,
-                    encode, head_logits)
+                    encode)
 from .numerics import row_blocks
 
 
@@ -79,31 +79,32 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
               labels: np.ndarray, denom: int, values_only: bool = False
               ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """Cross-entropy of G against every column of a head, summed and divided
-    by denom. Returns (value, grad wrt G, d x K grad wrt the head).
-
-    With `values_only` the gradients are None and G is scored one row
-    block at a time, so at most block x K logits are held; each row's
-    log-probability is bitwise the same and all are summed in one np.sum."""
-    if values_only:
-        W = params.head_matrix(head)
-        log_p = np.empty(G.shape[0])
-        for blk, logits in row_blocks(G.shape[0], W.shape[1]):
-            np.matmul(G[blk], W, out=logits)
-            if params.cosine:
-                logits /= params.temperature
-            log_p[blk] = _log_softmax_at(
-                logits, (np.arange(blk.size), labels[blk]))[0]
-        return float(-np.sum(log_p)) / denom, None, None
-    at = (np.arange(G.shape[0]), labels)
-    dlogits = head_logits(params, G, head)
-    log_p, total = _log_softmax_at(dlogits, at)
+    by denom: (value, grad wrt G, d x K grad wrt the head). `values_only`
+    gives None gradients and scores each row block in one reused block x K
+    scratch; else the logits are one G @ W (a block's own product can round
+    differently) whose row blocks become softmax minus one-hot in place."""
+    W = params.head_matrix(head)
+    log_p = np.empty(G.shape[0])
+    dlogits = None if values_only else G @ W
+    widths = (W.shape[1],) if values_only else ()
+    for blk, *scratch in row_blocks(G.shape[0], *widths):
+        rows = slice(blk[0], blk[-1] + 1)     # a view: writes reach dlogits
+        logits = np.matmul(G[rows], W, out=scratch[0]) if values_only \
+            else dlogits[rows]
+        if params.cosine:
+            logits /= params.temperature
+        at = (np.arange(blk.size), labels[rows])
+        log_p[rows], total = _log_softmax_at(logits, at)
+        if not values_only:
+            logits /= total                                  # softmax
+            logits[at] -= 1.0
     value = float(-np.sum(log_p)) / denom
-    dlogits /= total                                         # softmax
-    dlogits[at] -= 1.0
+    if values_only:
+        return value, None, None
     dlogits /= denom
     if params.cosine:
         dlogits /= params.temperature
-    return value, dlogits @ params.head_matrix(head).T, G.T @ dlogits
+    return value, dlogits @ W.T, G.T @ dlogits
 
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,

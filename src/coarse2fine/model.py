@@ -5,7 +5,7 @@ instance/proxy branch, plus a byte-exact checkpoint format."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,10 +33,6 @@ class ModelParams:
     mlp_head: Optional[tuple[np.ndarray, np.ndarray]] = None
     cosine: bool = False
     temperature: float = 0.05
-
-    @property
-    def d(self) -> int:
-        return self.encoder[-1][0].shape[1]
 
     def head_matrix(self, head: str) -> np.ndarray:
         if head not in HEADS:

@@ -1,9 +1,9 @@
 """Row normalisation, grouped column means, the row blocks the O(n^2)
 read paths stream over, and a finite-difference checker.
 
-Everything here operates on float64 numpy arrays. The training path may
-downcast to float32, but theory verification and all tests run in float64
-because the bound checks evaluate exp() of large dot products.
+Everything here operates on float64 numpy arrays, as does the whole
+package: `model.encode` casts every batch to float64, and the bound checks
+evaluate exp() of large dot products.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -198,6 +198,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
     own_inst = np.empty(n)       # f_i . w_i
     lse_full = np.empty(n)       # logsumexp_j f_i . w_j
     own_proxy = np.empty(n)      # f_i . wbar_{fine(i)}
+    log_lhs = np.empty(n)        # log Pr{own fine class} via the proxies
     jensen_slack = np.inf
     for blk, L_I, grouped, proxy_logits in row_blocks(n, n, n, F):
         rows = np.arange(blk.size)
@@ -210,12 +211,12 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
         jensen_slack = min(jensen_slack, float(slack.min()))
         own_inst[blk] = L_I[rows, blk]
         own_proxy[blk] = proxy_logits[rows, fine[blk]]
+        log_lhs[blk] = own_proxy[blk] - _logsumexp_last(proxy_logits)
         lse_full[blk] = _logsumexp_last(L_I)
 
     # alpha measured over the full instance softmax
     log_alpha = float(np.min(own_inst - lse_full))
 
-    log_lhs = _fine_log_probs(emb, W_I, fine)
     log_rhs = np.log(z) + log_alpha + own_proxy - own_inst
     lemma_slack = float(np.min(log_lhs - log_rhs))
     return Lemma1Report(jensen_slack_min=jensen_slack,
@@ -227,6 +228,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
 
 @dataclass
 class BoundReport:
+    """Fields in to_dict's key order; theorem 2's stay None for theorem 1."""
     theorem: int
     alpha: float
     beta: float
@@ -236,44 +238,31 @@ class BoundReport:
     z: int
     M: int
     h: float
+    log_alpha: float
+    log_a: float
+    log_b: float
     log_lhs: list[float]
     log_rhs: list[float]
     all_hold: bool
     slack_min: float             # min(lhs - rhs), linear scale
     slack_log_min: float         # min(log lhs - log rhs)
     vacuous: bool                # rhs underflowed to 0 everywhere
-    log_alpha: float = 0.0
-    log_a: float = 0.0
-    log_b: float = 0.0
     c_prime: Optional[float] = None
     c_doubleprime: Optional[float] = None
     alpha_prime: Optional[float] = None
     log_alpha_prime: Optional[float] = None
 
     def to_dict(self) -> dict:
-        with np.errstate(over="ignore"):
-            lhs = [float(np.exp(v)) for v in self.log_lhs]
-            rhs = [float(np.exp(v)) for v in self.log_rhs]
-        out = {
-            "theorem": self.theorem,
-            "alpha": self.alpha, "beta": self.beta,
-            "a": self.a, "b": self.b, "c": self.c,
-            "z": self.z, "M": self.M, "h": self.h,
-            "log_alpha": self.log_alpha, "log_a": self.log_a,
-            "log_b": self.log_b,
-            "per_example": [{"lhs": l, "rhs": r} for l, r in zip(lhs, rhs)],
-            "log_lhs": list(map(float, self.log_lhs)),
-            "log_rhs": list(map(float, self.log_rhs)),
-            "all_hold": self.all_hold,
-            "slack_min": self.slack_min,
-            "slack_log_min": self.slack_log_min,
-            "vacuous": self.vacuous,
-        }
-        if self.theorem == 2:
-            out["c_prime"] = self.c_prime
-            out["c_doubleprime"] = self.c_doubleprime
-            out["alpha_prime"] = self.alpha_prime
-            out["log_alpha_prime"] = self.log_alpha_prime
+        """The non-None fields, and the linear lhs, rhs before "log_lhs"."""
+        out = {}
+        for key, value in vars(self).items():    # asdict would deep-copy
+            if key == "log_lhs":
+                with np.errstate(over="ignore"):
+                    out["per_example"] = [
+                        {"lhs": float(np.exp(lhs)), "rhs": float(np.exp(rhs))}
+                        for lhs, rhs in zip(self.log_lhs, self.log_rhs)]
+            if value is not None:
+                out[key] = value
         return out
 
 

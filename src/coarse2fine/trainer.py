@@ -15,6 +15,7 @@ from .data import Dataset, augment
 from .losses import LossValue, build_coarse_index, objective
 from .model import (ModelParams, branch_forward, encode_backward,
                     init_params, param_arrays, renormalize_heads)
+from .numerics import DegenerateInputError
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -90,12 +91,6 @@ class TrainConfig:
 # below glibc's default 128 KiB mmap threshold, so it comes from the heap
 # and does not page-fault on every step
 _SGD_SLICE = 15 * 1024
-
-
-# largest |w| for which k-means over W_I cannot overflow, given d*n
-# entries: every squared distance, and every sum of n of them, stays
-# below the float64 maximum (|w_i - w_j|^2 <= d (2 max|w|)^2)
-_KMEANS_MAX_ABS = 0.5 * np.sqrt(np.finfo(np.float64).max)
 
 
 def sgd_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray,
@@ -245,16 +240,14 @@ def train(config: TrainConfig, dataset: Dataset
     metrics: list[dict] = []
 
     def recluster(t: int) -> Membership:
-        scale = np.max(np.abs(params.W_I))
-        if not np.isfinite(scale):
-            raise DivergenceError(f"non-finite W_I after epoch {t}")
-        if scale > _KMEANS_MAX_ABS / np.sqrt(params.W_I.size):
-            raise DivergenceError(f"W_I too large to cluster after epoch {t}: "
-                                  f"max |w| = {scale:.3g}")
-        m, _ = kmeans(params.W_I, P, seed=config.seed * 1000003 + t,
-                      restarts=config.kmeans_restarts,
-                      coarse_labels=dataset.coarse_labels
-                      if config.cluster_within_coarse else None)
+        try:
+            m, _ = kmeans(params.W_I, P, seed=config.seed * 1000003 + t,
+                          restarts=config.kmeans_restarts,
+                          coarse_labels=dataset.coarse_labels
+                          if config.cluster_within_coarse else None)
+        except DegenerateInputError as exc:   # the cause, then ": detail"
+            what, sep, detail = str(exc).partition(":")
+            raise DivergenceError(f"{what} after epoch {t}{sep}{detail}") from exc
         params.W_P = update_proxies(params.W_I, m, cosine=config.cosine)
         return m
 

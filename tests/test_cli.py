@@ -194,10 +194,30 @@ class TestTrain:
                  "--out", str(tmp_path / "m.ckpt"))
         assert rc == 2
 
-    def test_bad_objective_rejected_by_parser(self, tmp_path, blob_file):
-        with pytest.raises(SystemExit):
-            run("train", "--data", blob_file, "--objective", "bogus",
-                "--out", str(tmp_path / "m.ckpt"))
+    @pytest.mark.parametrize("argv, what", [
+        (["train", "--objective", "bogus"], "argument --objective: invalid"),
+        (["train", "--hidden", "x"], "argument --hidden: invalid"),
+        (["verify-bounds", "--checkpoint", "c", "--theorem", "3"],
+         "argument --theorem: invalid choice: 3"),
+        (["eval"], "the following arguments are required: --data"),
+        ([], "the following arguments are required: command")])
+    def test_bad_objective_rejected_by_parser(self, tmp_path, blob_file,
+                                              capsys, argv, what):
+        """An argument the parser rejects is a one-line usage error with
+        exit code 2, not argparse's usage block and SystemExit."""
+        if argv[1:]:
+            argv = argv + ["--data", blob_file, "--out", str(tmp_path / "o")]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {what}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--help")
+        assert exc.value.code == 0
+        assert "--objective" in capsys.readouterr().out
 
     def test_missing_data_file(self, tmp_path):
         rc = run("train", "--data", str(tmp_path / "absent.cfds"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coarse2fine import cluster
 from coarse2fine.cluster import (Membership, apportion, kmeans,
                                  update_proxies)
-from coarse2fine.numerics import InvariantError
+from coarse2fine.numerics import DegenerateInputError, InvariantError
 
 
 # --- the per-problem k-means: one Python loop per class, restart and
@@ -401,6 +401,15 @@ class TestBatchedMatchesOracle:
         W_I[1, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             kmeans(W_I, 2)
+
+    def test_huge_finite_columns_rejected(self, rng):
+        """A finite W_I whose squared distances would overflow is named as
+        such, not met later as an empty cluster."""
+        W_I = 1e160 * rng.standard_normal((2, 6))
+        with np.errstate(all="raise"), pytest.raises(
+                DegenerateInputError, match="W_I too large to cluster: "
+                                            r"max \|w\| = \d"):
+            kmeans(W_I, 3)
 
 
 class _Recorder:

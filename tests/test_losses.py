@@ -381,16 +381,22 @@ class TestObjective:
 
 
 class TestOneSoftmaxCeBlock:
-    """_ce_block exponentiates once, in place; its values-only form scores
-    row blocks. Both must give the two-softmax form's bits."""
+    """_ce_block exponentiates once, in place, and scores row blocks with
+    or without gradients. Both must give the two-softmax form's bits."""
 
+    # d = 32, n = 300: some BLAS kernels (OpenBLAS's SkylakeX dgemm) round
+    # the last columns of a 128-row block of G @ W differently from the same
+    # rows of the whole product, so a training step forms it once
+    @pytest.mark.parametrize("d, n", [(5, 40), (32, 300)])
     @pytest.mark.parametrize("cosine", [False, True])
     @pytest.mark.parametrize("head", ["coarse", "instance", "proxy"])
-    @pytest.mark.parametrize("rows", [1, 2, 7, 64])
-    def test_bitwise_equal_to_two_softmax_form(self, rng, cosine, head, rows):
-        params = make_params(rng, d=5, C=4, n=40, with_proxy=9,
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64, 127, 128, 129, 255, 257,
+                                      300])
+    def test_bitwise_equal_to_two_softmax_form(self, rng, cosine, head, rows,
+                                               d, n):
+        params = make_params(rng, d=d, C=4, n=n, with_proxy=9,
                              cosine=cosine, temperature=0.1)
-        G = 3.0 * rng.standard_normal((rows, 5))
+        G = 3.0 * rng.standard_normal((rows, d))
         K = params.head_matrix(head).shape[1]
         labels = rng.integers(0, K, rows)
         got = losses._ce_block(params, G, head, labels, rows + 3)

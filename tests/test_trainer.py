@@ -28,14 +28,16 @@ def small_blob_config(objective, epochs, **kw):
     return TrainConfig(**base)
 
 
-@pytest.mark.parametrize("name", ["kmeans", "update_proxies",
-                                  "encode_backward", "augment",
-                                  "apply_gradients", "objective",
-                                  "_epoch_metrics"])
-def test_benchmark_tracer_seams_exist(name):
+@pytest.mark.parametrize("module, name", [
+    *[(trainer, name) for name in ("kmeans", "update_proxies",
+                                   "encode_backward", "augment",
+                                   "apply_gradients", "objective",
+                                   "_epoch_metrics")],
+    (losses, "encode"), (losses, "branch_backward")])
+def test_benchmark_tracer_seams_exist(module, name):
     """perfbench/tracer.py times these layers by wrapping the module-level
-    names that `train` calls; a renamed one reads 0 there."""
-    assert callable(getattr(trainer, name))
+    names that `train` and `objective` call; a renamed one reads 0 there."""
+    assert callable(getattr(module, name))
 
 
 class TestSgdStep:
