@@ -125,7 +125,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ks = _int_list(args.recall_at)
-    if min(ks, default=1) < 1:
+    if not ks:
+        raise UsageError("--recall-at needs at least one value")
+    if min(ks) < 1:
         raise UsageError("--recall-at values must be >= 1")
     dataset = _load_data(args.data, args.format)
     params = load_checkpoint(args.checkpoint)
@@ -152,7 +154,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
                             dataset.coarse_labels, dataset.fine_labels,
                             which=args.theorem)
     with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        fh.write(report.to_json())
     print(f"theorem {args.theorem}: all_hold={report.all_hold} "
           f"slack_log_min={report.slack_log_min:.6g}")
     return EXIT_OK if report.all_hold else EXIT_INTERNAL
@@ -225,7 +227,10 @@ def reproduce_synthetic(seeds: list[int], out_dir: str, epochs: int = 150,
 
 
 def cmd_reproduce_synthetic(args: argparse.Namespace) -> int:
-    reproduce_synthetic(_int_list(args.seeds), args.out, epochs=args.epochs)
+    seeds = _int_list(args.seeds)
+    if not seeds:
+        raise UsageError("--seeds needs at least one value")
+    reproduce_synthetic(seeds, args.out, epochs=args.epochs)
     print(f"wrote {os.path.join(args.out, 'comparison.csv')}")
     return EXIT_OK
 

@@ -3,6 +3,7 @@ light augmentation, and the bit-exact CFDS1 dataset file format."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -190,7 +191,7 @@ def _first_non_finite_row(examples: np.ndarray) -> Optional[int]:
     finite row can overflow its sum), so no n x dim mask is built."""
     if examples.ndim != 2:
         return None                     # no rows: a CSV with a header only
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):    # inf + -inf
         sums = examples.sum(axis=1)
     suspects = np.flatnonzero(~np.isfinite(sums))
     bad = suspects[~np.isfinite(examples[suspects]).all(axis=1)]
@@ -212,33 +213,44 @@ def save_dataset(d: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """Read a CFDS1 file. The example block is read straight into the
+    returned array; only the header and the labels are read as bytes."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:6] != MAGIC:
-        raise DatasetFormatError(f"bad magic at offset 0: {raw[:6]!r}")
-    off = 6
-    if len(raw) < off + 17:
-        raise DatasetFormatError(f"truncated header at offset {len(raw)}")
-    n, dim, C, F = struct.unpack_from("<IIII", raw, off)
-    off += 16
-    (dtype_code,) = struct.unpack_from("<B", raw, off)
-    off += 1
-    if dtype_code not in (0, 1):
-        raise DatasetFormatError(f"unknown dtype code {dtype_code} at offset {off - 1}")
-    itemsize = 4 if dtype_code == 0 else 8
-    need = n * dim * itemsize
-    if len(raw) < off + need:
-        raise DatasetFormatError(f"truncated example block at offset {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f4" if dtype_code == 0 else "<f8",
-                           count=n * dim, offset=off).reshape(n, dim).copy()
-    bad = _first_non_finite_row(values)
-    if bad is not None:
-        raise DatasetFormatError(f"example row {bad} is not finite "
-                                 f"(at offset {off + bad * dim * itemsize})")
-    off += need
-    if len(raw) < off + 4 * n:
-        raise DatasetFormatError(f"truncated coarse labels at offset {len(raw)}")
-    coarse = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(23)
+        if head[:6] != MAGIC:
+            raise DatasetFormatError(f"bad magic at offset 0: {head[:6]!r}")
+        off = 6
+        if len(head) < off + 17:
+            raise DatasetFormatError(f"truncated header at offset {len(head)}")
+        n, dim, C, F = struct.unpack_from("<IIII", head, off)
+        off += 16
+        (dtype_code,) = struct.unpack_from("<B", head, off)
+        off += 1
+        if dtype_code not in (0, 1):
+            raise DatasetFormatError(
+                f"unknown dtype code {dtype_code} at offset {off - 1}")
+        itemsize = 4 if dtype_code == 0 else 8
+        need = n * dim * itemsize
+        if size < off + need:
+            raise DatasetFormatError(f"truncated example block at offset {size}")
+        values = np.empty((n, dim), dtype="<f4" if dtype_code == 0 else "<f8")
+        got = fh.readinto(values)
+        if got < need:
+            raise DatasetFormatError(
+                f"truncated example block at offset {off + got}")
+        bad = _first_non_finite_row(values)
+        if bad is not None:
+            raise DatasetFormatError(f"example row {bad} is not finite "
+                                     f"(at offset {off + bad * dim * itemsize})")
+        off += need
+        # the labels and any trailing bytes; label offsets count from `base`
+        base, raw = off, fh.read()
+    end = base + len(raw)
+    if end < off + 4 * n:
+        raise DatasetFormatError(f"truncated coarse labels at offset {end}")
+    coarse = np.frombuffer(raw, dtype="<u4", count=n,
+                           offset=off - base).astype(np.int64)
     bad = np.nonzero(coarse >= C)[0]
     if bad.size:
         raise DatasetFormatError(
@@ -246,17 +258,17 @@ def load_dataset(path: str) -> Dataset:
     off += 4 * n
     fine = None
     if F > 0:
-        if len(raw) < off + 4 * n:
-            raise DatasetFormatError(f"truncated fine labels at offset {len(raw)}")
-        fine = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
+        if end < off + 4 * n:
+            raise DatasetFormatError(f"truncated fine labels at offset {end}")
+        fine = np.frombuffer(raw, dtype="<u4", count=n,
+                             offset=off - base).astype(np.int64)
         bad = np.nonzero(fine >= F)[0]
         if bad.size:
             raise DatasetFormatError(
                 f"fine label out of range at offset {off + 4 * int(bad[0])}")
         off += 4 * n
-    if off != len(raw):
-        raise DatasetFormatError(
-            f"{len(raw) - off} trailing bytes at offset {off}")
+    if off != end:
+        raise DatasetFormatError(f"{end - off} trailing bytes at offset {off}")
     d = Dataset(examples=values, coarse_labels=coarse, C=C,
                 fine_labels=fine, F=F)
     d.validate()

@@ -44,7 +44,11 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     A query hits at k when its best same-label neighbour b (highest
     similarity, lowest index among ties) ranks below min(k, n - 1): its
     rank counts the other examples that beat b on similarity, or tie it
-    at a lower index. Queries are scored one row block at a time.
+    at a lower index. Queries are scored one row block at a time. b is
+    sought among the query's own label members only; one argmax over the
+    block's rows finds the queries whose rank is 0, and only the others
+    take the exact count, on a copy of their rows in the block's second
+    scratch array.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -60,20 +64,35 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     norms[norms == 0] = 1.0
     unit = emb / norms
     queries = np.nonzero(valid)[0]
+    # label s's members, in ascending index order, at starts[s] of `order`
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
     ranks = np.empty(queries.size, dtype=np.int64)
     cols = np.arange(n)
-    for blk, sims, same_sims in row_blocks(queries.size, n, n):
+    for blk, sims, hard_sims in row_blocks(queries.size, n, n):
         q = queries[blk]
         rows = np.arange(q.size)
         np.matmul(unit[q], unit.T, out=sims)
         sims[rows, q] = -np.inf
-        same_sims.fill(-np.inf)
-        np.copyto(same_sims, sims, where=labels[q][:, None] == labels[None, :])
-        best = np.argmax(same_sims, axis=1)
-        s_best = sims[rows, best][:, None]
-        ranks[blk] = (np.count_nonzero(sims > s_best, axis=1)
-                      + np.count_nonzero((sims == s_best)
-                                         & (cols < best[:, None]), axis=1))
+        # each query's label members, padded with the query itself, whose
+        # similarity is -inf: argmax picks the lowest index among ties
+        size = counts[labels[q]][:, None]
+        slot = np.arange(size.max())
+        at = np.minimum(starts[labels[q]][:, None] + slot, n - 1)
+        members = np.where(slot < size, order[at], q[:, None])
+        best = members[rows, np.argmax(sims[rows[:, None], members], axis=1)]
+        # rank 0 exactly when b is the first maximum of its row
+        hard = np.flatnonzero(np.argmax(sims, axis=1) != best)
+        rank = np.zeros(q.size, dtype=np.int64)
+        if hard.size:
+            h = np.take(sims, hard, axis=0, out=hard_sims[:hard.size],
+                        mode="clip")          # "raise" would buffer `out`
+            s_best = sims[hard, best[hard]][:, None]
+            rank[hard] = (np.count_nonzero(h > s_best, axis=1)
+                          + np.count_nonzero((h == s_best)
+                                             & (cols < best[hard, None]),
+                                             axis=1))
+        ranks[blk] = rank
     kmax = min(max(ks), n - 1)
     return ({k: int(np.count_nonzero(ranks < min(k, kmax))) / queries.size
              for k in ks}, int(queries.size))

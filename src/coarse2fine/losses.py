@@ -219,7 +219,10 @@ def objective(params: ModelParams, batch: np.ndarray,
     weighted 0 is not computed. Head gradients are dense d x K arrays,
     present only for heads some term read; `components` holds each head's
     unweighted cross-entropy. `values_only` forms no gradient (None or
-    empty) and scores the full-softmax terms in row blocks, bitwise alike.
+    empty) and scores the full-softmax terms in row blocks: bitwise alike
+    where the BLAS rounds a block's product as the same rows of the whole
+    product, which not every kernel does at every shape (README, "One
+    cross-entropy path").
     """
     if set(terms) - set(TERMS):
         raise ValueError(f"unknown loss terms {sorted(set(terms) - set(TERMS))}")

@@ -9,6 +9,7 @@ in log space.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,7 +108,8 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
     z = uniform_z(fine_labels)
     n = emb.shape[0]
     if W_I.shape[1] != n:
-        raise ValueError("W_I must have one column per example")
+        raise ValueError(f"W_I has {W_I.shape[1]} instance columns, the data "
+                         f"set has {n} examples")
     check_finite_embeddings(emb)
 
     if mode == "theorem1":
@@ -228,7 +230,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
 
 @dataclass
 class BoundReport:
-    """Fields in to_dict's key order; theorem 2's stay None for theorem 1."""
+    """Fields in to_json's key order; theorem 2's stay None for theorem 1."""
     theorem: int
     alpha: float
     beta: float
@@ -252,18 +254,32 @@ class BoundReport:
     alpha_prime: Optional[float] = None
     log_alpha_prime: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        """The non-None fields, and the linear lhs, rhs before "log_lhs"."""
-        out = {}
-        for key, value in vars(self).items():    # asdict would deep-copy
+    def to_json(self) -> str:
+        """The report as `json.dump(..., indent=2)` of its non-None fields
+        writes it, with the linear lhs and rhs of each example as
+        "per_example" before "log_lhs". Every value's text is json's own,
+        from its C encoder: one call formats a whole list of floats, and
+        no float's text holds the ", " that splits it."""
+        def texts(values: list) -> list[str]:
+            return json.dumps(values)[1:-1].split(", ") if values else []
+
+        def array(items: list[str]) -> str:      # a list at depth 1
+            return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+        with np.errstate(over="ignore"):
+            lhs = texts(np.exp(self.log_lhs).tolist())
+            rhs = texts(np.exp(self.log_rhs).tolist())
+        per_example = ['{\n      "lhs": ' + l + ',\n      "rhs": ' + r + "\n    }"
+                       for l, r in zip(lhs, rhs)]
+        fields = []
+        for key, value in vars(self).items():
             if key == "log_lhs":
-                with np.errstate(over="ignore"):
-                    out["per_example"] = [
-                        {"lhs": float(np.exp(lhs)), "rhs": float(np.exp(rhs))}
-                        for lhs, rhs in zip(self.log_lhs, self.log_rhs)]
+                fields.append(("per_example", array(per_example)))
             if value is not None:
-                out[key] = value
-        return out
+                fields.append((key, array(texts(value)) if isinstance(value, list)
+                               else json.dumps(value)))
+        return ("{\n" + ",\n".join(f"  {json.dumps(key)}: {text}"
+                                     for key, text in fields) + "\n}")
 
 
 def verify_theorem(embeddings: np.ndarray, W_C: np.ndarray, W_I: np.ndarray,

@@ -82,6 +82,23 @@ def ce_block_oracle(params, G, head, labels, denom, values_only=False):
     return value, dlogits @ params.head_matrix(head).T, G.T @ dlogits
 
 
+def bound_report_dict(report):
+    """The bound report as a dict for `json.dumps(..., indent=2)`: the
+    non-None fields in order, with the linear lhs and rhs of each example,
+    one float(np.exp(.)) each, as "per_example" before "log_lhs". The
+    oracle for BoundReport.to_json."""
+    out = {}
+    for key, value in vars(report).items():
+        if key == "log_lhs":
+            with np.errstate(over="ignore"):
+                out["per_example"] = [
+                    {"lhs": float(np.exp(lhs)), "rhs": float(np.exp(rhs))}
+                    for lhs, rhs in zip(report.log_lhs, report.log_rhs)]
+        if value is not None:
+            out[key] = value
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -9,9 +9,12 @@ import pytest
 from coarse2fine import cli
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import load_dataset, save_dataset
-from coarse2fine.model import ModelParams, load_checkpoint, save_checkpoint
+from coarse2fine.model import (ModelParams, encode, load_checkpoint,
+                               save_checkpoint)
 from coarse2fine.numerics import InvariantError
+from coarse2fine.theory import verify_theorem
 from coarse2fine.trainer import TrainConfig
+from conftest import bound_report_dict
 
 
 def run(*argv):
@@ -384,6 +387,15 @@ class TestEval:
                  "--out", str(tmp_path / "r.json"))
         assert rc == 2
 
+    def test_empty_recall_at_names_the_flag(self, tmp_path, blob_file,
+                                            trained, capsys):
+        out = tmp_path / "report.json"
+        rc = run("eval", "--data", blob_file, "--checkpoint", trained,
+                 "--recall-at", "", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "usage error: --recall-at needs at least one value\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["header", "body", "trailing"])
     def test_malformed_checkpoint_is_bad_file(self, tmp_path, blob_file,
@@ -446,6 +458,35 @@ class TestEval:
 
 
 class TestVerifyBounds:
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_report_bytes_equal_indented_json(self, tmp_path, blob_file,
+                                              trained, theorem):
+        out = tmp_path / "bounds.json"
+        assert run("verify-bounds", "--data", blob_file, "--checkpoint",
+                   trained, "--theorem", str(theorem), "--out",
+                   str(out)) == 0
+        d = load_dataset(blob_file)
+        params = load_checkpoint(trained)
+        report = verify_theorem(encode(params, d.examples)[0], params.W_C,
+                                params.W_I, d.coarse_labels, d.fine_labels,
+                                theorem)
+        assert out.read_text() == json.dumps(bound_report_dict(report),
+                                             indent=2)
+
+    def test_instance_columns_unlike_examples_names_both(
+            self, tmp_path, trained, capsys):
+        # the trained checkpoint has one W_I column for each of 12 examples
+        other = tmp_path / "other.cfds"
+        assert run("gen-data", "--kind", "blob", "--classes", "2",
+                   "--fine-per-coarse", "2", "--z", "2", "--dim", "4",
+                   "--out", str(other)) == 0
+        rc = run("verify-bounds", "--data", str(other), "--checkpoint",
+                 trained, "--out", str(tmp_path / "b.json"))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "usage error: W_I has 12 instance columns, the data set has 8 "
+            "examples")
+
     @pytest.mark.parametrize("theorem", ["1", "2"])
     def test_non_finite_embedding_is_degenerate_data(
             self, tmp_path, trained, overflow_row_file, capsys, theorem):
@@ -528,3 +569,11 @@ class TestReproduceSynthetic:
         header = (tmp_path / "cmp" / "comparison.csv").read_text() \
             .splitlines()[0]
         assert header == "objective,seed,R@1,R@2,R@4,R@8"
+
+    def test_empty_seeds_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run("reproduce-synthetic", "--seeds", "", "--out",
+                   str(out)) == 2
+        assert capsys.readouterr().err == \
+            "usage error: --seeds needs at least one value\n"
+        assert not out.exists()

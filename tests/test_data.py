@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,33 @@ class TestDatasetFile:
         np.testing.assert_array_equal(back.fine_labels, d.fine_labels)
         assert (back.C, back.F) == (d.C, d.F)
 
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_loaded_examples_are_writable_c_contiguous(self, tmp_path,
+                                                       dtype):
+        d = gen_blob_dataset(2, 2, 3, 4, seed=0)
+        d.examples = d.examples.astype(dtype)
+        path = tmp_path / "d.cfds"
+        save_dataset(d, str(path))
+        back = load_dataset(str(path)).examples
+        assert back.dtype == np.dtype(dtype)
+        assert back.flags.writeable and back.flags.c_contiguous
+        back[0, 0] = 1.0                  # owned memory, not a file buffer
+
+    def test_short_read_of_example_block_is_truncation(self, tmp_path,
+                                                        monkeypatch):
+        # the file shrinks between the size check and the read: the read
+        # comes back short, at the offset where the file now ends
+        d = gen_blob_dataset(2, 2, 2, 3, seed=0)
+        path = tmp_path / "d.cfds"
+        save_dataset(d, str(path))
+        path.write_bytes(path.read_bytes()[:40])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            real_fstat(fd)[:6] + (10 ** 6,) + real_fstat(fd)[7:]))
+        with pytest.raises(DatasetFormatError,
+                           match="truncated example block at offset 40"):
+            load_dataset(str(path))
+
     def test_round_trip_bytes_identical(self, tmp_path):
         d = gen_patch_dataset(6, 2, 4, img_h=8, img_w=8, big_size=3,
                               small_size=1, seed=1)
@@ -263,6 +291,19 @@ class TestDatasetFile:
                                  f"\\(at offset {23 + 4 * 4 * itemsize}\\)"):
             load_dataset(str(path))
 
+
+    def test_row_with_both_infinities_rejected_without_warning(self,
+                                                               tmp_path):
+        # the row sum inf + -inf is NaN, which NumPy warns about unless told
+        d = gen_blob_dataset(2, 2, 3, 4, seed=0)
+        d.examples[5, :2] = [np.inf, -np.inf]
+        path = tmp_path / "infs.cfds"
+        save_dataset(d, str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError,
+                               match="example row 5 is not finite"):
+                load_dataset(str(path))
 
 
 @st.composite

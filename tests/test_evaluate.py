@@ -28,9 +28,10 @@ def brute_force_recall(emb, labels, ks):
         others = [(float(np.dot(unit[q], unit[j])), j)
                   for j in range(n) if j != q]
         others.sort(key=lambda t: (-t[0], t[1]))
+        first = next(pos for pos, (_, j) in enumerate(others)
+                     if labels[j] == labels[q])
         for k in ks:
-            if any(labels[j] == labels[q] for _, j in others[:k]):
-                hits[k] += 1
+            hits[k] += first < k
     return {k: hits[k] / n_queries for k in ks}, n_queries
 
 
@@ -126,6 +127,39 @@ class TestRecallAtK:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "_ROW_BLOCK", data.draw(st.integers(1, 5)))
             assert recall_at_k(emb, labels, ks) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 127, 128, 129, 255, 257]),
+           st.sampled_from(["collapsed", "grid", "gaussian"]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_matches_sort_oracle_at_every_k(self, n, kind, seed):
+        # grid rows are 0, +-c e_i or c (+-1, +-1, +-1, +-1), whose cosine
+        # similarities are exact multiples of 1/2 on any BLAS path; a
+        # collapsed model maps every example to one such row
+        r = np.random.default_rng(seed)
+        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T
+        grid = np.vstack([np.zeros((1, 4)), np.eye(4), -np.eye(4),
+                          3 * np.eye(4), signs, 3 * signs])
+        if kind == "collapsed":
+            emb = np.repeat(grid[r.integers(len(grid))][None], n, axis=0)
+        elif kind == "grid":
+            emb = grid[r.integers(len(grid), size=n)]
+        else:
+            emb = r.standard_normal((n, 4))
+            emb[r.random(n) < 0.05] = 0.0
+        # labels of unequal sizes, with singletons
+        singles = r.integers(0, n // 2 + 1)
+        labels = np.concatenate([r.integers(0, r.integers(1, n // 4 + 2),
+                                            n - singles),
+                                 n + np.arange(singles)])
+        r.shuffle(labels)
+        ks = list(range(1, n + 1))
+        if np.bincount(labels).max() < 2:
+            with pytest.raises(NoValidQueriesError):
+                recall_at_k(emb, labels, ks)
+            return
+        assert recall_at_k(emb, labels, ks) == brute_force_recall(emb, labels,
+                                                                  ks)
 
     def test_non_finite_row_named(self, rng):
         emb = rng.standard_normal((8, 3))

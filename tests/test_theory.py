@@ -1,13 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse2fine import numerics, theory
 from coarse2fine.numerics import DegenerateInputError, InvariantError
-from coarse2fine.theory import (DomainError, NonUniformClassSizeError,
-                                log_h_factor, measure_constants, uniform_z,
-                                verify_lemma1, verify_theorem)
+from coarse2fine.theory import (BoundReport, DomainError,
+                                NonUniformClassSizeError, log_h_factor,
+                                measure_constants, uniform_z, verify_lemma1,
+                                verify_theorem)
+from conftest import bound_report_dict
 
 
 def per_row_logsumexp(v):
@@ -277,7 +282,7 @@ class TestVerifyTheorem:
         assert abs(report.c_doubleprime - report.c_prime * report.M) \
             <= 1e-6 * report.c_doubleprime
         assert report.alpha_prime <= report.alpha + 1e-15
-        payload = report.to_dict()
+        payload = json.loads(report.to_json())
         for key in ("c_prime", "c_doubleprime", "alpha_prime"):
             assert key in payload
         assert len(payload["per_example"]) == emb.shape[0]
@@ -298,7 +303,61 @@ class TestVerifyTheorem:
             verify_theorem(emb, W_C, W_I, coarse, fine, which=3)
 
     def test_report_serializes_to_plain_types(self, rng):
-        import json
         emb, W_C, W_I, coarse, fine = random_instance(rng)
-        report = verify_theorem(emb, W_C, W_I, coarse, fine, which=1)
-        json.dumps(report.to_dict())  # raises on non-JSON types
+        for which in (1, 2):
+            report = verify_theorem(emb, W_C, W_I, coarse, fine, which)
+            # json.dumps raises on non-JSON types
+            assert report.to_json() == json.dumps(bound_report_dict(report),
+                                                  indent=2)
+
+    def test_instance_head_size_mismatch_names_both_counts(self, rng):
+        emb, W_C, W_I, coarse, fine = random_instance(rng)
+        n = emb.shape[0]
+        with pytest.raises(ValueError, match=f"W_I has {n + 1} instance "
+                           f"columns, the data set has {n} examples"):
+            verify_theorem(emb, W_C, np.hstack([W_I, W_I[:, :1]]), coarse,
+                           fine, which=1)
+
+
+# log values whose linear text is special: exp overflows past 709.78, and
+# underflows to 0.0 below -745.2
+_LOG_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-800.0, 800.0),
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0, 709.78, 709.79,
+                     -745.2, 1e308]))
+
+
+@st.composite
+def bound_reports(draw):
+    """BoundReports of either theorem with any float in any field, and
+    per-example lists from empty to a few hundred entries."""
+    which = draw(st.sampled_from([1, 2]))
+    n = draw(st.one_of(st.just(0), st.integers(1, 300)))
+    if draw(st.booleans()):    # one value repeated, as verify_theorem's rhs
+        log_rhs = [draw(_LOG_VALUES)] * n
+    else:
+        log_rhs = draw(st.lists(_LOG_VALUES, min_size=n, max_size=n))
+    scalar = _LOG_VALUES
+    extras = {}
+    if which == 2:
+        extras = {key: draw(st.one_of(st.none(), scalar)) for key in
+                  ("c_prime", "c_doubleprime", "alpha_prime",
+                   "log_alpha_prime")}
+    return BoundReport(
+        theorem=which, alpha=draw(scalar), beta=draw(scalar), a=draw(scalar),
+        b=draw(scalar), c=draw(scalar), z=draw(st.integers(1, 10 ** 6)),
+        M=draw(st.integers(0, 10 ** 6)), h=draw(scalar),
+        log_alpha=draw(scalar), log_a=draw(scalar), log_b=draw(scalar),
+        log_lhs=draw(st.lists(_LOG_VALUES, min_size=n, max_size=n)),
+        log_rhs=log_rhs, all_hold=draw(st.booleans()),
+        slack_min=draw(scalar), slack_log_min=draw(scalar),
+        vacuous=draw(st.booleans()), **extras)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_reports())
+def test_report_text_equals_indented_json(report):
+    """to_json writes the bytes json.dumps(..., indent=2) writes for the
+    report's dict, with Infinity, NaN and empty lists."""
+    assert report.to_json() == json.dumps(bound_report_dict(report), indent=2)
