@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message names the byte offset."""
 
 
-class PlacementError(RuntimeError):
+class PlacementError(ValueError):
     """Patches could not be placed without overlap."""
 
 
@@ -66,6 +66,38 @@ class Dataset:
                     f"{owner[i]} and {self.coarse_labels[i]}")
 
 
+# 64-bit PCG64 words per refill of the patch generator's draws (64 KiB):
+# below glibc's default 128 KiB mmap threshold, so the block comes from the
+# heap and does not page-fault on every refill
+_WORD_BLOCK = 8 * 1024
+
+
+def _uint32_words(bit_generator: np.random.BitGenerator) -> Iterator[int]:
+    """The generator's 32-bit outputs in PCG64's `next_uint32` order: the
+    low half of each 64-bit word, then its high half. Words are drawn
+    _WORD_BLOCK at a time, so the generator ends up past the last word
+    used; only a generator that is thrown away afterwards may be read so.
+    Start it on a generator with no half word pending (one that has drawn
+    only whole words, such as doubles)."""
+    while True:
+        yield from (bit_generator.random_raw(_WORD_BLOCK)
+                    .astype("<u8", copy=False).view("<u4").tolist())
+
+
+def _below(words: Iterator[int], k: int) -> int:
+    """`int(Generator.integers(0, k))` for 1 <= k <= 2**32, taken from
+    `words` by NumPy's rule (Lemire's bounded draw): scale one 32-bit word
+    by k, reject while the low 32 bits fall below 2**32 mod k, return the
+    high bits. k = 1 consumes no word, as NumPy's draw does not."""
+    if k == 1:
+        return 0
+    floor = (1 << 32) % k
+    while True:
+        m = next(words) * k
+        if m & 0xFFFFFFFF >= floor:
+            return m >> 32
+
+
 def gen_patch_dataset(n: int, n_big: int, n_small: int, img_h: int = 32,
                       img_w: int = 32, big_size: int = 12, small_size: int = 4,
                       seed: int = 0) -> Dataset:
@@ -79,36 +111,54 @@ def gen_patch_dataset(n: int, n_big: int, n_small: int, img_h: int = 32,
     classes (the label-hierarchy invariant every consumer relies on):
     each image samples its small patch uniformly and takes the owning big
     patch.
+
+    Per image the draws are the small patch, then per placement attempt the
+    big patch's row and column and the small patch's row and column, each
+    `integers(0, bound)` of the seeded generator; they are taken from
+    blocks of its raw words (`_below`), which gives the same integers.
     """
+    if n < 1:
+        raise ValueError("need at least one image")
     if n_big < 1 or n_small < 1:
         raise ValueError("need at least one big and one small patch")
+    if big_size < 1 or small_size < 1:
+        raise ValueError("patch sizes must be >= 1")
     if big_size > min(img_h, img_w) or small_size > min(img_h, img_w):
         raise ValueError("patch does not fit inside the image")
+    if big_size + small_size > img_h and big_size + small_size > img_w:
+        raise ValueError("patches cannot be placed without overlap: "
+                         "big_size + small_size exceeds both image sides")
     rng = np.random.default_rng(seed)
     big_colors = rng.uniform(0.0, 1.0, size=(n_big, 3))
     small_colors = rng.uniform(0.0, 1.0, size=(n_small, 3))
 
-    examples = np.empty((n, img_h * img_w * 3), dtype=np.float64)
+    # the generator is local and dropped after the loop, so the words
+    # drawn past the last one used do not matter
+    words = _uint32_words(rng.bit_generator)
+    big_h, big_w = img_h - big_size + 1, img_w - big_size + 1
+    small_h, small_w = img_h - small_size + 1, img_w - small_size + 1
+    examples = np.full((n, img_h * img_w * 3), 0.5, dtype=np.float64)
+    images = examples.reshape(n, img_h, img_w, 3)
     coarse = np.empty(n, dtype=np.int64)
     fine = np.empty(n, dtype=np.int64)
     for i in range(n):
-        img = np.full((img_h, img_w, 3), 0.5, dtype=np.float64)
-        si = int(rng.integers(0, n_small))
+        si = _below(words, n_small)
         bi = si % n_big
-        for attempt in range(1000):
-            by = int(rng.integers(0, img_h - big_size + 1))
-            bx = int(rng.integers(0, img_w - big_size + 1))
-            sy = int(rng.integers(0, img_h - small_size + 1))
-            sx = int(rng.integers(0, img_w - small_size + 1))
+        for _ in range(1000):
+            by = _below(words, big_h)
+            bx = _below(words, big_w)
+            sy = _below(words, small_h)
+            sx = _below(words, small_w)
             overlap = (by < sy + small_size and sy < by + big_size and
                        bx < sx + small_size and sx < bx + big_size)
             if not overlap:
                 break
         else:
-            raise PlacementError("could not place patches without overlap")
-        img[by:by + big_size, bx:bx + big_size, :] = big_colors[bi]
-        img[sy:sy + small_size, sx:sx + small_size, :] = small_colors[si]
-        examples[i] = img.ravel()
+            raise PlacementError("could not place patches without overlap "
+                                 "in 1000 attempts")
+        img = images[i]
+        img[by:by + big_size, bx:bx + big_size] = big_colors[bi]
+        img[sy:sy + small_size, sx:sx + small_size] = small_colors[si]
         coarse[i] = bi
         fine[i] = si
     return Dataset(examples=examples, coarse_labels=coarse, C=n_big,
@@ -206,7 +256,7 @@ def save_dataset(d: Dataset, path: str) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIII", d.n, d.dim, d.C, d.F))
         fh.write(struct.pack("<B", dtype_code))
-        fh.write(values.tobytes())
+        fh.write(np.ascontiguousarray(values).data)
         fh.write(d.coarse_labels.astype("<u4").tobytes())
         if d.F > 0:
             fh.write(d.fine_labels.astype("<u4").tobytes())

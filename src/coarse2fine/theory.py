@@ -248,7 +248,7 @@ class BoundReport:
     all_hold: bool
     slack_min: float             # min(lhs - rhs), linear scale
     slack_log_min: float         # min(log lhs - log rhs)
-    vacuous: bool                # rhs underflowed to 0 everywhere
+    vacuous: bool                # log rhs (one value for all) not finite
     c_prime: Optional[float] = None
     c_doubleprime: Optional[float] = None
     alpha_prime: Optional[float] = None

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from coarse2fine import cli
+from coarse2fine import cli, data
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import load_dataset, save_dataset
 from coarse2fine.model import (ModelParams, encode, load_checkpoint,
@@ -90,6 +90,31 @@ class TestGenData:
         rc = run("gen-data", "--kind", "patch", "--big", "0",
                  "--out", str(tmp_path / "x.cfds"))
         assert rc == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--big-size", "-3"], "patch sizes must be >= 1"),
+        (["--small-size", "0"], "patch sizes must be >= 1"),
+        (["--n", "0"], "need at least one image"),
+        (["--big-size", "32", "--small-size", "32"],
+         "patches cannot be placed without overlap: "
+         "big_size + small_size exceeds both image sides"),
+    ])
+    def test_bad_patch_shape_is_usage_error(self, tmp_path, capsys, flags,
+                                            message):
+        out = tmp_path / "x.cfds"
+        assert run("gen-data", "--kind", "patch", *flags,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_failed_placement_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(data, "_below", lambda words, k: 0)
+        assert run("gen-data", "--kind", "patch", "--n", "4",
+                   "--out", str(tmp_path / "x.cfds")) == 2
+        assert capsys.readouterr().err == ("usage error: could not place "
+                                           "patches without overlap in 1000 "
+                                           "attempts\n")
 
     def test_unwritable_output_is_io_error(self, blob_file, tmp_path):
         rc = run("gen-data", "--kind", "blob",

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import struct
 import tempfile
@@ -9,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coarse2fine.data import (MAGIC, Dataset, DatasetFormatError, augment,
-                              gen_blob_dataset, gen_patch_dataset,
-                              load_dataset, load_dataset_csv, save_dataset)
+from coarse2fine import data
+from coarse2fine.cli import main as cli_main
+from coarse2fine.data import (MAGIC, Dataset, DatasetFormatError,
+                              PlacementError, augment, gen_blob_dataset,
+                              gen_patch_dataset, load_dataset,
+                              load_dataset_csv, save_dataset)
 from coarse2fine.evaluate import recall_at_k
 
 
@@ -57,6 +62,119 @@ class TestPatchDataset:
             gen_patch_dataset(4, 0, 8)
         with pytest.raises(ValueError):
             gen_patch_dataset(4, 4, 8, big_size=40)
+
+    @pytest.mark.parametrize("args, kw, match", [
+        ((0, 4, 8), {}, "at least one image"),
+        ((-2, 4, 8), {}, "at least one image"),
+        ((4, 4, 8), {"big_size": -3}, "patch sizes must be >= 1"),
+        ((4, 4, 8), {"small_size": 0}, "patch sizes must be >= 1"),
+        ((4, 4, 8), {"big_size": 32, "small_size": 32}, "without overlap"),
+        ((4, 4, 8), {"img_h": 8, "img_w": 10, "big_size": 6,
+                     "small_size": 5}, "without overlap"),
+    ])
+    def test_rejects_bad_shapes(self, args, kw, match):
+        with pytest.raises(ValueError, match=match):
+            gen_patch_dataset(*args, **kw)
+
+    def test_placement_error_is_value_error(self, monkeypatch):
+        # every draw 0: both patches sit at the corner, so every attempt
+        # overlaps although a placement exists
+        monkeypatch.setattr(data, "_below", lambda words, k: 0)
+        with pytest.raises(PlacementError, match="1000 attempts"):
+            gen_patch_dataset(2, 2, 4, img_h=8, img_w=8, big_size=4,
+                              small_size=2)
+        assert issubclass(PlacementError, ValueError)
+
+    # the shapes cross word-block refills (n = 4096 at 32 x 128), take no
+    # word for a bound of 1 (one patch pool, patches as tall as the image)
+    # and place patches on odd image sides
+    @pytest.mark.parametrize("args, kw", [
+        ((4096, 32, 128), {"seed": 3}),
+        ((7, 3, 5), {"img_h": 9, "img_w": 13, "big_size": 5,
+                     "small_size": 3, "seed": 11}),
+        ((20, 1, 1), {"img_h": 8, "img_w": 8, "big_size": 3,
+                      "small_size": 2, "seed": 2}),
+        ((30, 2, 6), {"img_h": 6, "img_w": 15, "big_size": 6,
+                      "small_size": 2, "seed": 5}),
+        ((25, 4, 4), {"img_h": 3, "img_w": 40, "big_size": 3,
+                      "small_size": 3, "seed": 8}),
+        ((9, 5, 1), {"img_h": 1, "img_w": 5, "big_size": 1,
+                     "small_size": 1, "seed": 0}),
+    ])
+    def test_bytes_equal_to_scalar_draw_loop(self, args, kw):
+        d = gen_patch_dataset(*args, **kw)
+        examples, coarse, fine = patch_loop_oracle(*args, **kw)
+        assert d.examples.tobytes() == examples.tobytes()
+        assert d.coarse_labels.tobytes() == coarse.tobytes()
+        assert d.fine_labels.tobytes() == fine.tobytes()
+
+    def test_gen_data_file_is_pinned(self, tmp_path):
+        # the bytes of this command before the draws came from word blocks
+        out = tmp_path / "p.cfds"
+        assert cli_main(["gen-data", "--kind", "patch", "--n", "64",
+                         "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "da70ab516baaa15ea793dc1bad808def5f2c7a953ab4294cb61e6de6004ad81e")
+
+
+def patch_loop_oracle(n, n_big, n_small, img_h=32, img_w=32, big_size=12,
+                      small_size=4, seed=0):
+    """gen_patch_dataset as a fresh image per example and one scalar
+    `integers` call per draw."""
+    rng = np.random.default_rng(seed)
+    big_colors = rng.uniform(0.0, 1.0, size=(n_big, 3))
+    small_colors = rng.uniform(0.0, 1.0, size=(n_small, 3))
+
+    examples = np.empty((n, img_h * img_w * 3), dtype=np.float64)
+    coarse = np.empty(n, dtype=np.int64)
+    fine = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        img = np.full((img_h, img_w, 3), 0.5, dtype=np.float64)
+        si = int(rng.integers(0, n_small))
+        bi = si % n_big
+        for attempt in range(1000):
+            by = int(rng.integers(0, img_h - big_size + 1))
+            bx = int(rng.integers(0, img_w - big_size + 1))
+            sy = int(rng.integers(0, img_h - small_size + 1))
+            sx = int(rng.integers(0, img_w - small_size + 1))
+            overlap = (by < sy + small_size and sy < by + big_size and
+                       bx < sx + small_size and sx < bx + big_size)
+            if not overlap:
+                break
+        else:
+            raise PlacementError("could not place patches without overlap")
+        img[by:by + big_size, bx:bx + big_size, :] = big_colors[bi]
+        img[sy:sy + small_size, sx:sx + small_size, :] = small_colors[si]
+        examples[i] = img.ravel()
+        coarse[i] = bi
+        fine[i] = si
+    return examples, coarse, fine
+
+
+@pytest.mark.parametrize("block", [data._WORD_BLOCK, 1, 5])
+def test_below_matches_integers(monkeypatch, block):
+    # about 30% of words are rejected at the two largest bounds; a bound
+    # of 1 takes no word; 2**32 - 1 and 2**32 are the widest 32-bit bounds
+    monkeypatch.setattr(data, "_WORD_BLOCK", block)
+    bounds = np.random.default_rng(0).choice(
+        [1, 2, 3, 7, 128, 2**31 + 3, 3_000_000_001, 2**32 - 1, 2**32],
+        size=40_000 if block > 5 else 2_000).tolist()
+    ref = np.random.default_rng(9)
+    ref.uniform(size=(4, 3))       # whole words first, as the generator does
+    rng = np.random.default_rng(9)
+    rng.uniform(size=(4, 3))
+    used = 0
+
+    def counted(words):
+        nonlocal used
+        for word in words:
+            used += 1
+            yield word
+
+    words = counted(data._uint32_words(rng.bit_generator))
+    got = [data._below(words, k) for k in bounds]
+    assert got == [int(ref.integers(0, k)) for k in bounds]
+    assert used > sum(k > 1 for k in bounds)      # the rejection branch ran
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -240,6 +358,22 @@ class TestDatasetFile:
         save_dataset(d, str(p1))
         save_dataset(load_dataset(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_save_writes_same_bytes_for_any_layout(self, tmp_path, dtype):
+        d = gen_blob_dataset(2, 3, 4, 5, seed=7)
+        d.examples = d.examples.astype(dtype)
+        save_dataset(d, str(tmp_path / "c.cfds"))
+        wide = np.zeros((d.n, 2 * d.dim), dtype=dtype)
+        wide[:, ::2] = d.examples
+        for name, examples in [("f", np.asfortranarray(d.examples)),
+                               ("s", wide[:, ::2]),
+                               ("r", d.examples[::-1].copy()[::-1])]:
+            assert not examples.flags.c_contiguous
+            save_dataset(dataclasses.replace(d, examples=examples),
+                         str(tmp_path / f"{name}.cfds"))
+            assert ((tmp_path / f"{name}.cfds").read_bytes()
+                    == (tmp_path / "c.cfds").read_bytes())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cfds"
