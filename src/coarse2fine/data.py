@@ -66,10 +66,11 @@ class Dataset:
                     f"{owner[i]} and {self.coarse_labels[i]}")
 
 
-# 64-bit PCG64 words per refill of the patch generator's draws (64 KiB):
-# below glibc's default 128 KiB mmap threshold, so the block comes from the
-# heap and does not page-fault on every refill
-_WORD_BLOCK = 8 * 1024
+# 64-bit PCG64 words per refill of the patch generator's draws: the 32 KiB
+# block and the 64 KiB pointer array of the list of its 32-bit halves stay
+# below glibc's 128 KiB mmap threshold; a 4096-image set at the default
+# sizes uses about 25 600 halves, 4 blocks
+_WORD_BLOCK = 4 * 1024
 
 
 def _uint32_words(bit_generator: np.random.BitGenerator) -> Iterator[int]:

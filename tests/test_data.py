@@ -116,6 +116,14 @@ class TestPatchDataset:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "da70ab516baaa15ea793dc1bad808def5f2c7a953ab4294cb61e6de6004ad81e")
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_hierarchy_consistency(self, seed):
+        d = gen_patch_dataset(24, 3, 9, seed=seed)
+        d.validate()  # raises if a fine class spans two coarse classes
+        # the small-patch index determines the big-patch index
+        assert np.array_equal(d.coarse_labels, d.fine_labels % d.C)
+
 
 def patch_loop_oracle(n, n_big, n_small, img_h=32, img_w=32, big_size=12,
                       small_size=4, seed=0):
@@ -175,14 +183,6 @@ def test_below_matches_integers(monkeypatch, block):
     got = [data._below(words, k) for k in bounds]
     assert got == [int(ref.integers(0, k)) for k in bounds]
     assert used > sum(k > 1 for k in bounds)      # the rejection branch ran
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_hierarchy_consistency(self, seed):
-        d = gen_patch_dataset(24, 3, 9, seed=seed)
-        d.validate()  # raises if a fine class spans two coarse classes
-        # the small-patch index determines the big-patch index
-        assert np.array_equal(d.coarse_labels, d.fine_labels % d.C)
 
 
 def blob_loop_oracle(C, fine_per_coarse, z, dim, coarse_spread=10.0,
