@@ -70,10 +70,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_config_value(key: str, val) -> None:
-    """Reject a --config value that misfits its TrainConfig field's type:
-    a bool is no int, a float takes any number, null fits Optional only."""
-    hint = typing.get_type_hints(TrainConfig)[key]
+def _check_config_value(key: str, val, hint) -> None:
+    """Reject a --config value that misfits `hint`, its TrainConfig field's
+    resolved type: a bool is no int, a float takes any number, null fits
+    Optional only."""
     if val is None and type(None) in typing.get_args(hint):
         return
     kind = typing.get_args(hint)[0] if typing.get_origin(hint) else hint
@@ -96,10 +96,11 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise UsageError("--config must hold a JSON object")
+    hints = typing.get_type_hints(TrainConfig)    # one field -> type each
     for key, val in file_cfg.items():
-        if not hasattr(cfg, key):
+        if key not in hints:
             raise UsageError(f"unknown config key {key!r}")
-        _check_config_value(key, val)
+        _check_config_value(key, val, hints[key])
         setattr(cfg, key, val)
     for f in dataclasses.fields(cfg):
         if (val := getattr(args, f.name, None)) is not None:
@@ -149,7 +150,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     if params.encoder[0][0].shape[0] != dataset.dim:
         raise UsageError("checkpoint input dimension does not match dataset")
     from .model import encode
-    emb, _ = encode(params, dataset.examples)
+    emb = encode(params, dataset.examples)[0]   # no backward: cache dropped
     report = verify_theorem(emb, params.W_C, params.W_I,
                             dataset.coarse_labels, dataset.fine_labels,
                             which=args.theorem)

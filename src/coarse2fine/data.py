@@ -178,8 +178,11 @@ def gen_blob_dataset(C: int, fine_per_coarse: int, z: int, dim: int,
     """
     if min(C, fine_per_coarse, z, dim) < 1:
         raise ValueError("all counts must be >= 1")
-    if coarse_spread <= 0 or fine_spread <= 0:
-        raise ValueError("spreads must be positive")
+    if not (np.isfinite([coarse_spread, fine_spread]).all()
+            and coarse_spread > 0 and fine_spread > 0):
+        raise ValueError("spreads must be finite and positive")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError("noise must be finite and >= 0")
     rng = np.random.default_rng(seed)
     n = C * fine_per_coarse * z
     F = C * fine_per_coarse

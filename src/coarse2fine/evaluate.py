@@ -140,7 +140,7 @@ def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:
     stats when fine labels exist."""
     from .model import encode, head_logits
 
-    emb, _ = encode(params, dataset.examples)
+    emb = encode(params, dataset.examples)[0]   # no backward: cache dropped
     labels = dataset.fine_labels if dataset.fine_labels is not None \
         else dataset.coarse_labels
     recall, n_queries = recall_at_k(emb, labels, ks)

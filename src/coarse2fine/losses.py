@@ -4,7 +4,9 @@
 batch together with gradients w.r.t. the backbone embeddings, each head
 it read (dense, d x K) and the projection weights when the instance/proxy
 branch has one. Instance-head column reads are counted so the
-within-coarse speedup can be verified exactly.
+within-coarse speedup can be verified exactly. A training loop can
+pass `objective` one `scratch` dict for many steps, so that the large
+per-step arrays are overwritten instead of page-faulted afresh.
 """
 
 from __future__ import annotations
@@ -75,21 +77,37 @@ def _log_softmax_at(logits: np.ndarray, at: tuple[np.ndarray, ...]
     return own - np.log(total[at[:-1]][:, 0]), total
 
 
+def _buffer(scratch: Optional[dict], key: str, shape: tuple[int, ...]
+            ) -> np.ndarray:
+    """An uninitialised float64 array of `shape`: fresh without `scratch`,
+    else the leading part of the flat array kept under `key` (made, or
+    grown, when it is too small)."""
+    if scratch is None:
+        return np.empty(shape)
+    size = int(np.prod(shape))
+    if key not in scratch or scratch[key].size < size:
+        scratch[key] = np.empty(size)
+    return scratch[key][:size].reshape(shape)
+
+
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,
-              labels: np.ndarray, denom: int, values_only: bool = False
+              labels: np.ndarray, denom: int, values_only: bool = False,
+              scratch: Optional[dict] = None
               ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """Cross-entropy of G against every column of a head, summed and divided
     by denom: (value, grad wrt G, d x K grad wrt the head). `values_only`
     gives None gradients and scores each row block in one reused block x K
     scratch; else the logits are one G @ W (a block's own product can round
-    differently) whose row blocks become softmax minus one-hot in place."""
+    differently) whose row blocks become softmax minus one-hot in place.
+    The logits and the head gradient go into `scratch` buffers when given."""
     W = params.head_matrix(head)
     log_p = np.empty(G.shape[0])
-    dlogits = None if values_only else G @ W
+    dlogits = None if values_only else np.matmul(
+        G, W, out=_buffer(scratch, "logits", (G.shape[0], W.shape[1])))
     widths = (W.shape[1],) if values_only else ()
-    for blk, *scratch in row_blocks(G.shape[0], *widths):
+    for blk, *block_buf in row_blocks(G.shape[0], *widths):
         rows = slice(blk[0], blk[-1] + 1)     # a view: writes reach dlogits
-        logits = np.matmul(G[rows], W, out=scratch[0]) if values_only \
+        logits = np.matmul(G[rows], W, out=block_buf[0]) if values_only \
             else dlogits[rows]
         if params.cosine:
             logits /= params.temperature
@@ -104,13 +122,15 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
     dlogits /= denom
     if params.cosine:
         dlogits /= params.temperature
-    return value, dlogits @ W.T, G.T @ dlogits
+    return value, dlogits @ W.T, np.matmul(
+        G.T, dlogits, out=_buffer(scratch, "grad_" + head, W.shape))
 
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
                         coarse_labels: np.ndarray,
                         coarse_index: Mapping[int, Sequence[int]],
-                        denom: int) -> tuple[float, np.ndarray, np.ndarray]:
+                        denom: int, scratch: Optional[dict] = None
+                        ) -> tuple[float, np.ndarray, np.ndarray]:
     """Instance CE restricted to each example's coarse class: only member
     columns are read, so the per-example head cost is O(d n_k), not O(d n).
 
@@ -156,16 +176,18 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
     first = np.concatenate(([0], np.cumsum(sizes)))  # each class's run in flat
     per_chunk = max(1, _CHUNK_FLOATS // (r_max * n_max))
     K = min(per_chunk, classes.size)
-    # per-call scratch, reused by every chunk (a fresh array per chunk
-    # would page-fault each time once it passes the mmap threshold)
-    rows_buf = np.empty((K, r_max, d))
-    cols_buf = np.empty(d * K * n_max)
-    logits_buf = np.empty((K, r_max, n_max))
-    grad_buf = np.empty((K * n_max, d))
-    member_buf = np.empty((K * n_max, d))
+    # reused by every chunk (a fresh array per chunk would page-fault each
+    # time once it passes the mmap threshold) and by every call that
+    # shares `scratch`
+    rows_buf = _buffer(scratch, "within_rows", (K, r_max, d))
+    cols_buf = _buffer(scratch, "within_cols", (d * K * n_max,))
+    logits_buf = _buffer(scratch, "within_logits", (K, r_max, n_max))
+    grad_buf = _buffer(scratch, "within_grad", (K * n_max, d))
+    member_buf = _buffer(scratch, "within_members", (K * n_max, d))
     value = 0.0
     dG = np.empty_like(G)
-    dW = np.zeros_like(W_I)
+    dW = _buffer(scratch, "grad_instance", W_I.shape)
+    dW.fill(0.0)
     for c0 in range(0, classes.size, per_chunk):
         c1 = min(c0 + per_chunk, classes.size)
         t = slice(starts[c0], starts[c1] if c1 < classes.size else order.size)
@@ -208,7 +230,8 @@ def objective(params: ModelParams, batch: np.ndarray,
               coarse_labels: Optional[np.ndarray] = None,
               coarse_index: Optional[Mapping[int, Sequence[int]]] = None,
               membership: Optional[Membership] = None,
-              values_only: bool = False) -> LossValue:
+              values_only: bool = False,
+              scratch: Optional[dict] = None) -> LossValue:
     """Weighted sum of mean cross-entropy terms over the batch.
 
     `terms` maps a term to its weight: "coarse" (`coarse_labels` on the
@@ -223,6 +246,13 @@ def objective(params: ModelParams, batch: np.ndarray,
     where the BLAS rounds a block's product as the same rows of the whole
     product, which not every kernel does at every shape (README, "One
     cross-entropy path").
+
+    `scratch` is a dict the caller keeps between calls (start it empty);
+    the logits, the head gradients and the within-coarse chunk buffers
+    live in it. The returned head gradients then alias its buffers and
+    hold only until the next call with the same dict, which overwrites
+    them: use them at once, as `trainer.apply_gradients` does. Without it
+    every array is fresh. The bits are the same either way.
     """
     if set(terms) - set(TERMS):
         raise ValueError(f"unknown loss terms {sorted(set(terms) - set(TERMS))}")
@@ -249,6 +279,8 @@ def objective(params: ModelParams, batch: np.ndarray,
             raise RuntimeError("proxy term requires a membership and W_P")
 
     f, ecache = encode(params, batch)
+    if values_only:
+        ecache = None         # no backward pass: free each layer's input rows
     B = f.shape[0]
     value = dF = mlp_grad = None
     grad_heads: dict[str, np.ndarray] = {}
@@ -257,7 +289,8 @@ def objective(params: ModelParams, batch: np.ndarray,
         head = "instance" if term == "within" else term
         G, bcache = branch_forward(params, f, head)
         if term == "within":
-            v, dG, dW = _within_coarse_term(params, G, ids, y, coarse_index, B)
+            v, dG, dW = _within_coarse_term(params, G, ids, y, coarse_index,
+                                            B, scratch)
         else:
             if term == "coarse":
                 labels = y
@@ -266,14 +299,15 @@ def objective(params: ModelParams, batch: np.ndarray,
                 labels = ids
             else:
                 labels = membership.assignment[ids]
-            v, dG, dW = _ce_block(params, G, head, labels, B, values_only)
+            v, dG, dW = _ce_block(params, G, head, labels, B, values_only,
+                                  scratch)
         value = _accumulate(value, weight, v)
         components[head] = v
         if values_only:
             continue
         dF_term, dmlp = branch_backward(params, bcache, dG)
         dF = _accumulate(dF, weight, dF_term)
-        dW *= weight                      # fresh array: scaled in place
+        dW *= weight          # fresh, or this call's buffer: scaled in place
         grad_heads[head] = dW
         if dmlp is not None:
             prev = mlp_grad or (None, None)

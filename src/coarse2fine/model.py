@@ -92,10 +92,11 @@ def encode(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncodeCa
     n_layers = len(params.encoder)
     for li, (W, b) in enumerate(params.encoder):
         layer_inputs.append(h)
-        h = h @ W + b
+        h = h @ W
+        h += b                  # in place: the bits of h @ W + b and h * mask
         if li < n_layers - 1:
             mask = h > 0
-            h = h * mask
+            np.multiply(h, mask, out=h)
             relu_masks.append(mask)
     pre_norm = None
     if params.cosine:

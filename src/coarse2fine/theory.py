@@ -258,10 +258,20 @@ class BoundReport:
         """The report as `json.dump(..., indent=2)` of its non-None fields
         writes it, with the linear lhs and rhs of each example as
         "per_example" before "log_lhs". Every value's text is json's own,
-        from its C encoder: one call formats a whole list of floats, and
-        no float's text holds the ", " that splits it."""
+        from its C encoder: one call formats a list's distinct floats,
+        keyed on their bits so that -0.0 and 0.0 stay apart (a rhs list is
+        one value n times), and no float's text holds the ", " that splits
+        it."""
         def texts(values: list) -> list[str]:
-            return json.dumps(values)[1:-1].split(", ") if values else []
+            if not values:
+                return []
+            bits = np.asarray(values, dtype=np.float64).view(np.int64)
+            _, first, where = np.unique(bits, return_index=True,
+                                        return_inverse=True)
+            if first.size == len(values):        # no repeats: as they come
+                return json.dumps(values)[1:-1].split(", ")
+            text = json.dumps([values[i] for i in first.tolist()])
+            return np.array(text[1:-1].split(", "), dtype=object)[where].tolist()
 
         def array(items: list[str]) -> str:      # a list at depth 1
             return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"

@@ -265,6 +265,9 @@ def train(config: TrainConfig, dataset: Dataset
         perm = rng.permutation(n)
         proxy_phase = config.objective == "coinsP" and t > M
         terms = objective_terms(config, proxy_phase)
+        # the steps' logits and head gradients (losses.objective), reused
+        # by every step of the epoch: fresh ones would page-fault each time
+        scratch: dict = {}
         for b, start in enumerate(range(0, n, config.batch_size), 1):
             batch_ids = perm[start:start + config.batch_size]
             if dataset.image_shape is not None:
@@ -274,11 +277,16 @@ def train(config: TrainConfig, dataset: Dataset
                 X = dataset.examples[batch_ids]
             try:
                 lv = objective(params, X, batch_ids, terms,
-                               class_labels[batch_ids], coarse_index, membership)
+                               class_labels[batch_ids], coarse_index,
+                               membership, scratch=scratch)
             except FloatingPointError as exc:
                 raise DivergenceError(f"{exc} at epoch {t}, batch {b}") from exc
             apply_gradients(params, lv, vel, lr, config.momentum,
                             config.weight_decay)
+        # freed before the refresh and the metrics pass, whose n-row arrays
+        # would otherwise sit beside them (the last step's gradients alias
+        # the buffers)
+        lv = scratch = None
 
         if config.objective == "coinsP" and t >= M:
             membership = recluster(t)

@@ -66,11 +66,12 @@ def cross_entropy(logits, label):
     return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
 
 
-def ce_block_oracle(params, G, head, labels, denom, values_only=False):
+def ce_block_oracle(params, G, head, labels, denom, values_only=False,
+                    scratch=None):
     """The cross-entropy block in its two-softmax form (log_softmax_rows for
     the value, softmax_rows for the gradient) over the whole batch at once:
     value, grad wrt G and the d x K grad wrt the head. Signature-compatible
-    with losses._ce_block; always forms the gradients."""
+    with losses._ce_block; always forms the gradients, in fresh arrays."""
     logits = head_logits(params, G, head)
     rows = np.arange(G.shape[0])
     value = float(-np.sum(log_softmax_rows(logits)[rows, labels])) / denom

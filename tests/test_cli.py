@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -103,6 +104,22 @@ class TestGenData:
                                             message):
         out = tmp_path / "x.cfds"
         assert run("gen-data", "--kind", "patch", *flags,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--noise", "-1"], "noise must be finite and >= 0"),
+        (["--noise", "nan"], "noise must be finite and >= 0"),
+        (["--noise", "inf"], "noise must be finite and >= 0"),
+        (["--coarse-spread", "nan"], "spreads must be finite and positive"),
+        (["--fine-spread", "inf"], "spreads must be finite and positive"),
+        (["--fine-spread", "0"], "spreads must be finite and positive"),
+    ])
+    def test_bad_blob_spread_or_noise_is_usage_error(self, tmp_path, capsys,
+                                                     flags, message):
+        out = tmp_path / "x.cfds"
+        assert run("gen-data", "--kind", "blob", *flags,
                    "--out", str(out)) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
@@ -299,6 +316,9 @@ class TestTrain:
         ({"epochs": None}, "'epochs' must be int, not None"),
         ({"kmeans_restarts": -3}, "kmeans_restarts must be >= 1"),
         ([1], "--config must hold a JSON object"),
+        ({"learning_rate": 0.1}, "unknown config key 'learning_rate'"),
+        # a TrainConfig method is no field
+        ({"validate": 1}, "unknown config key 'validate'"),
     ])
     def test_bad_config_json_is_usage_error(self, tmp_path, blob_file,
                                             capsys, cfg, message):
@@ -381,6 +401,36 @@ class TestTrain:
         rc = run("train", "--data", blob_file, "--config", str(path),
                  "--lr", "0.003", "--out", str(tmp_path / "m.ckpt"))
         assert rc == 0
+
+
+    def test_train_outputs_are_pinned(self, tmp_path):
+        # n = 200 is no multiple of the batch of 64, so every epoch ends on
+        # a short batch. The digests are those of fresh per-step arrays,
+        # before the steps shared one set of buffers, recorded with
+        # OpenBLAS 0.3.31 (a BLAS kernel that rounds products differently
+        # gives other bytes)
+        data = tmp_path / "b.cfds"
+        assert run("gen-data", "--kind", "blob", "--seed", "3",
+                   "--out", str(data)) == 0
+        digests = {}
+        for objective in ("coins", "coinsP"):
+            ckpt = tmp_path / f"{objective}.ckpt"
+            assert run("train", "--data", str(data), "--objective", objective,
+                       "--epochs", "3", "--m-epoch", "1", "--lr", "0.003",
+                       "--hidden", "32", "--embed-dim", "16", "--batch", "64",
+                       "--seed", "4", "--out", str(ckpt)) == 0
+            for path in (ckpt, tmp_path / f"{objective}.ckpt.metrics.jsonl"):
+                digests[path.name] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+        assert digests == {
+            "coins.ckpt": "c346f28f2cf84d7fbb8591ddf8e5b45a"
+                          "a7fa4ec8bbf90f97ce2b2db1745b8553",
+            "coins.ckpt.metrics.jsonl": "b15ffe1ed6c064df682208b8e154de2a"
+                                        "0330dd088c86bd74d0513264825d93fb",
+            "coinsP.ckpt": "c09f67e9ab2e2e76b9f31cc66616f61a"
+                           "3c0ff275ffcdd9bfcbabe1f47dc0c59a",
+            "coinsP.ckpt.metrics.jsonl": "85821d0124631223ff6a0e0739e9592e"
+                                         "46d9d68269e63131e7173d2e6477d1e9"}
 
 
 class TestEval:

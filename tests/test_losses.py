@@ -380,6 +380,82 @@ class TestObjective:
                       terms, coarse, build_coarse_index(coarse))
 
 
+def assert_same_bits(got, want):
+    """Two LossValues of a gradient pass hold the same bits."""
+    assert got.value == want.value and got.components == want.components
+    assert got.grad_embeddings.tobytes() == want.grad_embeddings.tobytes()
+    assert got.embeddings.tobytes() == want.embeddings.tobytes()
+    assert got.grad_heads.keys() == want.grad_heads.keys()
+    for head, dW in want.grad_heads.items():
+        assert got.grad_heads[head].shape == dW.shape
+        assert got.grad_heads[head].tobytes() == dW.tobytes()
+    assert (got.grad_mlp_head is None) == (want.grad_mlp_head is None)
+    for g, w in zip(got.grad_mlp_head or (), want.grad_mlp_head or ()):
+        assert g.tobytes() == w.tobytes()
+
+
+class TestScratch:
+    """objective with a `scratch` dict writes its logits, head gradients and
+    within-coarse chunk buffers there; the bits are those of fresh arrays."""
+
+    @pytest.mark.parametrize("terms", [
+        {"coarse": 1.0}, {"instance": 1.0}, {"within": 1.0}, {"proxy": 1.0},
+        {"coarse": 1.0, "instance": 0.7},
+        {"coarse": 1.0, "within": 0.7, "proxy": 1.3},
+        {"coarse": 0.5, "instance": 0.7, "proxy": 1.3}])
+    @pytest.mark.parametrize("cosine", [False, True])
+    @pytest.mark.parametrize("mlp_head", [False, True])
+    def test_bitwise_equal_to_fresh_arrays(self, rng, terms, cosine,
+                                           mlp_head):
+        n = 41
+        params = make_params(rng, hidden=(8,), d=6, C=3, n=n, with_proxy=7,
+                             cosine=cosine, mlp_head=mlp_head)
+        X = rng.standard_normal((n, 4)) + 0.4
+        coarse = np.arange(n) % 3
+        m = Membership(assignment=np.arange(n) % 7, P=7, within_coarse=False,
+                       objective=0.0)
+        index = build_coarse_index(coarse)
+        scratch = {}
+        # batches of 16, the short last one, one of a single coarse class
+        # (the within-coarse gradient then leaves the other classes'
+        # columns at zero), then 16 again: the buffers made for the first
+        # call serve every later one
+        perm = rng.permutation(n)
+        for ids in (perm[:16], perm[16:32], perm[32:], perm[coarse[perm] == 1],
+                    perm[:16]):
+            args = (params, X[ids], ids, terms, coarse[ids], index, m)
+            want = objective(*args)
+            got = objective(*args, scratch=scratch)
+            assert_same_bits(got, want)
+            for head, dW in got.grad_heads.items():
+                assert np.shares_memory(dW, scratch["grad_" + head])
+
+    def test_next_call_overwrites_the_gradients(self, rng):
+        params = make_params(rng, d=5, C=2, n=12)
+        X = rng.standard_normal((12, 4))
+        coarse = np.arange(12) % 2
+        terms = {"coarse": 1.0, "instance": 1.0}
+        scratch = {}
+        first = objective(params, X[:6], np.arange(6), terms, coarse[:6],
+                          scratch=scratch)
+        kept = {head: dW.copy() for head, dW in first.grad_heads.items()}
+        buffers = dict(scratch)
+        second = objective(params, X[6:], np.arange(6, 12), terms,
+                           coarse[6:], scratch=scratch)
+        # the same arrays: the second call allocated no buffer
+        assert scratch.keys() == buffers.keys()
+        assert all(scratch[key] is buf for key, buf in buffers.items())
+        for head, dW in second.grad_heads.items():
+            np.testing.assert_array_equal(first.grad_heads[head], dW)
+            assert not np.array_equal(kept[head], dW)
+
+    def test_values_only_keeps_no_encoder_cache(self, rng):
+        params = make_params(rng, n=5)
+        lv = objective(params, rng.standard_normal((5, 4)), np.arange(5),
+                       {"instance": 1.0}, values_only=True)
+        assert lv.encoder_cache is None
+
+
 class TestOneSoftmaxCeBlock:
     """_ce_block exponentiates once, in place, and scores row blocks with
     or without gradients. Both must give the two-softmax form's bits."""

@@ -32,6 +32,23 @@ class TestEncode:
         np.testing.assert_array_equal(out, [[0.0, 0.0]])
         assert not cache.relu_masks[0].any()
 
+    def test_bitwise_equal_to_out_of_place_form(self, rng):
+        # the forward pass as `h @ W + b` and `h * mask` in fresh arrays;
+        # ReLU of a negative pre-activation is -0.0 in both
+        params = make_params(rng, input_dim=5, hidden=(7, 6), d=4)
+        X = rng.standard_normal((9, 5))
+        f, cache = encode(params, X)
+        h = X
+        for li, (W, b) in enumerate(params.encoder):
+            assert cache.layer_inputs[li].tobytes() == h.tobytes()
+            h = h @ W + b
+            if li < len(params.encoder) - 1:
+                mask = h > 0
+                h = h * mask
+                assert cache.relu_masks[li].tobytes() == mask.tobytes()
+        assert np.signbit(cache.layer_inputs[1]).any()
+        assert f.tobytes() == h.tobytes()
+
     def test_dimension_mismatch(self, rng):
         params = identity_params(3)
         with pytest.raises(ValueError):

@@ -156,6 +156,34 @@ class TestApplyGradients:
         np.testing.assert_array_equal(params.W_P, W_P_before)
 
 
+    def test_step_with_scratch_allocates_no_head_sized_array(self):
+        # blob-coins' shape: B = 64 of n = 2048, d = 32. Once the first step
+        # has made the buffers, a step's transient numpy memory stays below
+        # the 1 MiB of one B x n logits array
+        n, B = 2048, 64
+        rng = np.random.default_rng(0)
+        params = init_params(64, [128], 32, 16, n, seed=0)
+        X = rng.standard_normal((n, 64))
+        coarse = np.arange(n) % 16
+        vel = _Velocities(params)
+        scratch = {}
+
+        def step(ids):
+            lv = losses.objective(params, X[ids], ids,
+                                  {"coarse": 1.0, "instance": 1.0},
+                                  coarse[ids], scratch=scratch)
+            apply_gradients(params, lv, vel, 0.01, 0.9, 5e-4)
+
+        step(np.arange(B))
+        tracemalloc.start()
+        try:
+            step(np.arange(B, 2 * B))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
 class TestTrain:
     def test_zero_epochs_equals_seeded_init(self):
         d = gen_blob_dataset(2, 3, 4, 8, seed=1)
