@@ -11,6 +11,7 @@ per-step arrays are overwritten instead of page-faulted afresh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -84,10 +85,11 @@ def _buffer(scratch: Optional[dict], key: str, shape: tuple[int, ...]
     grown, when it is too small)."""
     if scratch is None:
         return np.empty(shape)
-    size = int(np.prod(shape))
-    if key not in scratch or scratch[key].size < size:
-        scratch[key] = np.empty(size)
-    return scratch[key][:size].reshape(shape)
+    size = math.prod(shape)               # np.prod of a tuple costs ~7 us
+    buf = scratch.get(key)
+    if buf is None or buf.size < size:
+        buf = scratch[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,

@@ -268,8 +268,6 @@ class BoundReport:
             bits = np.asarray(values, dtype=np.float64).view(np.int64)
             _, first, where = np.unique(bits, return_index=True,
                                         return_inverse=True)
-            if first.size == len(values):        # no repeats: as they come
-                return json.dumps(values)[1:-1].split(", ")
             text = json.dumps([values[i] for i in first.tolist()])
             return np.array(text[1:-1].split(", "), dtype=object)[where].tolist()
 

@@ -1,13 +1,15 @@
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coarse2fine import cli, data
+from coarse2fine import cli, data, losses, trainer
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import load_dataset, save_dataset
 from coarse2fine.model import (ModelParams, encode, load_checkpoint,
@@ -20,6 +22,26 @@ from conftest import bound_report_dict
 
 def run(*argv):
     return main(list(argv))
+
+
+def openblas_core():
+    """The kernel set ("SkylakeX", "Haswell", ...) that numpy's bundled
+    OpenBLAS 0.3.31 picked for this CPU, or None for any other BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):            # numpy < 1.25, or no BLAS entry
+        return None
+    if blas.get("name") != "scipy-openblas" or not str(
+            blas.get("version")).startswith("0.3.31."):
+        return None
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*.so"):
+        corename = getattr(ctypes.CDLL(str(lib)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def train_config(*flags):
@@ -403,34 +425,71 @@ class TestTrain:
         assert rc == 0
 
 
-    def test_train_outputs_are_pinned(self, tmp_path):
-        # n = 200 is no multiple of the batch of 64, so every epoch ends on
-        # a short batch. The digests are those of fresh per-step arrays,
-        # before the steps shared one set of buffers, recorded with
-        # OpenBLAS 0.3.31 (a BLAS kernel that rounds products differently
-        # gives other bytes)
+    @staticmethod
+    def small_blob_train(tmp_path, tag, objective):
+        """Checkpoint and metrics bytes of a blob `train` at n = 200, which
+        is no multiple of the batch of 64, so every epoch ends on a short
+        batch."""
         data = tmp_path / "b.cfds"
-        assert run("gen-data", "--kind", "blob", "--seed", "3",
-                   "--out", str(data)) == 0
-        digests = {}
-        for objective in ("coins", "coinsP"):
-            ckpt = tmp_path / f"{objective}.ckpt"
-            assert run("train", "--data", str(data), "--objective", objective,
-                       "--epochs", "3", "--m-epoch", "1", "--lr", "0.003",
-                       "--hidden", "32", "--embed-dim", "16", "--batch", "64",
-                       "--seed", "4", "--out", str(ckpt)) == 0
-            for path in (ckpt, tmp_path / f"{objective}.ckpt.metrics.jsonl"):
-                digests[path.name] = hashlib.sha256(
-                    path.read_bytes()).hexdigest()
-        assert digests == {
-            "coins.ckpt": "c346f28f2cf84d7fbb8591ddf8e5b45a"
-                          "a7fa4ec8bbf90f97ce2b2db1745b8553",
-            "coins.ckpt.metrics.jsonl": "b15ffe1ed6c064df682208b8e154de2a"
-                                        "0330dd088c86bd74d0513264825d93fb",
-            "coinsP.ckpt": "c09f67e9ab2e2e76b9f31cc66616f61a"
-                           "3c0ff275ffcdd9bfcbabe1f47dc0c59a",
-            "coinsP.ckpt.metrics.jsonl": "85821d0124631223ff6a0e0739e9592e"
-                                         "46d9d68269e63131e7173d2e6477d1e9"}
+        if not data.exists():
+            assert run("gen-data", "--kind", "blob", "--seed", "3",
+                       "--out", str(data)) == 0
+        ckpt = tmp_path / f"{tag}.ckpt"
+        assert run("train", "--data", str(data), "--objective", objective,
+                   "--epochs", "3", "--m-epoch", "1", "--lr", "0.003",
+                   "--hidden", "32", "--embed-dim", "16", "--batch", "64",
+                   "--seed", "4", "--out", str(ckpt)) == 0
+        return ckpt.read_bytes(), (tmp_path / f"{tag}.ckpt.metrics.jsonl"
+                                   ).read_bytes()
+
+    @pytest.mark.parametrize("objective", ["coins", "coinsP", "coins-imp"])
+    def test_train_bytes_match_fresh_step_arrays(self, tmp_path, monkeypatch,
+                                                 objective):
+        # the same train with the per-epoch workspace and with every step's
+        # arrays fresh, as `objective` makes them without a scratch dict
+        shared = self.small_blob_train(tmp_path, "shared", objective)
+        dicts = []
+
+        def fresh(*args, scratch=None, **kwargs):
+            dicts.append(scratch)
+            return losses.objective(*args, scratch=None, **kwargs)
+
+        monkeypatch.setattr(trainer, "objective", fresh)
+        assert self.small_blob_train(tmp_path, "fresh", objective) == shared
+        assert any(d is not None for d in dicts)
+
+    # sha256 of the small blob train's checkpoint and metrics, recorded
+    # before the steps shared one workspace, for each OpenBLAS 0.3.31 kernel
+    # set they were recorded with: another kernel rounds the products
+    # differently and gives other bytes
+    PINNED = {
+        "SkylakeX": {
+            "coins": ("c346f28f2cf84d7fbb8591ddf8e5b45a"
+                      "a7fa4ec8bbf90f97ce2b2db1745b8553",
+                      "b15ffe1ed6c064df682208b8e154de2a"
+                      "0330dd088c86bd74d0513264825d93fb"),
+            "coinsP": ("c09f67e9ab2e2e76b9f31cc66616f61a"
+                       "3c0ff275ffcdd9bfcbabe1f47dc0c59a",
+                       "85821d0124631223ff6a0e0739e9592e"
+                       "46d9d68269e63131e7173d2e6477d1e9")},
+        "Haswell": {
+            "coins": ("0b0a3045d82b0b1785043f502f4b3210"
+                      "8d451963e19d9aab3727d6f35739a9d4",
+                      "a09660add57d50bdf8991606b8652436"
+                      "71703a327e4d2a6111fc6b363aea72ae"),
+            "coinsP": ("857306f127dd405dc257ad031fee228d"
+                       "1e1d4b24b10aefe3ba91230f93fe82dd",
+                       "807d23c006a0c61a9ba84605d5831286"
+                       "d5300983b542e02debc30b9d7f8a089a")}}
+
+    @pytest.mark.parametrize("objective", ["coins", "coinsP"])
+    def test_train_outputs_are_pinned(self, tmp_path, objective):
+        core = openblas_core()
+        if core not in self.PINNED:
+            pytest.skip(f"no digests recorded for BLAS kernel set {core}")
+        outputs = self.small_blob_train(tmp_path, objective, objective)
+        assert tuple(hashlib.sha256(b).hexdigest() for b in outputs
+                     ) == self.PINNED[core][objective]
 
 
 class TestEval:
