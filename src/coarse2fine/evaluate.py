@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import check_finite_embeddings, column_means, row_blocks
+from .numerics import check_finite_embeddings, own_proxy_softmax, row_blocks
 
 
 class NoValidQueriesError(ValueError):
@@ -119,19 +119,11 @@ def fine_class_prob(embeddings: np.ndarray, W_I: np.ndarray,
     """Each example's probability of its own fine class, Pr{s_i | f(x_i), W_I},
     under the softmax over fine-class proxies (the mean of the W_I columns
     of each class). Row i of `embeddings` is example i, whose W_I column
-    and fine label are column i and fine_labels[i]. Scored one row block
-    at a time, so no n x F matrix is held."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    fine = np.asarray(fine_labels, dtype=np.int64)
-    proxies = column_means(W_I, fine, int(fine.max()) + 1)
-    own = np.empty(emb.shape[0])
-    for blk, logits in row_blocks(emb.shape[0], proxies.shape[1]):
-        rows = np.arange(blk.size)
-        np.matmul(emb[blk], proxies, out=logits)
-        logits -= np.max(logits, axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        own[blk] = logits[rows, fine[blk]] / np.sum(logits, axis=1)
-    return own
+    and fine label are column i and fine_labels[i]. Scored by
+    `numerics.own_proxy_softmax`, so no n x F matrix is held."""
+    own, m, total = own_proxy_softmax(
+        np.asarray(embeddings, dtype=np.float64), W_I, fine_labels)
+    return np.exp(own - m) / total
 
 
 def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:

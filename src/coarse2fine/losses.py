@@ -20,7 +20,7 @@ import numpy as np
 from .cluster import Membership
 from .model import (EncodeCache, ModelParams, branch_backward, branch_forward,
                     encode)
-from .numerics import row_blocks
+from .numerics import row_blocks, softmax_core
 
 
 class AccessCounter:
@@ -65,19 +65,6 @@ TERMS = ("coarse", "instance", "within", "proxy")
 _CHUNK_FLOATS = 1 << 14
 
 
-def _log_softmax_at(logits: np.ndarray, at: tuple[np.ndarray, ...]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-softmax over the last axis, read at the label cells `at` (one
-    index array per axis): `own - log(sum exp)` after the max is subtracted.
-    In place: `logits` is left holding exp(logits - max), and the sums
-    (last axis kept) come back with the values."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    own = logits[at]
-    np.exp(logits, out=logits)
-    total = logits.sum(axis=-1, keepdims=True)
-    return own - np.log(total[at[:-1]][:, 0]), total
-
-
 def _buffer(scratch: Optional[dict], key: str, shape: tuple[int, ...]
             ) -> np.ndarray:
     """An uninitialised float64 array of `shape`: fresh without `scratch`,
@@ -114,7 +101,8 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
         if params.cosine:
             logits /= params.temperature
         at = (np.arange(blk.size), labels[rows])
-        log_p[rows], total = _log_softmax_at(logits, at)
+        own, _, total = softmax_core(logits, at)
+        log_p[rows] = own - np.log(total[:, 0])
         if not values_only:
             logits /= total                                  # softmax
             logits[at] -= 1.0
@@ -205,8 +193,8 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
         if params.cosine:
             logits /= params.temperature
         np.copyto(logits, -np.inf, where=not_member[c0:c1])
-        log_p, total = _log_softmax_at(logits, (cls, pos, lab))
-        value -= float(np.sum(log_p)) / denom
+        own, _, total = softmax_core(logits, (cls, pos, lab))
+        value -= float(np.sum(own - np.log(total[cls, pos, 0]))) / denom
         logits /= total                                      # softmax
         logits[cls, pos, lab] -= 1.0
         logits /= denom

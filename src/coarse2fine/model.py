@@ -264,7 +264,12 @@ def load_checkpoint(path: str) -> ModelParams:
         W_P=np.empty((d, P)) if P > 0 else None,
         mlp_head=(np.empty((d, d_h)), np.empty((d_h, d))) if d_h > 0 else None,
         cosine=bool(cosine_flag), temperature=float(temperature))
-    for a in param_arrays(params).values():
+    for name, a in param_arrays(params).items():
+        start = take(8 * a.size)
         a[...] = np.frombuffer(raw, dtype="<f8", count=a.size,
-                               offset=take(8 * a.size)).reshape(a.shape)
+                               offset=start).reshape(a.shape)
+        if not np.isfinite(a).all():
+            bad = int(np.argmin(np.isfinite(a)))      # first, in body order
+            raise CheckpointFormatError(f"{name} value {bad} is not finite "
+                                        f"(at offset {start + 8 * bad})")
     return params

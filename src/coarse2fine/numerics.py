@@ -1,5 +1,6 @@
 """Row normalisation, grouped column means, the row blocks the O(n^2)
-read paths stream over, and a finite-difference checker.
+read paths stream over, the one softmax core, and a finite-difference
+checker.
 
 Everything here operates on float64 numpy arrays, as does the whole
 package: `model.encode` casts every batch to float64, and the bound checks
@@ -8,7 +9,7 @@ evaluate exp() of large dot products.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,6 +42,22 @@ def row_blocks(n: int, *widths: int):
     for start, stop in zip(bounds[:-1], bounds[1:]):
         blk = np.arange(start, stop)
         yield (blk, *(buf[:blk.size] for buf in scratch))
+
+
+def softmax_core(x: np.ndarray, at: Optional[tuple] = None
+                 ) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Softmax over the last axis, in place: subtract the max m (0 where m is
+    not finite, so a slice of -inf only sums to 0), read the label cells `at`
+    (one index array per axis) when given, exponentiate and sum. Returns the
+    shifted label cells, m and the sums (last axis kept); log Σexp(x) is
+    m + log(sums), and x is left holding exp(x - m)."""
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        m[~np.isfinite(m)] = 0.0
+    x -= m
+    own = None if at is None else x[at]
+    np.exp(x, out=x)
+    return own, m, x.sum(axis=-1, keepdims=True)
 
 
 def check_finite_embeddings(emb: np.ndarray) -> None:
@@ -87,6 +104,23 @@ def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     for s in range(K):
         out[:, s] = grouped[:, ends[s] - counts[s]:ends[s]].mean(axis=1)
     return out
+
+
+def own_proxy_softmax(emb: np.ndarray, W: np.ndarray, labels: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i of emb against the proxies, the `column_means` of W by label:
+    the logit of its own proxy labels[i], and the m and sum of the softmax
+    core over all proxies, so log Pr{labels[i]} = own - (m + log(sum)).
+    One row block at a time: no n x K matrix is held."""
+    labels = np.asarray(labels, dtype=np.int64)
+    proxies = column_means(W, labels, int(labels.max()) + 1)
+    own, m, total = (np.empty(emb.shape[0]) for _ in range(3))
+    for blk, logits in row_blocks(emb.shape[0], proxies.shape[1]):
+        np.matmul(emb[blk], proxies, out=logits)
+        own[blk] = logits[np.arange(blk.size), labels[blk]]
+        _, m_blk, total_blk = softmax_core(logits)
+        m[blk], total[blk] = m_blk[:, 0], total_blk[:, 0]
+    return own, m, total
 
 
 def grad_check(fn: Callable[[np.ndarray], float], point: np.ndarray,

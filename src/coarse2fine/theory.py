@@ -17,7 +17,7 @@ import numpy as np
 from numpy import logaddexp
 
 from .numerics import (InvariantError, check_finite_embeddings, column_means,
-                       row_blocks)
+                       own_proxy_softmax, row_blocks, softmax_core)
 
 REL_TOL = 1e-9
 
@@ -28,17 +28,6 @@ class NonUniformClassSizeError(ValueError):
 
 class DomainError(ValueError):
     """A measured constant leaves no valid bound (e.g. alpha = 1)."""
-
-
-def _logsumexp_last(x: np.ndarray) -> np.ndarray:
-    """logsumexp over the last axis; x is overwritten. A slice whose max
-    is not finite gives that max (-inf for a slice of -inf only)."""
-    m = np.max(x, axis=-1)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    x -= shift[..., None]
-    np.exp(x, out=x)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.sum(x, axis=-1))
 
 
 def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray,
@@ -52,7 +41,9 @@ def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray,
         np.matmul(emb[blk], W, out=L)
         own_logit = L[rows, own[blk]]
         L[rows, own[blk]] = -np.inf
-        lse_rest = _logsumexp_last(L)
+        _, m, total = softmax_core(L)
+        with np.errstate(divide="ignore"):     # no other column: log 0
+            lse_rest = m[:, 0] + np.log(total[:, 0])
         log_prob = min(log_prob, float(np.min(
             own_logit - np.logaddexp(own_logit, lse_rest))))
         log_rest = min(log_rest, float(np.min(lse_rest)))
@@ -162,19 +153,6 @@ def log_h_factor(c: float, log_alpha: float, log_beta: float, log_a: float,
                  * _root_sum(c, log_alpha, log_beta, log_a, log_b))
 
 
-def _fine_log_probs(embeddings: np.ndarray, W_I: np.ndarray,
-                    fine_labels: np.ndarray) -> np.ndarray:
-    """log Pr{own fine class} per example via mean-column proxies."""
-    fine = np.asarray(fine_labels, dtype=np.int64)
-    proxies = column_means(W_I, fine, int(fine.max()) + 1)
-    out = np.empty(embeddings.shape[0])
-    for blk, logits in row_blocks(embeddings.shape[0], proxies.shape[1]):
-        np.matmul(embeddings[blk], proxies, out=logits)
-        own = logits[np.arange(blk.size), fine[blk]]
-        out[blk] = own - _logsumexp_last(logits)
-    return out
-
-
 @dataclass
 class Lemma1Report:
     jensen_slack_min: float      # min over (i, s) of log-RHS - log-LHS
@@ -198,27 +176,21 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
     # fine class s's columns, in ascending index order, at s*z .. s*z+z-1
     by_class = np.argsort(fine, kind="stable")
     own_inst = np.empty(n)       # f_i . w_i
-    lse_full = np.empty(n)       # logsumexp_j f_i . w_j
-    own_proxy = np.empty(n)      # f_i . wbar_{fine(i)}
-    log_lhs = np.empty(n)        # log Pr{own fine class} via the proxies
     jensen_slack = np.inf
     for blk, L_I, grouped, proxy_logits in row_blocks(n, n, n, F):
-        rows = np.arange(blk.size)
         np.matmul(emb[blk], W_I, out=L_I)
         np.matmul(emb[blk], proxies, out=proxy_logits)
+        own_inst[blk] = L_I[np.arange(blk.size), blk]
         # Jensen: f.wbar_s <= logsumexp_{j in s}(f.w_j) - log z, for every i, s
         np.take(L_I, by_class, axis=1, out=grouped)
-        lse = _logsumexp_last(grouped.reshape(blk.size, F, z))
-        slack = (lse - np.log(z)) - proxy_logits
+        _, m, total = softmax_core(grouped.reshape(blk.size, F, z))
+        slack = (m[..., 0] + np.log(total[..., 0]) - np.log(z)) - proxy_logits
         jensen_slack = min(jensen_slack, float(slack.min()))
-        own_inst[blk] = L_I[rows, blk]
-        own_proxy[blk] = proxy_logits[rows, fine[blk]]
-        log_lhs[blk] = own_proxy[blk] - _logsumexp_last(proxy_logits)
-        lse_full[blk] = _logsumexp_last(L_I)
 
-    # alpha measured over the full instance softmax
-    log_alpha = float(np.min(own_inst - lse_full))
-
+    # alpha over the full instance softmax, as theorem 1 measures it
+    log_alpha, _ = _min_log_prob_and_rest(emb, W_I, np.arange(n))
+    own_proxy, m, total = own_proxy_softmax(emb, W_I, fine)   # f_i . wbar_s(i)
+    log_lhs = own_proxy - (m + np.log(total))
     log_rhs = np.log(z) + log_alpha + own_proxy - own_inst
     lemma_slack = float(np.min(log_lhs - log_rhs))
     return Lemma1Report(jensen_slack_min=jensen_slack,
@@ -327,7 +299,8 @@ def verify_theorem(embeddings: np.ndarray, W_C: np.ndarray, W_I: np.ndarray,
     log_h = log_h_factor(k.c, log_alpha_eff, k.log_beta, k.log_a, k.log_b,
                          k.z)
 
-    log_lhs = _fine_log_probs(emb, W_I, fine_labels)
+    own, m, total = own_proxy_softmax(emb, W_I, fine_labels)
+    log_lhs = own - (m + np.log(total))
     log_rhs_scalar = log_alpha_eff + np.log(k.z) + log_h
     log_rhs = np.full_like(log_lhs, log_rhs_scalar)
 

@@ -206,10 +206,13 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
     return record
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, dataset: Dataset
           ) -> tuple[ModelParams, list[dict], Optional[Membership]]:
     """Run the two-phase training loop; returns final parameters, one
-    metrics record per epoch, and the final cluster membership (if any)."""
+    metrics record per epoch, and the final cluster membership (if any).
+    Overflow and NaN warn nowhere: `check_finite`, the metrics-record check
+    and kmeans's W_I check turn every non-finite value into DivergenceError."""
     config.validate()
     dataset.validate()
     if config.objective == "opt" and dataset.fine_labels is None:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from coarse2fine import cli, data, losses, trainer
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import load_dataset, save_dataset
 from coarse2fine.model import (ModelParams, encode, load_checkpoint,
-                               save_checkpoint)
+                               param_arrays, save_checkpoint)
 from coarse2fine.numerics import InvariantError
 from coarse2fine.theory import verify_theorem
 from coarse2fine.trainer import TrainConfig
@@ -188,6 +189,22 @@ class TestTrain:
         assert f"training diverged: {where}" in capsys.readouterr().err
         assert not ckpt.exists()
         assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("objective", ["coins-imp", "coins", "coinsP"])
+    @pytest.mark.parametrize("lr", ["1e6", "1e30", "1e300"])
+    def test_divergence_warns_nothing_and_prints_one_line(
+            self, tmp_path, blob_file, capsys, objective, lr):
+        ckpt = tmp_path / "m.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--data", blob_file, "--objective", objective,
+                     "--epochs", "8", "--m-epoch", "2", "--batch", "4",
+                     "--lr", lr, "--out", str(ckpt))
+        assert rc == 5
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: ") and err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_huge_instance_head_exits_5_before_clustering(self, tmp_path,
                                                           capsys):
@@ -558,6 +575,36 @@ class TestEval:
         assert rc == 4
         assert "bad checkpoint file: temperature 0.0 at offset 43" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["verify-bounds", "--theorem", "1"],
+                                         ["verify-bounds", "--theorem", "2"]])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, index", [("W1", 5), ("b0", 0),
+                                             ("coarse", 7), ("instance", 30)])
+    def test_non_finite_checkpoint_value_is_bad_file(
+            self, tmp_path, blob_file, trained, capsys, command, value, name,
+            index):
+        arrays = param_arrays(load_checkpoint(trained))
+        raw = bytearray(open(trained, "rb").read())
+        # the body holds the arrays in param_arrays order and ends the file
+        start = len(raw) - 8 * sum(a.size for a in arrays.values())
+        for key, a in arrays.items():
+            if key == name:
+                break
+            start += 8 * a.size
+        offset = start + 8 * index
+        struct.pack_into("<d", raw, offset, value)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "r.json"
+        rc = run(*command, "--data", blob_file, "--checkpoint", str(bad),
+                 "--out", str(out))
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            f"bad checkpoint file: {name} value {index} is not finite "
+            f"(at offset {offset})\n")
         assert not out.exists()
 
     def test_non_finite_embedding_is_degenerate_data(self, tmp_path, trained,

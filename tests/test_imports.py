@@ -32,3 +32,28 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\n"
                           "from typing import Optional, Mapping\n"
                           "x: Optional[int] = np.pi\n") == ["Mapping", "os"]
+
+
+def exp_out_calls(source: str) -> int:
+    """Calls of np.exp (or numpy.exp) that write into a given array: an
+    `out=` keyword, or `out` passed as the second positional argument."""
+    return sum(
+        1 for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "exp"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and (len(node.args) > 1 or any(k.arg == "out" for k in node.keywords)))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "numerics.py"),
+                         ids=lambda p: p.name)
+def test_softmax_exponentiates_only_in_numerics(path):
+    """The in-place softmax is written once, as numerics.softmax_core."""
+    assert exp_out_calls(path.read_text()) == 0
+
+
+def test_detects_an_in_place_exp():
+    assert exp_out_calls("np.exp(x, out=x)\nnumpy.exp(a, b)\nnp.exp(x)\n"
+                         "y = np.exp(x - m) / s\n") == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from coarse2fine import numerics
 from coarse2fine.numerics import (DegenerateInputError, column_means,
                                   grad_check, normalize_rows,
-                                  normalize_rows_backward, row_blocks)
-from conftest import cross_entropy, softmax_rows
+                                  normalize_rows_backward, own_proxy_softmax,
+                                  row_blocks, softmax_core)
+from conftest import cross_entropy, log_softmax_rows, softmax_rows
 
 
 def softmax(logits):
@@ -59,6 +61,58 @@ class TestSoftmax:
         for i in range(5):
             direct = np.exp(L[i]) / np.sum(np.exp(L[i]))
             np.testing.assert_allclose(rows[i], direct, atol=1e-15)
+
+
+class TestSoftmaxCore:
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 6)])
+    def test_bitwise_the_two_pass_forms(self, rng, shape):
+        # -inf cells as the padded members of a within-coarse chunk; every
+        # slice keeps one finite cell, its label
+        L = rng.standard_normal(shape)
+        labels = rng.integers(0, shape[-1], shape[:-1])
+        L[rng.random(shape) < 0.4] = -np.inf
+        at = (*np.indices(shape[:-1]).reshape(len(shape) - 1, -1), labels.ravel())
+        L[at] = rng.standard_normal(labels.size)
+        x = L.copy()
+        own, m, total = softmax_core(x, at)
+        rows = L.reshape(-1, shape[-1])
+        flat_at = (np.arange(rows.shape[0]), labels.ravel())
+        assert (own - np.log(total[at[:-1]][:, 0])).tobytes() == \
+            log_softmax_rows(rows)[flat_at].tobytes()
+        assert (x / total).tobytes() == \
+            softmax_rows(rows).reshape(shape).tobytes()
+        assert m.tobytes() == L.max(axis=-1, keepdims=True).tobytes()
+
+    def test_all_minus_inf_slice_gives_minus_inf_without_warning(self, rng):
+        x = rng.standard_normal((3, 4))
+        x[1] = -np.inf
+        want = np.log(np.sum(np.exp(x[[0, 2]]), axis=1))
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="raise", under="ignore", invalid="raise"):
+            warnings.simplefilter("always")
+            own, m, total = softmax_core(x)
+            with np.errstate(divide="ignore"):
+                lse = (m + np.log(total))[:, 0]
+        assert caught == [] and own is None
+        assert m[1, 0] == 0.0 and total[1, 0] == 0.0
+        assert lse[1] == -np.inf
+        np.testing.assert_allclose(lse[[0, 2]], want, rtol=1e-15)
+
+
+class TestOwnProxySoftmax:
+    @pytest.mark.parametrize("block", [2, 128])
+    def test_log_prob_of_own_proxy(self, rng, monkeypatch, block):
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        W = rng.standard_normal((3, 6))
+        emb = rng.standard_normal((6, 3))
+        labels = np.array([1, 0, 2, 1, 0, 2])
+        logits = emb @ column_means(W, labels, 3)
+        own, m, total = own_proxy_softmax(emb, W, labels)
+        assert own.tobytes() == logits[np.arange(6), labels].tobytes()
+        assert m.tobytes() == logits.max(axis=1).tobytes()
+        np.testing.assert_allclose(
+            own - (m + np.log(total)),
+            log_softmax_rows(logits)[np.arange(6), labels], rtol=1e-14)
 
 
 class TestCrossEntropy:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse2fine import numerics, theory
+from coarse2fine.evaluate import fine_class_prob
 from coarse2fine.numerics import DegenerateInputError, InvariantError
 from coarse2fine.theory import (BoundReport, DomainError,
                                 NonUniformClassSizeError, log_h_factor,
@@ -232,6 +233,18 @@ class TestVerifyLemma1:
             emb, _, W_I, _, fine = random_instance(rng)
             report = verify_lemma1(emb, W_I, fine)
             assert report.jensen_ok and report.lemma_ok
+
+
+def test_fine_class_probability_and_alpha_agree_across_paths(rng):
+    # eval, theorem 1 and lemma 1 read one fine-class pass and one alpha
+    emb, W_C, W_I, coarse, fine = random_instance(rng, n=24, C=2, F=6)
+    report = verify_theorem(emb, W_C, W_I, coarse, fine, which=1)
+    np.testing.assert_allclose(np.exp(report.log_lhs),
+                               fine_class_prob(emb, W_I, fine),
+                               rtol=1e-13, atol=0)
+    lemma = verify_lemma1(emb, W_I, fine)
+    assert lemma.lemma_ok and lemma.jensen_ok
+    assert lemma.log_alpha == report.log_alpha
 
 
 class TestVerifyTheorem:
