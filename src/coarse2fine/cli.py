@@ -108,17 +108,32 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
     return cfg
 
 
+def _write_run(params, metrics: list[dict], ckpt_path: str,
+               metrics_path: str) -> None:
+    """A trained model's checkpoint, and its metrics one JSON line per epoch."""
+    save_checkpoint(params, ckpt_path)
+    with open(metrics_path, "w") as fh:
+        for rec in metrics:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def _load_run(args: argparse.Namespace):
+    """The --data set and the --checkpoint model, whose input widths match."""
+    dataset = _load_data(args.data, args.format)
+    params = load_checkpoint(args.checkpoint)
+    if params.encoder[0][0].shape[0] != dataset.dim:
+        raise UsageError("checkpoint input dimension does not match dataset")
+    return dataset, params
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_data(args.data, args.format)
     if args.img_h and args.img_w:
         dataset.image_shape = (args.img_h, args.img_w)
     cfg = _merge_config(args)
     params, metrics, _ = train(cfg, dataset)
-    save_checkpoint(params, args.out)
     metrics_path = args.metrics or args.out + ".metrics.jsonl"
-    with open(metrics_path, "w") as fh:
-        for rec in metrics:
-            fh.write(json.dumps(rec) + "\n")
+    _write_run(params, metrics, args.out, metrics_path)
     print(f"wrote {args.out} and {metrics_path} "
           f"({cfg.objective}, {cfg.epochs} epochs)")
     return EXIT_OK
@@ -130,10 +145,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("--recall-at needs at least one value")
     if min(ks) < 1:
         raise UsageError("--recall-at values must be >= 1")
-    dataset = _load_data(args.data, args.format)
-    params = load_checkpoint(args.checkpoint)
-    if params.encoder[0][0].shape[0] != dataset.dim:
-        raise UsageError("checkpoint input dimension does not match dataset")
+    dataset, params = _load_run(args)
     report = evaluate_model(params, dataset, ks)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -143,12 +155,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
-    dataset = _load_data(args.data, args.format)
+    dataset, params = _load_run(args)
     if dataset.fine_labels is None:
         raise NonUniformClassSizeError("dataset has no fine labels")
-    params = load_checkpoint(args.checkpoint)
-    if params.encoder[0][0].shape[0] != dataset.dim:
-        raise UsageError("checkpoint input dimension does not match dataset")
     from .model import encode
     emb = encode(params, dataset.examples)[0]   # no backward: cache dropped
     report = verify_theorem(emb, params.W_C, params.W_I,
@@ -200,10 +209,9 @@ def reproduce_synthetic(seeds: list[int], out_dir: str, epochs: int = 150,
         for objective in OBJECTIVES:
             cfg = synth_train_config(objective, seed, epochs)
             params, metrics, _ = train(cfg, dataset)
-            save_checkpoint(params, os.path.join(seed_dir, f"{objective}.ckpt"))
-            with open(os.path.join(seed_dir, f"{objective}.metrics.jsonl"), "w") as fh:
-                for rec in metrics:
-                    fh.write(json.dumps(rec) + "\n")
+            _write_run(params, metrics,
+                       os.path.join(seed_dir, f"{objective}.ckpt"),
+                       os.path.join(seed_dir, f"{objective}.metrics.jsonl"))
             report = evaluate_model(params, dataset, SYNTH_KS)
             row = {"objective": objective, "seed": seed}
             row.update({f"R@{k}": report.recall_at[k] for k in SYNTH_KS})

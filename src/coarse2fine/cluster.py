@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import DegenerateInputError, InvariantError, column_means
+from .numerics import (DegenerateInputError, InvariantError, column_means,
+                       group_by_label)
 
 
 # largest |w| of d*n entries for which no squared distance, nor a sum of n
@@ -78,8 +79,8 @@ def _means(X: np.ndarray, assign: np.ndarray,
     members in ascending order. An empty cluster has mean 0 and adds 0."""
     G, n, d = X.shape
     key = (np.arange(G)[:, None] * P + assign).ravel()
-    counts, order = np.bincount(key, minlength=G * P), np.argsort(key, kind="stable")
-    rows, starts = X.reshape(G * n, d)[order], np.cumsum(counts) - counts
+    order, starts, counts = group_by_label(key, G * P)
+    rows = X.reshape(G * n, d)[order]
 
     def block_sums(v, w):
         return np.add.reduceat(np.insert(v.ravel(), starts * w, 0.0),
@@ -173,19 +174,19 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
         raise DegenerateInputError("non-finite W_I")
     if scale > _KMEANS_MAX_ABS / np.sqrt(W.size):
         raise DegenerateInputError(f"W_I too large to cluster: max |w| = {scale:.3g}")
-    labels, budgets, seqs = np.zeros(n, np.int64), np.array([P]), [seedseq]
+    labels, seqs = np.zeros(n, np.int64), [seedseq]
     if coarse_labels is not None:
         if init is not None:
             raise ValueError("init applies to global clustering only")
         labels = np.unique(np.asarray(coarse_labels, np.int64), return_inverse=True)[1]
         if P < labels.max() + 1:
             raise ValueError("P must be at least the number of coarse classes")
-        budgets = np.array(apportion(np.bincount(labels).tolist(), P))
-        seqs = seedseq.spawn(budgets.size)
+        seqs = seedseq.spawn(int(labels.max()) + 1)
+    members, first, counts = group_by_label(labels)
+    budgets = np.array(apportion(counts.tolist(), P))     # [P] when global
     R = 1 if init is not None else max(restarts, 1)
     rngs = [np.random.default_rng(s) for ss in seqs for s in ss.spawn(R)]
-    counts, members = np.bincount(labels), np.argsort(labels, kind="stable")
-    first, offsets = np.cumsum(counts) - counts, np.cumsum(budgets) - budgets
+    offsets = np.cumsum(budgets) - budgets
     assign, objective = np.empty(n, np.int64), np.empty(counts.size)
     shape = counts * (P + 1) + budgets
     for key in np.unique(shape):            # one stack per (n_k, P_k)

@@ -10,6 +10,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .numerics import group_by_label
+
 MAGIC = b"CFDS1\x00"
 
 
@@ -55,9 +57,8 @@ class Dataset:
             # a fine class never spans two coarse classes: name the first
             # example whose coarse label differs from that of the first
             # example of its fine class
-            _, first, inverse = np.unique(self.fine_labels, return_index=True,
-                                          return_inverse=True)
-            owner = self.coarse_labels[first][inverse]
+            order, starts, _ = group_by_label(self.fine_labels)
+            owner = self.coarse_labels[order[starts[self.fine_labels]]]
             bad = np.flatnonzero(owner != self.coarse_labels)
             if bad.size:
                 i = bad[0]

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import check_finite_embeddings, own_proxy_softmax, row_blocks
+from .numerics import (check_finite_embeddings, group_by_label,
+                       own_proxy_softmax, row_blocks)
 
 
 class NoValidQueriesError(ValueError):
@@ -56,7 +57,7 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     if n < 2:
         raise ValueError("need at least two examples")
     check_finite_embeddings(emb)
-    counts = np.bincount(labels)
+    order, starts, counts = group_by_label(labels)
     valid = counts[labels] >= 2
     if not np.any(valid):
         raise NoValidQueriesError("all labels are singletons")
@@ -64,9 +65,6 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     norms[norms == 0] = 1.0
     unit = emb / norms
     queries = np.nonzero(valid)[0]
-    # label s's members, in ascending index order, at starts[s] of `order`
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(counts) - counts
     ranks = np.empty(queries.size, dtype=np.int64)
     cols = np.arange(n)
     for blk, sims, hard_sims in row_blocks(queries.size, n, n):

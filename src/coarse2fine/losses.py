@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .cluster import Membership
 from .model import (EncodeCache, ModelParams, branch_backward, branch_forward,
                     encode)
-from .numerics import row_blocks, softmax_core
+from .numerics import group_by_label, row_blocks, softmax_core
 
 
 class AccessCounter:
@@ -116,54 +116,56 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
         G.T, dlogits, out=_buffer(scratch, "grad_" + head, W.shape))
 
 
+@dataclass(frozen=True)
+class CoarseIndex:
+    """The instance columns by coarse class, built once per run: row k of
+    `grid` is class k's counts[k] columns in ascending order, padded with 0."""
+    labels: np.ndarray      # column j's coarse class
+    counts: np.ndarray      # per class, from numerics.group_by_label
+    slot: np.ndarray        # column j's position within its class
+    grid: np.ndarray        # classes x largest class
+
+
+def build_coarse_index(coarse_labels: np.ndarray) -> CoarseIndex:
+    """The layout of columns 0..n-1, column j in class coarse_labels[j]."""
+    y = np.asarray(coarse_labels, dtype=np.int64)
+    order, starts, counts = group_by_label(y)
+    slot = np.empty_like(y)
+    slot[order] = np.arange(y.size) - np.repeat(starts, counts)
+    grid = np.zeros((counts.size, counts.max(initial=0)), dtype=np.int64)
+    grid[np.arange(grid.shape[1]) < counts[:, None]] = order
+    return CoarseIndex(y, counts, slot, grid)
+
+
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
-                        coarse_labels: np.ndarray,
-                        coarse_index: Mapping[int, Sequence[int]],
+                        coarse_labels: np.ndarray, index: CoarseIndex,
                         denom: int, scratch: Optional[dict] = None
                         ) -> tuple[float, np.ndarray, np.ndarray]:
     """Instance CE restricted to each example's coarse class: only member
     columns are read, so the per-example head cost is O(d n_k), not O(d n).
 
     The batch rows are sorted by class into a padded classes x r_max x d
-    block and the member columns gathered as classes x n_max x d, so one
-    batched product scores a chunk of classes; padded members are masked
-    to -inf and padded rows are zero, so neither reaches a gradient."""
+    block and the member columns gathered by `index.grid` as classes x
+    n_max x d, so one batched product scores a chunk of classes; padded
+    members are masked to -inf and padded rows are zero, so neither
+    reaches a gradient."""
     W_I = params.W_I
-    order = np.argsort(coarse_labels, kind="stable")
-    classes, starts, counts = np.unique(coarse_labels[order], return_index=True,
-                                        return_counts=True)
-    members = [np.asarray(coarse_index[k], dtype=np.int64) for k in classes.tolist()]
-    sizes = np.array([m.size for m in members])
-    flat = np.concatenate(members)
-    if flat.size and (flat.min() < 0 or flat.max() >= W_I.shape[1]):
-        raise ValueError("column subset index out of range")
-    if np.any(np.bincount(flat) > 1):
-        raise ValueError("a column is listed twice in the coarse class membership")
+    order, starts, counts = group_by_label(coarse_labels)
+    sorted_ids = ids[order]
+    bad = np.flatnonzero(index.labels[sorted_ids] != coarse_labels[order])
+    if bad.size:
+        raise ValueError(f"example {sorted_ids[bad[0]]} not listed in coarse "
+                         f"class {coarse_labels[order[bad[0]]]} membership")
+    classes = np.flatnonzero(counts)
+    starts, counts, sizes = starts[classes], counts[classes], index.counts[classes]
     r_max, n_max, d = int(counts.max()), int(sizes.max()), G.shape[1]
-    # the classes x n_max grid of member slots; `cell` is each listed
-    # column's cell in it, which gives its class (index into `classes`)
-    # and its position in that class
+    padded = index.grid[classes, :n_max]
     is_member = np.arange(n_max) < sizes[:, None]
-    cell = np.flatnonzero(is_member)
-    owner = np.full(W_I.shape[1], -1)
-    owner[flat] = cell // n_max
-    slot = np.zeros(W_I.shape[1], dtype=np.int64)
-    slot[flat] = cell % n_max
     row_class = np.repeat(np.arange(classes.size), counts)   # per sorted row
     row_slot = np.arange(order.size) - np.repeat(starts, counts)
-    sorted_ids = ids[order]
-    bad = np.flatnonzero(owner[sorted_ids] != row_class)
-    if bad.size:
-        t = bad[0]
-        raise ValueError(f"example {sorted_ids[t]} not listed in coarse class "
-                         f"{classes[row_class[t]]} membership")
-    label = slot[sorted_ids]
     WI_READS.add(int(np.dot(counts, sizes)))
 
-    padded = np.zeros((classes.size, n_max), dtype=np.int64)
-    padded[is_member] = flat
     not_member = ~is_member[:, None, :]
-    first = np.concatenate(([0], np.cumsum(sizes)))  # each class's run in flat
     per_chunk = max(1, _CHUNK_FLOATS // (r_max * n_max))
     K = min(per_chunk, classes.size)
     # reused by every chunk (a fresh array per chunk would page-fault each
@@ -181,7 +183,7 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
     for c0 in range(0, classes.size, per_chunk):
         c1 = min(c0 + per_chunk, classes.size)
         t = slice(starts[c0], starts[c1] if c1 < classes.size else order.size)
-        cls, pos, lab = row_class[t] - c0, row_slot[t], label[t]
+        cls, pos, lab = row_class[t] - c0, row_slot[t], index.slot[sorted_ids[t]]
         rows = rows_buf[:c1 - c0]
         rows.fill(0.0)
         rows[cls, pos] = G[order[t]]
@@ -204,9 +206,9 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
         grads = grad_buf[:(c1 - c0) * n_max]
         np.matmul(logits.transpose(0, 2, 1), rows,
                   out=grads.reshape(c1 - c0, n_max, d))
-        m = slice(first[c0], first[c1])
-        dW.T[flat[m]] = np.take(grads, cell[m] - c0 * n_max, axis=0,
-                                mode="clip", out=member_buf[:m.stop - m.start])
+        cell = np.flatnonzero(is_member[c0:c1])    # member cells of the chunk
+        dW.T[padded[c0:c1].ravel()[cell]] = np.take(
+            grads, cell, axis=0, mode="clip", out=member_buf[:cell.size])
     return value, dG, dW
 
 
@@ -218,7 +220,7 @@ def _accumulate(total, weight, x):
 def objective(params: ModelParams, batch: np.ndarray,
               instance_ids: Optional[np.ndarray], terms: Mapping[str, float],
               coarse_labels: Optional[np.ndarray] = None,
-              coarse_index: Optional[Mapping[int, Sequence[int]]] = None,
+              coarse_index: Optional[CoarseIndex] = None,
               membership: Optional[Membership] = None,
               values_only: bool = False,
               scratch: Optional[dict] = None) -> LossValue:
@@ -323,7 +325,7 @@ def instance_loss_full(params: ModelParams, batch: np.ndarray,
 def instance_loss_within_coarse(params: ModelParams, batch: np.ndarray,
                                 instance_ids: np.ndarray,
                                 coarse_labels: np.ndarray,
-                                coarse_index: Mapping[int, Sequence[int]]
+                                coarse_index: CoarseIndex
                                 ) -> LossValue:
     return objective(params, batch, instance_ids, {"within": 1.0},
                      coarse_labels, coarse_index)
@@ -338,7 +340,7 @@ def instance_proxy_loss(params: ModelParams, batch: np.ndarray,
 
 def combined_objective(params: ModelParams, batch: np.ndarray,
                        instance_ids: np.ndarray, coarse_labels: np.ndarray,
-                       coarse_index: Mapping[int, Sequence[int]],
+                       coarse_index: CoarseIndex,
                        lambda_I: float, lambda_P: float,
                        membership: Optional[Membership] = None,
                        within_coarse: bool = True) -> LossValue:
@@ -347,9 +349,3 @@ def combined_objective(params: ModelParams, batch: np.ndarray,
                      {"coarse": 1.0, "within" if within_coarse else "instance":
                       lambda_I, "proxy": lambda_P},
                      coarse_labels, coarse_index, membership)
-
-
-def build_coarse_index(coarse_labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Map coarse class -> ascending global ids of its members."""
-    y = np.asarray(coarse_labels, dtype=np.int64)
-    return {int(k): np.nonzero(y == k)[0] for k in np.unique(y)}

@@ -1,6 +1,6 @@
-"""Row normalisation, grouped column means, the row blocks the O(n^2)
-read paths stream over, the one softmax core, and a finite-difference
-checker.
+"""Row normalisation, indices grouped by label, grouped column means, the
+row blocks the O(n^2) read paths stream over, the one softmax core, and a
+finite-difference checker.
 
 Everything here operates on float64 numpy arrays, as does the whole
 package: `model.encode` casts every batch to float64, and the bound checks
@@ -88,21 +88,27 @@ def normalize_rows_backward(x: np.ndarray, grad_out: np.ndarray,
     return (grad_out - dots * u) / norms
 
 
-def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
-    """d x K matrix whose column s is the mean of the columns of W labelled s.
-
-    The columns are sorted by label once (stably, so each group keeps its
-    order), and each mean is taken over one contiguous run of them."""
+def group_by_label(labels: np.ndarray, K: int = 0) -> tuple[np.ndarray, ...]:
+    """(order, starts, counts): label s's indices, ascending, are
+    order[starts[s]:starts[s] + counts[s]]. A stable argsort, and a bincount
+    of the non-negative integer labels with at least K entries."""
     labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=K)[:K]
-    if not counts.all():
-        s = int(np.argmin(counts))
-        raise ValueError(f"group {s} is empty: no column is labelled {s}")
-    grouped = W[:, np.argsort(labels, kind="stable")]
-    ends = np.cumsum(counts)
+    counts = np.bincount(labels, minlength=K)
+    return np.argsort(labels, kind="stable"), np.cumsum(counts) - counts, counts
+
+
+def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """d x K matrix whose column s is the mean of the columns of W labelled s,
+    each taken over its contiguous run of `group_by_label`'s order.
+    DegenerateInputError: a label in [0, K) labels no column."""
+    order, starts, counts = group_by_label(labels, K)
+    if not counts[:K].all():
+        s = int(np.argmin(counts[:K]))
+        raise DegenerateInputError(f"group {s} is empty: no column is labelled {s}")
+    grouped = W[:, order]
     out = np.empty((W.shape[0], K))
     for s in range(K):
-        out[:, s] = grouped[:, ends[s] - counts[s]:ends[s]].mean(axis=1)
+        out[:, s] = grouped[:, starts[s]:starts[s] + counts[s]].mean(axis=1)
     return out
 
 

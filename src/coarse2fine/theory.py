@@ -17,7 +17,8 @@ import numpy as np
 from numpy import logaddexp
 
 from .numerics import (InvariantError, check_finite_embeddings, column_means,
-                       own_proxy_softmax, row_blocks, softmax_core)
+                       group_by_label, own_proxy_softmax, row_blocks,
+                       softmax_core)
 
 REL_TOL = 1e-9
 
@@ -103,12 +104,13 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
                          f"set has {n} examples")
     check_finite_embeddings(emb)
 
+    order, starts, counts = group_by_label(y_c)
     if mode == "theorem1":
         log_alpha, log_a = _min_log_prob_and_rest(emb, W_I, np.arange(n))
     else:
         log_alpha = log_a = np.inf
-        for k in np.unique(y_c):
-            members = np.nonzero(y_c == k)[0]
+        for k in np.flatnonzero(counts):
+            members = order[starts[k]:starts[k] + counts[k]]
             la, lr = _min_log_prob_and_rest(emb[members], W_I[:, members],
                                             np.arange(members.size))
             log_alpha, log_a = min(log_alpha, la), min(log_a, lr)
@@ -121,7 +123,6 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
     c = max(float(np.max(np.linalg.norm(emb, axis=1))),
             float(np.max(np.linalg.norm(W_I, axis=0))),
             float(np.max(np.linalg.norm(W_C, axis=0))))
-    counts = np.bincount(y_c, minlength=int(y_c.max()) + 1)
     M = int(n - counts[y_c].min())
     return Constants(mode=mode, log_alpha=log_alpha, log_beta=log_beta,
                      log_a=log_a, log_b=log_b, c=c, z=z, M=M)
@@ -174,7 +175,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
     proxies = column_means(W_I, fine, F)
 
     # fine class s's columns, in ascending index order, at s*z .. s*z+z-1
-    by_class = np.argsort(fine, kind="stable")
+    by_class = group_by_label(fine)[0]
     own_inst = np.empty(n)       # f_i . w_i
     jensen_slack = np.inf
     for blk, L_I, grouped, proxy_logits in row_blocks(n, n, n, F):

@@ -191,7 +191,7 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
         lv = objective(params, dataset.examples, np.arange(dataset.n),
                        objective_terms(config, proxy_phase), class_labels,
                        coarse_index, membership, values_only=True)
-    except FloatingPointError as exc:
+    except (FloatingPointError, DegenerateInputError) as exc:
         raise DivergenceError(f"{exc} in the epoch {epoch} metrics pass") from exc
     g, _ = branch_forward(params, lv.embeddings, "instance")
     w_gap = float(np.mean(np.sum((g - params.W_I.T) ** 2, axis=1)))
@@ -212,7 +212,8 @@ def train(config: TrainConfig, dataset: Dataset
     """Run the two-phase training loop; returns final parameters, one
     metrics record per epoch, and the final cluster membership (if any).
     Overflow and NaN warn nowhere: `check_finite`, the metrics-record check
-    and kmeans's W_I check turn every non-finite value into DivergenceError."""
+    and kmeans's W_I check turn every non-finite value into DivergenceError,
+    as does `train` a DegenerateInputError in a step, metrics pass or refresh."""
     config.validate()
     dataset.validate()
     if config.objective == "opt" and dataset.fine_labels is None:
@@ -235,7 +236,7 @@ def train(config: TrainConfig, dataset: Dataset
     vel = _Velocities(params)
     coarse_index = build_coarse_index(dataset.coarse_labels)
     P = config.P if config.P is not None else max(dataset.C, n // 5)
-    P_min = len(coarse_index) if config.cluster_within_coarse else 1
+    P_min = np.count_nonzero(coarse_index.counts) if config.cluster_within_coarse else 1
     if config.objective == "coinsP" and not P_min <= P <= n:
         raise ValueError(f"P={P} out of range: coinsP needs "
                          f"{P_min} <= P <= n={n}")
@@ -282,7 +283,7 @@ def train(config: TrainConfig, dataset: Dataset
                 lv = objective(params, X, batch_ids, terms,
                                class_labels[batch_ids], coarse_index,
                                membership, scratch=scratch)
-            except FloatingPointError as exc:
+            except (FloatingPointError, DegenerateInputError) as exc:
                 raise DivergenceError(f"{exc} at epoch {t}, batch {b}") from exc
             apply_gradients(params, lv, vel, lr, config.momentum,
                             config.weight_decay)

@@ -223,6 +223,28 @@ class TestTrain:
         assert not ckpt.exists()
         assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("objective, lr, where", [
+        # a cosine row whose norm overflowed is no longer degenerate input
+        ("coins-imp", "1e30", "row with near-zero norm in the epoch 3 "
+                              "metrics pass"),
+        # nor is a refresh that leaves a cluster empty
+        ("coinsP", "1e300", "group 1 is empty after epoch 1: no column is "
+                            "labelled 1")])
+    def test_cosine_divergence_exits_5(self, tmp_path, capsys, objective, lr,
+                                       where):
+        data = tmp_path / "blob.cfds"
+        assert run("gen-data", "--kind", "blob", "--seed", "2",
+                   "--out", str(data)) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "m.ckpt"
+        rc = run("train", "--data", str(data), "--objective", objective,
+                 "--epochs", "3", "--m-epoch", "0", "--lr", lr, "--cosine",
+                 "--mlp-head", "--out", str(ckpt))
+        assert rc == 5
+        assert capsys.readouterr().err == f"training diverged: {where}\n"
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
+
     def test_non_finite_example_is_bad_file(self, tmp_path, true_nan_file,
                                             capsys):
         rc = run("train", "--data", true_nan_file, "--epochs", "1",

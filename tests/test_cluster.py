@@ -154,7 +154,8 @@ class TestUpdateProxies:
     def test_empty_cluster_rejected(self, rng):
         m = Membership(assignment=np.zeros(3, int), P=2, within_coarse=False,
                        objective=0.0)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(DegenerateInputError,
+                           match="group 1 is empty: no column is labelled 1"):
             update_proxies(rng.standard_normal((2, 3)), m)
 
     def test_cosine_unit_columns(self, rng):
@@ -401,6 +402,13 @@ class TestBatchedMatchesOracle:
         W_I[1, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             kmeans(W_I, 2)
+
+    def test_duplicate_columns_leave_a_cluster_empty(self):
+        """Equal columns are one point: the final assignment sends them all
+        to the lowest centre, and the proxies are degenerate input."""
+        with pytest.raises(DegenerateInputError,
+                           match="group 1 is empty: no column is labelled 1"):
+            kmeans(np.ones((3, 6)), 3)
 
     def test_huge_finite_columns_rejected(self, rng):
         """A finite W_I whose squared distances would overflow is named as

@@ -57,3 +57,26 @@ def test_softmax_exponentiates_only_in_numerics(path):
 def test_detects_an_in_place_exp():
     assert exp_out_calls("np.exp(x, out=x)\nnumpy.exp(a, b)\nnp.exp(x)\n"
                          "y = np.exp(x - m) / s\n") == 2
+
+
+def argsort_calls(source: str) -> int:
+    """Calls of np.argsort (or numpy.argsort)."""
+    return sum(
+        1 for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "argsort"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy"))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "numerics.py"),
+                         ids=lambda p: p.name)
+def test_grouping_by_label_only_in_numerics(path):
+    """Indices are grouped by label once, as numerics.group_by_label."""
+    assert argsort_calls(path.read_text()) == 0
+
+
+def test_detects_an_argsort():
+    assert argsort_calls("np.argsort(y, kind='stable')\nnumpy.argsort(a)\n"
+                         "x.argsort()\nnp.sort(y)\n") == 2

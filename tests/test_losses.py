@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarse2fine import losses
 from coarse2fine.cluster import Membership, update_proxies
@@ -9,7 +11,7 @@ from coarse2fine.losses import (WI_READS, _within_coarse_term,
                                 instance_loss_within_coarse,
                                 instance_proxy_loss, objective)
 from coarse2fine.model import encode
-from coarse2fine.numerics import grad_check
+from coarse2fine.numerics import grad_check, group_by_label, softmax_core
 from coarse2fine.trainer import (gradient_vector, param_vector,
                                  set_param_vector)
 from conftest import (ce_block_oracle, cross_entropy, log_softmax_rows,
@@ -23,15 +25,16 @@ def _loss_fn_builder(params, call):
     return fn
 
 
-def per_class_within_oracle(params, G, ids, coarse_labels, coarse_index,
+def per_class_within_oracle(params, G, ids, coarse_labels, column_labels,
                             denom):
     """The within-coarse term as one cross-entropy block per coarse class
-    (the loop the batched term replaced): value, dG and the d x n dW."""
+    (the loop the batched term replaced), column j in class
+    column_labels[j]: value, dG and the d x n dW."""
     value = 0.0
     dG = np.zeros_like(G)
     dW = np.zeros_like(params.W_I)
     for k in sorted(set(coarse_labels.tolist())):
-        members = np.asarray(coarse_index[k], dtype=np.int64)
+        members = np.flatnonzero(column_labels == k)
         rows = np.nonzero(coarse_labels == k)[0]
         pos_of = {int(j): p for p, j in enumerate(members)}
         label_pos = np.asarray([pos_of[int(i)] for i in ids[rows]])
@@ -47,6 +50,64 @@ def per_class_within_oracle(params, G, ids, coarse_labels, coarse_index,
             dlogits = dlogits / params.temperature
         dG[rows] += dlogits @ params.W_I[:, members].T
         dW[:, members] += G[rows].T @ dlogits
+    return value, dG, dW
+
+
+def dict_within_coarse_term(params, G, ids, coarse_labels, coarse_index,
+                            denom):
+    """The batched within-coarse term as it was when the coarse layout was a
+    dict (class -> ascending member ids) and each call rebuilt it: the
+    reference the per-run layout is held to bit for bit."""
+    W_I = params.W_I
+    order = np.argsort(coarse_labels, kind="stable")
+    classes, starts, counts = np.unique(coarse_labels[order],
+                                        return_index=True, return_counts=True)
+    members = [np.asarray(coarse_index[k], dtype=np.int64)
+               for k in classes.tolist()]
+    sizes = np.array([m.size for m in members])
+    flat = np.concatenate(members)
+    r_max, n_max, d = int(counts.max()), int(sizes.max()), G.shape[1]
+    is_member = np.arange(n_max) < sizes[:, None]
+    cell = np.flatnonzero(is_member)
+    slot = np.zeros(W_I.shape[1], dtype=np.int64)
+    slot[flat] = cell % n_max
+    row_class = np.repeat(np.arange(classes.size), counts)
+    row_slot = np.arange(order.size) - np.repeat(starts, counts)
+    label = slot[ids[order]]
+    WI_READS.add(int(np.dot(counts, sizes)))
+    padded = np.zeros((classes.size, n_max), dtype=np.int64)
+    padded[is_member] = flat
+    not_member = ~is_member[:, None, :]
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    per_chunk = max(1, losses._CHUNK_FLOATS // (r_max * n_max))
+    value = 0.0
+    dG = np.empty_like(G)
+    dW = np.zeros_like(W_I)
+    for c0 in range(0, classes.size, per_chunk):
+        c1 = min(c0 + per_chunk, classes.size)
+        t = slice(starts[c0], starts[c1] if c1 < classes.size else order.size)
+        cls, pos, lab = row_class[t] - c0, row_slot[t], label[t]
+        rows = np.zeros((c1 - c0, r_max, d))
+        rows[cls, pos] = G[order[t]]
+        cols = np.take(W_I, padded[c0:c1], axis=1, mode="clip",
+                       out=np.empty((d, c1 - c0, n_max))).transpose(1, 0, 2)
+        logits = np.matmul(rows, cols)
+        if params.cosine:
+            logits /= params.temperature
+        np.copyto(logits, -np.inf, where=not_member[c0:c1])
+        own, _, total = softmax_core(logits, (cls, pos, lab))
+        value -= float(np.sum(own - np.log(total[cls, pos, 0]))) / denom
+        logits /= total
+        logits[cls, pos, lab] -= 1.0
+        logits /= denom
+        if params.cosine:
+            logits /= params.temperature
+        dG[order[t]] = np.matmul(logits, cols.transpose(0, 2, 1))[cls, pos]
+        grads = np.empty(((c1 - c0) * n_max, d))
+        np.matmul(logits.transpose(0, 2, 1), rows,
+                  out=grads.reshape(c1 - c0, n_max, d))
+        m = slice(first[c0], first[c1])
+        dW.T[flat[m]] = np.take(grads, cell[m] - c0 * n_max, axis=0)
     return value, dG, dW
 
 
@@ -137,19 +198,11 @@ class TestWithinCoarse:
         f, _ = encode(params, X)
         total = 0.0
         for i in range(9):
-            members = index[coarse[i]]
+            members = np.flatnonzero(coarse == coarse[i])
             row = f[i] @ params.W_I[:, members]
             total += cross_entropy(row, int(np.nonzero(members == i)[0][0]))
         lv = instance_loss_within_coarse(params, X, ids, coarse, index)
         assert abs(lv.value - total / 9) < 1e-12
-
-    def test_membership_inconsistency_rejected(self, rng):
-        params = make_params(rng, n=4)
-        coarse = np.array([0, 0, 1, 1])
-        bad_index = {0: np.array([0]), 1: np.array([2, 3])}  # 1 missing
-        with pytest.raises(ValueError, match="not listed"):
-            instance_loss_within_coarse(params, rng.standard_normal((4, 4)),
-                                        np.arange(4), coarse, bad_index)
 
     def test_reads_only_member_columns(self, rng):
         params = make_params(rng, n=8)
@@ -185,14 +238,13 @@ class TestWithinCoarse:
 class TestBatchedWithinCoarse:
     """The batched term against the per-class loop, to 1e-12 relative."""
 
-    def check(self, params, G, ids, coarse_labels, index):
+    def check(self, params, G, ids, coarse_labels, coarse):
         WI_READS.reset()
-        v, dG, dW = _within_coarse_term(params, G, ids, coarse_labels, index,
-                                        len(ids))
-        sizes = np.array([len(index[k]) for k in coarse_labels])
-        assert WI_READS.reads == int(sizes.sum())
+        v, dG, dW = _within_coarse_term(params, G, ids, coarse_labels,
+                                        build_coarse_index(coarse), len(ids))
+        assert WI_READS.reads == int(np.bincount(coarse)[coarse_labels].sum())
         ov, odG, odW = per_class_within_oracle(params, G, ids, coarse_labels,
-                                               index, len(ids))
+                                               coarse, len(ids))
         assert abs(v - ov) <= 1e-12 * abs(ov)
         scale = max(np.abs(odG).max(), np.abs(odW).max())
         np.testing.assert_allclose(dG, odG, rtol=1e-12, atol=1e-12 * scale)
@@ -204,14 +256,14 @@ class TestBatchedWithinCoarse:
         params = make_params(rng, d=4, n=coarse.size)
         ids = rng.permutation(coarse.size)[:15]
         G = rng.standard_normal((15, 4))
-        self.check(params, G, ids, coarse[ids], build_coarse_index(coarse))
+        self.check(params, G, ids, coarse[ids], coarse)
 
     def test_batch_in_one_class(self, rng):
         coarse = np.repeat(np.arange(3), [4, 9, 5])
         params = make_params(rng, d=4, n=coarse.size)
         ids = np.array([12, 4, 9, 7])
         self.check(params, rng.standard_normal((4, 4)), ids, coarse[ids],
-                   build_coarse_index(coarse))
+                   coarse)
 
     def test_cosine_with_mlp_head(self, rng):
         coarse = rng.permutation(np.repeat(np.arange(4), [6, 2, 5, 3]))
@@ -223,9 +275,9 @@ class TestBatchedWithinCoarse:
         lv = instance_loss_within_coarse(params, X, ids, coarse[ids], index)
         f, _ = encode(params, X)
         G, _ = losses.branch_forward(params, f, "instance")
-        self.check(params, G, ids, coarse[ids], index)
+        self.check(params, G, ids, coarse[ids], coarse)
         ov, _, odW = per_class_within_oracle(params, G, ids, coarse[ids],
-                                             index, len(ids))
+                                             coarse, len(ids))
         assert abs(lv.value - ov) <= 1e-12 * ov
         np.testing.assert_allclose(lv.grad_heads["instance"], odW,
                                    rtol=1e-12, atol=1e-12 * np.abs(odW).max())
@@ -237,28 +289,76 @@ class TestBatchedWithinCoarse:
         coarse = np.repeat(np.arange(7), [3, 1, 4, 2, 5, 2, 3])
         params = make_params(rng, d=3, n=coarse.size)
         ids = rng.permutation(coarse.size)
-        index = build_coarse_index(coarse)
         G = rng.standard_normal((coarse.size, 3))
         r_max, n_max = 5, 5
         monkeypatch.setattr(losses, "_CHUNK_FLOATS",
                             1 if chunk == 1 else chunk * r_max * n_max)
-        self.check(params, G, ids, coarse[ids], index)
-
-    def test_column_in_two_classes_rejected(self, rng):
-        params = make_params(rng, n=4)
-        index = {0: np.array([0, 1, 2]), 1: np.array([2, 3])}
-        with pytest.raises(ValueError, match="listed twice"):
-            _within_coarse_term(params, rng.standard_normal((4, 3)),
-                                np.arange(4), np.array([0, 0, 1, 1]), index, 4)
+        self.check(params, G, ids, coarse[ids], coarse)
 
     def test_first_unlisted_example_named(self, rng):
         params = make_params(rng, n=6)
-        coarse = np.array([1, 0, 1, 0, 1, 0])
-        index = {0: np.array([1, 3, 5]), 1: np.array([0, 4])}   # 2 missing
+        index = build_coarse_index(np.array([1, 0, 0, 0, 1, 0]))
+        coarse = np.array([1, 0, 1, 0, 1, 0])        # example 2 is in class 0
         with pytest.raises(ValueError, match="example 2 not listed in "
                                              "coarse class 1 membership"):
             _within_coarse_term(params, rng.standard_normal((6, 3)),
                                 np.arange(6), coarse, index, 6)
+
+
+class TestPerRunLayout:
+    """build_coarse_index groups the columns once per run; a step groups only
+    its own rows and reads the layout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=40),
+           st.integers(0, 14))
+    def test_groups_and_layout_agree_with_flatnonzero(self, labels, K):
+        # labels may skip values, and K may pass max(labels) + 1
+        labels = np.array(labels)
+        order, starts, counts = group_by_label(labels, K)
+        assert counts.size == max(K, labels.max() + 1)
+        index = build_coarse_index(labels)
+        for s in range(counts.size):
+            want = np.flatnonzero(labels == s)
+            np.testing.assert_array_equal(
+                order[starts[s]:starts[s] + counts[s]], want)
+            if s < index.counts.size:
+                assert index.counts[s] == want.size
+                np.testing.assert_array_equal(index.slot[want],
+                                              np.arange(want.size))
+                np.testing.assert_array_equal(index.grid[s, :want.size], want)
+                assert np.all(index.grid[s, want.size:] == 0)
+        np.testing.assert_array_equal(index.labels, labels)
+        assert index.grid.shape == (labels.max() + 1, counts.max())
+
+    @pytest.mark.parametrize("chunk", [1, 7, 60, losses._CHUNK_FLOATS])
+    @pytest.mark.parametrize("cosine", [False, True])
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_bitwise_equal_to_dict_layout(self, monkeypatch, chunk, cosine, d):
+        # unsorted labels, classes absent from the whole set or from the
+        # batch, batches of every size from one row to all n
+        monkeypatch.setattr(losses, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng([chunk, cosine, d])
+        for _ in range(13):
+            n = int(rng.integers(1, 40))
+            coarse = rng.integers(0, int(rng.integers(1, 9)), n)
+            params = make_params(rng, d=d, n=n, cosine=cosine,
+                                 temperature=0.1)
+            ids = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            G = 2.0 * rng.standard_normal((ids.size, d))
+            old = {int(k): np.flatnonzero(coarse == k)
+                   for k in np.unique(coarse)}
+            WI_READS.reset()
+            want = dict_within_coarse_term(params, G, ids, coarse[ids], old,
+                                           ids.size)
+            want_reads = WI_READS.reads
+            WI_READS.reset()
+            got = _within_coarse_term(params, G, ids, coarse[ids],
+                                      build_coarse_index(coarse), ids.size)
+            assert WI_READS.reads == want_reads
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
 
 
 class TestInstanceProxy:
