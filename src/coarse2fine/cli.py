@@ -23,7 +23,8 @@ from .data import (Dataset, DatasetFormatError, gen_blob_dataset,
                    gen_patch_dataset, load_dataset, load_dataset_csv,
                    save_dataset)
 from .evaluate import evaluate_model
-from .model import CheckpointFormatError, load_checkpoint, save_checkpoint
+from .model import (CheckpointFormatError, embed, load_checkpoint,
+                    save_checkpoint)
 from .numerics import DegenerateInputError, InvariantError
 from .theory import NonUniformClassSizeError, verify_theorem
 from .trainer import OBJECTIVES, DivergenceError, TrainConfig, train
@@ -158,11 +159,9 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     dataset, params = _load_run(args)
     if dataset.fine_labels is None:
         raise NonUniformClassSizeError("dataset has no fine labels")
-    from .model import encode
-    emb = encode(params, dataset.examples)[0]   # no backward: cache dropped
-    report = verify_theorem(emb, params.W_C, params.W_I,
-                            dataset.coarse_labels, dataset.fine_labels,
-                            which=args.theorem)
+    report = verify_theorem(embed(params, dataset.examples), params.W_C,
+                            params.W_I, dataset.coarse_labels,
+                            dataset.fine_labels, which=args.theorem)
     with open(args.out, "w") as fh:
         fh.write(report.to_json())
     print(f"theorem {args.theorem}: all_hold={report.all_hold} "

@@ -128,9 +128,9 @@ def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:
     """Full EvalReport: retrieval on fine labels when present (coarse
     otherwise), top-k accuracy on the coarse head, fine-class probability
     stats when fine labels exist."""
-    from .model import encode, head_logits
+    from .model import embed, head_logits
 
-    emb = encode(params, dataset.examples)[0]   # no backward: cache dropped
+    emb = embed(params, dataset.examples)
     labels = dataset.fine_labels if dataset.fine_labels is not None \
         else dataset.coarse_labels
     recall, n_queries = recall_at_k(emb, labels, ks)

@@ -64,6 +64,12 @@ TERMS = ("coarse", "instance", "within", "proxy")
 # would hold classes x r_max x n_max floats at once
 _CHUNK_FLOATS = 1 << 14
 
+# floats per block of the staged within-coarse gradient copied into the
+# d x n dW (32 KiB, within L1): one copy of the whole n x d buffer sweeps
+# it d times with a stride of d floats, and once it outgrows the cache
+# every row misses on every sweep (3.7x slower at n = 16384, d = 32)
+_TRANSPOSE_FLOATS = 1 << 12
+
 
 def _buffer(scratch: Optional[dict], key: str, shape: tuple[int, ...]
             ) -> np.ndarray:
@@ -139,8 +145,10 @@ def build_coarse_index(coarse_labels: np.ndarray) -> CoarseIndex:
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
                         coarse_labels: np.ndarray, index: CoarseIndex,
-                        denom: int, scratch: Optional[dict] = None
-                        ) -> tuple[float, np.ndarray, np.ndarray]:
+                        denom: int, scratch: Optional[dict] = None,
+                        values_only: bool = False
+                        ) -> tuple[float, Optional[np.ndarray],
+                                   Optional[np.ndarray]]:
     """Instance CE restricted to each example's coarse class: only member
     columns are read, so the per-example head cost is O(d n_k), not O(d n).
 
@@ -148,7 +156,10 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
     block and the member columns gathered by `index.grid` as classes x
     n_max x d, so one batched product scores a chunk of classes; padded
     members are masked to -inf and padded rows are zero, so neither
-    reaches a gradient."""
+    reaches a gradient. `values_only` stops each chunk once its value is
+    added and gives None gradients. Else each member's gradient is staged
+    as one contiguous row of an n x d buffer, whose transpose is copied
+    into the d x n dW once per call, in blocks of rows."""
     W_I = params.W_I
     order, starts, counts = group_by_label(coarse_labels)
     sorted_ids = ids[order]
@@ -174,12 +185,13 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
     rows_buf = _buffer(scratch, "within_rows", (K, r_max, d))
     cols_buf = _buffer(scratch, "within_cols", (d * K * n_max,))
     logits_buf = _buffer(scratch, "within_logits", (K, r_max, n_max))
-    grad_buf = _buffer(scratch, "within_grad", (K * n_max, d))
-    member_buf = _buffer(scratch, "within_members", (K * n_max, d))
+    if not values_only:
+        grad_buf = _buffer(scratch, "within_grad", (K * n_max, d))
+        member_buf = _buffer(scratch, "within_members", (K * n_max, d))
+        dG = np.empty_like(G)
+        staged = _buffer(scratch, "within_staged", W_I.shape[::-1])
+        staged.fill(0.0)
     value = 0.0
-    dG = np.empty_like(G)
-    dW = _buffer(scratch, "grad_instance", W_I.shape)
-    dW.fill(0.0)
     for c0 in range(0, classes.size, per_chunk):
         c1 = min(c0 + per_chunk, classes.size)
         t = slice(starts[c0], starts[c1] if c1 < classes.size else order.size)
@@ -197,6 +209,8 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
         np.copyto(logits, -np.inf, where=not_member[c0:c1])
         own, _, total = softmax_core(logits, (cls, pos, lab))
         value -= float(np.sum(own - np.log(total[cls, pos, 0]))) / denom
+        if values_only:
+            continue
         logits /= total                                      # softmax
         logits[cls, pos, lab] -= 1.0
         logits /= denom
@@ -207,8 +221,14 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
         np.matmul(logits.transpose(0, 2, 1), rows,
                   out=grads.reshape(c1 - c0, n_max, d))
         cell = np.flatnonzero(is_member[c0:c1])    # member cells of the chunk
-        dW.T[padded[c0:c1].ravel()[cell]] = np.take(
+        staged[padded[c0:c1].ravel()[cell]] = np.take(
             grads, cell, axis=0, mode="clip", out=member_buf[:cell.size])
+    if values_only:
+        return value, None, None
+    dW = _buffer(scratch, "grad_instance", W_I.shape)
+    step = max(1, _TRANSPOSE_FLOATS // d)
+    for j in range(0, W_I.shape[1], step):
+        np.copyto(dW[:, j:j + step], staged[j:j + step].T)
     return value, dG, dW
 
 
@@ -234,17 +254,18 @@ def objective(params: ModelParams, batch: np.ndarray,
     weighted 0 is not computed. Head gradients are dense d x K arrays,
     present only for heads some term read; `components` holds each head's
     unweighted cross-entropy. `values_only` forms no gradient (None or
-    empty) and scores the full-softmax terms in row blocks: bitwise alike
-    where the BLAS rounds a block's product as the same rows of the whole
-    product, which not every kernel does at every shape (README, "One
-    cross-entropy path").
+    empty), stops each within-coarse chunk at its value and scores the
+    full-softmax terms in row blocks: bitwise alike where the BLAS rounds
+    a block's product as the same rows of the whole product, which not
+    every kernel does at every shape (README, "One cross-entropy path").
 
     `scratch` is a dict the caller keeps between calls (start it empty);
-    the logits, the head gradients and the within-coarse chunk buffers
-    live in it. The returned head gradients then alias its buffers and
-    hold only until the next call with the same dict, which overwrites
-    them: use them at once, as `trainer.apply_gradients` does. Without it
-    every array is fresh. The bits are the same either way.
+    the logits, the head gradients, the within-coarse chunk buffers and
+    its staged gradient live in it. The returned head gradients then alias
+    its buffers and hold only until the next call with the same dict,
+    which overwrites them: use them at once, as `trainer.apply_gradients`
+    does. Without it every array is fresh. The bits are the same either
+    way.
     """
     if set(terms) - set(TERMS):
         raise ValueError(f"unknown loss terms {sorted(set(terms) - set(TERMS))}")
@@ -282,7 +303,7 @@ def objective(params: ModelParams, batch: np.ndarray,
         G, bcache = branch_forward(params, f, head)
         if term == "within":
             v, dG, dW = _within_coarse_term(params, G, ids, y, coarse_index,
-                                            B, scratch)
+                                            B, scratch, values_only)
         else:
             if term == "coarse":
                 labels = y

@@ -105,6 +105,14 @@ def encode(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncodeCa
     return h, EncodeCache(layer_inputs, relu_masks, pre_norm)
 
 
+def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """f(x) alone, for the read commands (`eval`, `verify-bounds`): no cache
+    is kept, and overflow and NaN warn nowhere, as in `train`, because
+    `recall_at_k` and `measure_constants` name the first non-finite row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return encode(params, batch)[0]
+
+
 def encode_backward(params: ModelParams, cache: EncodeCache,
                     grad_f: np.ndarray, out: Optional[list[np.ndarray]] = None
                     ) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -631,11 +631,15 @@ class TestEval:
 
     def test_non_finite_embedding_is_degenerate_data(self, tmp_path, trained,
                                                       overflow_row_file, capsys):
-        rc = run("eval", "--data", overflow_row_file, "--checkpoint", trained,
-                 "--out", str(tmp_path / "r.json"))
+        # the encoder's overflow warns nowhere: stderr is the one line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("eval", "--data", overflow_row_file, "--checkpoint",
+                     trained, "--out", str(tmp_path / "r.json"))
         assert rc == 4
-        assert "degenerate input: embedding row 3 is not finite" \
-            in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == \
+            "degenerate input: embedding row 3 is not finite\n"
 
     def test_non_finite_example_is_bad_file(self, tmp_path, trained,
                                             true_nan_file, capsys):
@@ -693,12 +697,15 @@ class TestVerifyBounds:
     @pytest.mark.parametrize("theorem", ["1", "2"])
     def test_non_finite_embedding_is_degenerate_data(
             self, tmp_path, trained, overflow_row_file, capsys, theorem):
-        rc = run("verify-bounds", "--data", overflow_row_file, "--checkpoint",
-                 trained, "--theorem", theorem, "--out",
-                 str(tmp_path / "b.json"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("verify-bounds", "--data", overflow_row_file,
+                     "--checkpoint", trained, "--theorem", theorem, "--out",
+                     str(tmp_path / "b.json"))
         assert rc == 4
-        assert "degenerate input: embedding row 3 is not finite" \
-            in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == \
+            "degenerate input: embedding row 3 is not finite\n"
 
     def test_failed_invariant_is_internal_error(self, tmp_path, blob_file,
                                                 trained, capsys, monkeypatch):

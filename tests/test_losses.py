@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 
 from coarse2fine import losses
 from coarse2fine.cluster import Membership, update_proxies
+from coarse2fine.data import gen_blob_dataset
 from coarse2fine.losses import (WI_READS, _within_coarse_term,
                                 build_coarse_index, coarse_loss,
                                 combined_objective, instance_loss_full,
                                 instance_loss_within_coarse,
                                 instance_proxy_loss, objective)
-from coarse2fine.model import encode
+from coarse2fine.model import encode, init_params
 from coarse2fine.numerics import grad_check, group_by_label, softmax_core
 from coarse2fine.trainer import (gradient_vector, param_vector,
                                  set_param_vector)
@@ -303,6 +306,110 @@ class TestBatchedWithinCoarse:
                                              "coarse class 1 membership"):
             _within_coarse_term(params, rng.standard_normal((6, 3)),
                                 np.arange(6), coarse, index, 6)
+
+
+class TestWithinValuesOnly:
+    """The within-coarse term's values-only mode stops each chunk at its
+    value; gradient mode stages the member gradients as rows of an n x d
+    scratch buffer. Neither moves a bit."""
+
+    def values_agree(self, params, G, ids, coarse):
+        index = build_coarse_index(coarse)
+        WI_READS.reset()
+        want = _within_coarse_term(params, G, ids, coarse[ids], index,
+                                   len(ids) + 2)
+        reads = WI_READS.reads
+        WI_READS.reset()
+        got = _within_coarse_term(params, G, ids, coarse[ids], index,
+                                  len(ids) + 2, values_only=True)
+        assert got == (want[0], None, None)
+        assert WI_READS.reads == reads
+
+    def test_unequal_classes_some_absent(self, rng):
+        coarse = rng.permutation(np.repeat(np.arange(6), [1, 7, 3, 12, 2, 5]))
+        params = make_params(rng, d=5, n=coarse.size)
+        ids = rng.permutation(np.flatnonzero((coarse != 2) & (coarse != 4)))
+        self.values_agree(params, 2.0 * rng.standard_normal((ids.size, 5)),
+                          ids, coarse)
+
+    def test_class_above_chunk_budget(self, rng):
+        # class 1 alone has 130 rows x 140 members > _CHUNK_FLOATS logits
+        coarse = np.repeat(np.arange(3), [9, 140, 21])
+        assert 130 * 140 > losses._CHUNK_FLOATS
+        params = make_params(rng, d=4, n=coarse.size)
+        ids = np.concatenate([rng.permutation(9)[:5], 9 + np.arange(130),
+                              149 + rng.permutation(21)[:12]])
+        self.values_agree(params, 2.0 * rng.standard_normal((ids.size, 4)),
+                          ids, coarse)
+
+    def test_cosine_mlp_head_objective(self, rng):
+        coarse = rng.permutation(np.repeat(np.arange(5), [6, 2, 9, 3, 4]))
+        params = make_params(rng, hidden=(8,), d=6, C=5, n=coarse.size,
+                             cosine=True, mlp_head=True, temperature=0.1)
+        ids = rng.permutation(np.flatnonzero(coarse != 3))
+        X = rng.standard_normal((ids.size, 4)) + 0.4
+        args = (params, X, ids, {"coarse": 1.0, "within": 0.7}, coarse[ids],
+                build_coarse_index(coarse))
+        full, values = objective(*args), objective(*args, values_only=True)
+        assert values.value == full.value
+        assert values.components == full.components
+
+    @pytest.mark.parametrize("block", [1, 10, None])
+    def test_staged_rows_do_not_leak_between_batches(self, rng, monkeypatch,
+                                                     block):
+        # each batch misses a class the batch before held: its columns must
+        # read 0 again, not the gradient staged by the previous call. The
+        # staged rows reach dW in blocks of 1 and 2 rows (a short last
+        # one at n = 23) or in one block, with the bits of the term that
+        # scattered into dW's columns directly
+        if block is not None:
+            monkeypatch.setattr(losses, "_TRANSPOSE_FLOATS", block)
+        coarse = np.repeat(np.arange(4), [5, 8, 3, 7])
+        params = make_params(rng, d=4, n=coarse.size)
+        G = rng.standard_normal((coarse.size, 4))
+        index = build_coarse_index(coarse)
+        members = {k: np.flatnonzero(coarse == k) for k in range(4)}
+        scratch = {}
+        for missing in (0, 1, 2, 3, None, 1):
+            ids = rng.permutation(np.flatnonzero(coarse != missing))
+            want = dict_within_coarse_term(params, G[ids], ids, coarse[ids],
+                                           members, ids.size)
+            for buffers in (None, scratch):
+                got = _within_coarse_term(params, G[ids], ids, coarse[ids],
+                                          index, ids.size, buffers)
+                assert got[0] == want[0]
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2].tobytes() == want[2].tobytes()
+            assert np.all(got[2][:, coarse == missing] == 0.0)
+            assert np.shares_memory(got[2], scratch["grad_instance"])
+
+    def test_values_only_makes_no_n_by_d_array(self, monkeypatch):
+        # blob-eval's shape: n = 4096 in 32 classes of 128, d = 32. The
+        # gradient mode makes an n x d dG and a d x n dW; the epoch metrics
+        # pass forms neither
+        data = gen_blob_dataset(32, 8, 16, 8, seed=3)
+        params = init_params(data.dim, [16], 32, data.C, data.n, seed=1)
+        n, d = data.n, 32
+        peaks = []
+        term = losses._within_coarse_term
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            out = term(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(losses, "_within_coarse_term", traced)
+        tracemalloc.start()
+        try:
+            objective(params, data.examples, np.arange(n),
+                      {"coarse": 1.0, "within": 1.0}, data.coarse_labels,
+                      build_coarse_index(data.coarse_labels),
+                      values_only=True)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < n * d * 8
 
 
 class TestPerRunLayout:

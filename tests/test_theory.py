@@ -257,6 +257,30 @@ class TestVerifyTheorem:
                                    atol=1e-12)
         assert report.all_hold
 
+    @pytest.mark.parametrize("F", [6, 8, 12])        # z = 4, 3, 2
+    def test_theorem1_rhs_matches_paper_formula(self, rng, F):
+        # per example, rhs = alpha z h with
+        # h = exp(-2c (z-1)/z [sqrt(2c^2 - 2 log(a alpha / (1 - alpha)))
+        #                      + sqrt(2c^2 - 2 log(b beta / (1 - beta)))]),
+        # every constant measured by brute force and the formula in
+        # linear space
+        emb, W_C, W_I, coarse, fine = random_instance(rng, n=24, C=2, F=F)
+        k = per_row_constants(emb, W_C, W_I, coarse, "theorem1")
+        alpha, beta = math.exp(k["log_alpha"]), math.exp(k["log_beta"])
+        a, b = math.exp(k["log_a"]), math.exp(k["log_b"])
+        c = max(np.linalg.norm(emb, axis=1).max(),
+                np.linalg.norm(W_I, axis=0).max(),
+                np.linalg.norm(W_C, axis=0).max())
+        z = 24 // F
+        root = (math.sqrt(2 * c * c - 2 * math.log(a * alpha / (1 - alpha)))
+                + math.sqrt(2 * c * c - 2 * math.log(b * beta / (1 - beta))))
+        h = math.exp(-2 * c * (z - 1) / z * root)
+        report = verify_theorem(emb, W_C, W_I, coarse, fine, which=1)
+        assert len(report.log_rhs) == 24
+        np.testing.assert_allclose(report.log_rhs, math.log(alpha * z * h),
+                                   rtol=1e-12, atol=0)
+        assert abs(report.h - h) <= 1e-12 * h
+
     def test_identical_columns_symmetry(self, rng):
         n, F, d = 8, 4, 3
         emb = 0.5 * rng.standard_normal((n, d))
