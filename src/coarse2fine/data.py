@@ -212,7 +212,8 @@ def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
     Per image the draws are random(), then the crop row and column offsets
     (when pad > 0). The part of the crop that overlaps the image is written
     straight from examples[id] into the output, which is `out` when given
-    (len(ids) x dim, the examples' dtype), so no padded image is built."""
+    (len(ids) x dim, of the examples' dtype or float64, into which float32
+    widens exactly), so no padded image is built."""
     B = len(ids)
     if out is None:
         out = np.empty((B, examples.shape[1]), dtype=examples.dtype)

@@ -5,13 +5,13 @@ batch together with gradients w.r.t. the backbone embeddings, each head
 it read (dense, d x K) and the projection weights when the instance/proxy
 branch has one. Instance-head column reads are counted so the
 within-coarse speedup can be verified exactly. A training loop can
-pass `objective` one `scratch` dict for many steps, so that the large
-per-step arrays are overwritten instead of page-faulted afresh.
+pass `objective` one workspace dict `ws` for many steps, so that the large
+per-step arrays are overwritten (through `numerics.buffer`) instead of
+page-faulted afresh.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 from .cluster import Membership
 from .model import (EncodeCache, ModelParams, branch_backward, branch_forward,
                     encode)
-from .numerics import group_by_label, row_blocks, softmax_core
+from .numerics import buffer, group_by_label, row_blocks, softmax_core
 
 
 class AccessCounter:
@@ -71,34 +71,20 @@ _CHUNK_FLOATS = 1 << 14
 _TRANSPOSE_FLOATS = 1 << 12
 
 
-def _buffer(scratch: Optional[dict], key: str, shape: tuple[int, ...]
-            ) -> np.ndarray:
-    """An uninitialised float64 array of `shape`: fresh without `scratch`,
-    else the leading part of the flat array kept under `key` (made, or
-    grown, when it is too small)."""
-    if scratch is None:
-        return np.empty(shape)
-    size = math.prod(shape)               # np.prod of a tuple costs ~7 us
-    buf = scratch.get(key)
-    if buf is None or buf.size < size:
-        buf = scratch[key] = np.empty(size)
-    return buf[:size].reshape(shape)
-
-
 def _ce_block(params: ModelParams, G: np.ndarray, head: str,
               labels: np.ndarray, denom: int, values_only: bool = False,
-              scratch: Optional[dict] = None
+              ws: Optional[dict] = None
               ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """Cross-entropy of G against every column of a head, summed and divided
     by denom: (value, grad wrt G, d x K grad wrt the head). `values_only`
     gives None gradients and scores each row block in one reused block x K
     scratch; else the logits are one G @ W (a block's own product can round
     differently) whose row blocks become softmax minus one-hot in place.
-    The logits and the head gradient go into `scratch` buffers when given."""
+    The logits and the head gradient go into workspace `ws` when given."""
     W = params.head_matrix(head)
     log_p = np.empty(G.shape[0])
     dlogits = None if values_only else np.matmul(
-        G, W, out=_buffer(scratch, "logits", (G.shape[0], W.shape[1])))
+        G, W, out=buffer(ws, "logits", (G.shape[0], W.shape[1])))
     widths = (W.shape[1],) if values_only else ()
     for blk, *block_buf in row_blocks(G.shape[0], *widths):
         rows = slice(blk[0], blk[-1] + 1)     # a view: writes reach dlogits
@@ -119,7 +105,7 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
     if params.cosine:
         dlogits /= params.temperature
     return value, dlogits @ W.T, np.matmul(
-        G.T, dlogits, out=_buffer(scratch, "grad_" + head, W.shape))
+        G.T, dlogits, out=buffer(ws, "grad_" + head, W.shape))
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,7 @@ def build_coarse_index(coarse_labels: np.ndarray) -> CoarseIndex:
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
                         coarse_labels: np.ndarray, index: CoarseIndex,
-                        denom: int, scratch: Optional[dict] = None,
+                        denom: int, ws: Optional[dict] = None,
                         values_only: bool = False
                         ) -> tuple[float, Optional[np.ndarray],
                                    Optional[np.ndarray]]:
@@ -181,15 +167,15 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
     K = min(per_chunk, classes.size)
     # reused by every chunk (a fresh array per chunk would page-fault each
     # time once it passes the mmap threshold) and by every call that
-    # shares `scratch`
-    rows_buf = _buffer(scratch, "within_rows", (K, r_max, d))
-    cols_buf = _buffer(scratch, "within_cols", (d * K * n_max,))
-    logits_buf = _buffer(scratch, "within_logits", (K, r_max, n_max))
+    # shares `ws`
+    rows_buf = buffer(ws, "within_rows", (K, r_max, d))
+    cols_buf = buffer(ws, "within_cols", (d * K * n_max,))
+    logits_buf = buffer(ws, "within_logits", (K, r_max, n_max))
     if not values_only:
-        grad_buf = _buffer(scratch, "within_grad", (K * n_max, d))
-        member_buf = _buffer(scratch, "within_members", (K * n_max, d))
+        grad_buf = buffer(ws, "within_grad", (K * n_max, d))
+        member_buf = buffer(ws, "within_members", (K * n_max, d))
         dG = np.empty_like(G)
-        staged = _buffer(scratch, "within_staged", W_I.shape[::-1])
+        staged = buffer(ws, "within_staged", W_I.shape[::-1])
         staged.fill(0.0)
     value = 0.0
     for c0 in range(0, classes.size, per_chunk):
@@ -225,7 +211,7 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
             grads, cell, axis=0, mode="clip", out=member_buf[:cell.size])
     if values_only:
         return value, None, None
-    dW = _buffer(scratch, "grad_instance", W_I.shape)
+    dW = buffer(ws, "grad_instance", W_I.shape)
     step = max(1, _TRANSPOSE_FLOATS // d)
     for j in range(0, W_I.shape[1], step):
         np.copyto(dW[:, j:j + step], staged[j:j + step].T)
@@ -243,7 +229,7 @@ def objective(params: ModelParams, batch: np.ndarray,
               coarse_index: Optional[CoarseIndex] = None,
               membership: Optional[Membership] = None,
               values_only: bool = False,
-              scratch: Optional[dict] = None) -> LossValue:
+              ws: Optional[dict] = None) -> LossValue:
     """Weighted sum of mean cross-entropy terms over the batch.
 
     `terms` maps a term to its weight: "coarse" (`coarse_labels` on the
@@ -257,15 +243,15 @@ def objective(params: ModelParams, batch: np.ndarray,
     empty), stops each within-coarse chunk at its value and scores the
     full-softmax terms in row blocks: bitwise alike where the BLAS rounds
     a block's product as the same rows of the whole product, which not
-    every kernel does at every shape (README, "One cross-entropy path").
+    every kernel does at every shape (README, "One cross-entropy loop").
 
-    `scratch` is a dict the caller keeps between calls (start it empty);
-    the logits, the head gradients, the within-coarse chunk buffers and
-    its staged gradient live in it. The returned head gradients then alias
-    its buffers and hold only until the next call with the same dict,
-    which overwrites them: use them at once, as `trainer.apply_gradients`
-    does. Without it every array is fresh. The bits are the same either
-    way.
+    `ws` is a workspace dict the caller keeps between calls (start it
+    empty; `train` keeps one per epoch): the logits, the head gradients,
+    the within-coarse chunk buffers and its staged gradient are
+    `numerics.buffer`s in it. The returned head gradients then alias its
+    buffers and hold only until the next call with the same dict, which
+    overwrites them: use them at once, as `trainer.apply_gradients` does.
+    Without it every array is fresh. The bits are the same either way.
     """
     if set(terms) - set(TERMS):
         raise ValueError(f"unknown loss terms {sorted(set(terms) - set(TERMS))}")
@@ -303,7 +289,7 @@ def objective(params: ModelParams, batch: np.ndarray,
         G, bcache = branch_forward(params, f, head)
         if term == "within":
             v, dG, dW = _within_coarse_term(params, G, ids, y, coarse_index,
-                                            B, scratch, values_only)
+                                            B, ws, values_only)
         else:
             if term == "coarse":
                 labels = y
@@ -313,7 +299,7 @@ def objective(params: ModelParams, batch: np.ndarray,
             else:
                 labels = membership.assignment[ids]
             v, dG, dW = _ce_block(params, G, head, labels, B, values_only,
-                                  scratch)
+                                  ws)
         value = _accumulate(value, weight, v)
         components[head] = v
         if values_only:

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import normalize_rows, normalize_rows_backward
+from .numerics import buffer, normalize_rows, normalize_rows_backward
 
 CKPT_MAGIC = b"CFCK1\x00"
 
@@ -114,12 +114,12 @@ def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 def encode_backward(params: ModelParams, cache: EncodeCache,
-                    grad_f: np.ndarray, out: Optional[list[np.ndarray]] = None
+                    grad_f: np.ndarray, ws: Optional[dict] = None
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of a scalar loss w.r.t. encoder weights and biases.
 
-    With `out` (one float64 buffer per layer, shaped like its weight) the
-    weight gradients are written there instead of into fresh arrays."""
+    Layer li's weight gradient is the `numerics.buffer` "grad_W{li}" of
+    workspace `ws`: fresh without one."""
     g = np.asarray(grad_f, dtype=np.float64)
     if params.cosine:
         g = normalize_rows_backward(cache.pre_norm, g)
@@ -130,7 +130,7 @@ def encode_backward(params: ModelParams, cache: EncodeCache,
         if li < n_layers - 1:
             g = g * cache.relu_masks[li]
         x = cache.layer_inputs[li]
-        gW = x.T @ g if out is None else np.matmul(x.T, g, out=out[li])
+        gW = np.matmul(x.T, g, out=buffer(ws, f"grad_W{li}", W.shape))
         grads[li] = (gW, g.sum(axis=0))
         if li > 0:
             g = g @ W.T

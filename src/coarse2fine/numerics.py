@@ -1,6 +1,6 @@
 """Row normalisation, indices grouped by label, grouped column means, the
-row blocks the O(n^2) read paths stream over, the one softmax core, and a
-finite-difference checker.
+row blocks the O(n^2) read paths stream over, the one softmax core, the
+workspace buffers of the training step, and a finite-difference checker.
 
 Everything here operates on float64 numpy arrays, as does the whole
 package: `model.encode` casts every batch to float64, and the bound checks
@@ -9,6 +9,7 @@ evaluate exp() of large dot products.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +27,19 @@ class DegenerateInputError(ValueError):
 
 class InvariantError(RuntimeError):
     """A check that holds for correct code failed: an implementation bug."""
+
+
+def buffer(ws: Optional[dict], key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of `shape`: fresh without a workspace
+    `ws`, else the leading part of the flat array kept under `key` (made, or
+    grown, when it is too small)."""
+    if ws is None:
+        return np.empty(shape)
+    size = math.prod(shape)               # np.prod of a tuple costs ~7 us
+    buf = ws.get(key)
+    if buf is None or buf.size < size:
+        buf = ws[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def row_blocks(n: int, *widths: int):

@@ -15,7 +15,7 @@ from .data import Dataset, augment
 from .losses import LossValue, build_coarse_index, objective
 from .model import (ModelParams, branch_forward, encode_backward,
                     init_params, param_arrays, renormalize_heads)
-from .numerics import DegenerateInputError
+from .numerics import DegenerateInputError, buffer
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -87,28 +87,25 @@ class TrainConfig:
         return T // 2 if self.ip_start_epoch is None else self.ip_start_epoch
 
 
-# floats per slice of the in-place SGD update: the scratch slice stays
-# below glibc's default 128 KiB mmap threshold, so it comes from the heap
-# and does not page-fault on every step
+# floats per slice of the in-place SGD update: the slice buffer stays
+# below glibc's default 128 KiB mmap threshold
 _SGD_SLICE = 15 * 1024
 
 
 def sgd_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray,
              lr: float, momentum: float, weight_decay: float,
-             scratch: Optional[np.ndarray] = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+             ws: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """g' = grad + wd*param; v <- momentum*v + g'; param <- param - lr*v.
 
     Updates param and state in place, one slice of the flat arrays at a
-    time through `scratch` (a float64 buffer of at least
-    min(param.size, _SGD_SLICE) elements; allocated here when omitted)."""
+    time through the `numerics.buffer` "sgd" of workspace `ws` (fresh
+    without one)."""
     if param.shape != grad.shape or param.shape != state.shape:
         raise ValueError("shape mismatch in sgd_step")
     if not (param.flags.c_contiguous and state.flags.c_contiguous):
         raise ValueError("sgd_step updates C-contiguous param and state only")
     p, g, v = param.reshape(-1), grad.reshape(-1), state.reshape(-1)
-    if scratch is None:
-        scratch = np.empty(min(p.size, _SGD_SLICE))
+    scratch = buffer(ws, "sgd", (min(p.size, _SGD_SLICE),))
     for start in range(0, p.size, _SGD_SLICE):
         s = slice(start, start + _SGD_SLICE)
         t = scratch[:min(_SGD_SLICE, p.size - start)]
@@ -128,22 +125,13 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr / (config.lr_decay_factor ** n_decays)
 
 
-class _Velocities:
-    def __init__(self, params: ModelParams):
-        self.v = {name: np.zeros_like(a)
-                  for name, a in param_arrays(params).items()}
-        # encoder weight gradients, rewritten by every step: a fresh
-        # weight-sized array would page-fault on each one
-        self.enc_grad = [np.empty_like(W) for W, _ in params.encoder]
-
-
 def _gradients(params: ModelParams, lv: LossValue,
-               enc_out: Optional[list] = None) -> dict[str, np.ndarray]:
+               ws: Optional[dict] = None) -> dict[str, np.ndarray]:
     """Gradient of every array the loss touched, by `param_arrays` name
-    (encoder weight gradients go into `enc_out` when given)."""
+    (encoder weight gradients in workspace `ws` when given)."""
     grads = {}
     for li, (gW, gb) in enumerate(encode_backward(
-            params, lv.encoder_cache, lv.grad_embeddings, enc_out)):
+            params, lv.encoder_cache, lv.grad_embeddings, ws)):
         grads[f"W{li}"], grads[f"b{li}"] = gW, gb
     grads.update(lv.grad_heads)
     if lv.grad_mlp_head is not None:
@@ -151,16 +139,18 @@ def _gradients(params: ModelParams, lv: LossValue,
     return grads
 
 
-def apply_gradients(params: ModelParams, lv: LossValue, vel: _Velocities,
-                    lr: float, momentum: float, weight_decay: float) -> None:
+def apply_gradients(params: ModelParams, lv: LossValue,
+                    vel: dict[str, np.ndarray], lr: float, momentum: float,
+                    weight_decay: float, ws: Optional[dict] = None) -> None:
     """One SGD step on every array the loss touched, biases undecayed (the
-    proxy gradient is discarded: clustering rebuilds W_P, never SGD)."""
+    proxy gradient is discarded: clustering rebuilds W_P, never SGD).
+    `vel` holds each array's velocity by `param_arrays` name; the encoder
+    weight gradients and the SGD slice are buffers of workspace `ws`."""
     arrays = param_arrays(params)
-    scratch = np.empty(_SGD_SLICE)
-    for name, grad in _gradients(params, lv, vel.enc_grad).items():
+    for name, grad in _gradients(params, lv, ws).items():
         if name != "proxy":
-            sgd_step(arrays[name], grad, vel.v[name], lr, momentum,
-                     0.0 if name.startswith("b") else weight_decay, scratch)
+            sgd_step(arrays[name], grad, vel[name], lr, momentum,
+                     0.0 if name.startswith("b") else weight_decay, ws)
     if params.cosine:
         renormalize_heads(params)
 
@@ -233,7 +223,7 @@ def train(config: TrainConfig, dataset: Dataset
                          head_C, n, seed=config.seed, cosine=config.cosine,
                          mlp_head=config.mlp_head,
                          temperature=config.temperature)
-    vel = _Velocities(params)
+    vel = {name: np.zeros_like(a) for name, a in param_arrays(params).items()}
     coarse_index = build_coarse_index(dataset.coarse_labels)
     P = config.P if config.P is not None else max(dataset.C, n // 5)
     P_min = np.count_nonzero(coarse_index.counts) if config.cluster_within_coarse else 1
@@ -258,39 +248,37 @@ def train(config: TrainConfig, dataset: Dataset
     if config.objective == "coinsP" and M == 0 and T > 0:
         membership = recluster(0)
 
-    # the augmented batch, reused by every step: a fresh batch-sized array
-    # would page-fault on each one
-    batch_buf = None if dataset.image_shape is None else \
-        np.empty((min(config.batch_size, n), dataset.dim),
-                 dtype=dataset.examples.dtype)
+    # the steps' reused buffers (numerics.buffer): `run_ws` holds those the
+    # model and the batch size, `epoch_ws` the n-sized ones (README,
+    # "Memory in the hot loops")
+    run_ws: dict = {}
     for t in range(1, T + 1):
         lr = lr_at(config, t - 1)
         rng = np.random.default_rng([config.seed, t])
         perm = rng.permutation(n)
         proxy_phase = config.objective == "coinsP" and t > M
         terms = objective_terms(config, proxy_phase)
-        # the steps' logits and head gradients (losses.objective), reused
-        # by every step of the epoch: fresh ones would page-fault each time
-        scratch: dict = {}
+        epoch_ws: dict = {}
         for b, start in enumerate(range(0, n, config.batch_size), 1):
             batch_ids = perm[start:start + config.batch_size]
             if dataset.image_shape is not None:
+                out = buffer(run_ws, "batch", (batch_ids.size, dataset.dim))
                 X = augment(dataset.examples, batch_ids, *dataset.image_shape,
-                            config.pad, rng, batch_buf[:batch_ids.size])
+                            config.pad, rng, out)
             else:
                 X = dataset.examples[batch_ids]
             try:
                 lv = objective(params, X, batch_ids, terms,
                                class_labels[batch_ids], coarse_index,
-                               membership, scratch=scratch)
+                               membership, ws=epoch_ws)
             except (FloatingPointError, DegenerateInputError) as exc:
                 raise DivergenceError(f"{exc} at epoch {t}, batch {b}") from exc
             apply_gradients(params, lv, vel, lr, config.momentum,
-                            config.weight_decay)
+                            config.weight_decay, run_ws)
         # freed before the refresh and the metrics pass, whose n-row arrays
         # would otherwise sit beside them (the last step's gradients alias
         # the buffers)
-        lv = scratch = None
+        lv = epoch_ws = None
 
         if config.objective == "coinsP" and t >= M:
             membership = recluster(t)

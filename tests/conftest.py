@@ -67,7 +67,7 @@ def cross_entropy(logits, label):
 
 
 def ce_block_oracle(params, G, head, labels, denom, values_only=False,
-                    scratch=None):
+                    ws=None):
     """The cross-entropy block in its two-softmax form (log_softmax_rows for
     the value, softmax_rows for the gradient) over the whole batch at once:
     value, grad wrt G and the d x K grad wrt the head. Signature-compatible

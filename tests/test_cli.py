@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarse2fine import cli, data, losses, trainer
+from coarse2fine import cli, data, losses, model, numerics, trainer
 from coarse2fine.cli import main, reproduce_synthetic
-from coarse2fine.data import load_dataset, save_dataset
+from coarse2fine.data import gen_patch_dataset, load_dataset, save_dataset
 from coarse2fine.model import (ModelParams, encode, load_checkpoint,
                                param_arrays, save_checkpoint)
 from coarse2fine.numerics import InvariantError
@@ -481,21 +481,73 @@ class TestTrain:
         return ckpt.read_bytes(), (tmp_path / f"{tag}.ckpt.metrics.jsonl"
                                    ).read_bytes()
 
+    @staticmethod
+    def small_patch_train(tmp_path, tag, objective, dtype):
+        """Checkpoint and metrics bytes of a patch-image `train`, the path
+        through `augment`, on 40 images of 16 x 16 saved as `dtype`: three
+        epochs of batches of 16, the last one short."""
+        data = tmp_path / f"p-{dtype}.cfds"
+        if not data.exists():
+            d = gen_patch_dataset(40, 4, 8, img_h=16, img_w=16, big_size=6,
+                                  small_size=2, seed=3)
+            d.examples = d.examples.astype(dtype)
+            save_dataset(d, str(data))
+            assert load_dataset(str(data)).examples.dtype == dtype
+        ckpt = tmp_path / f"{tag}.ckpt"
+        assert run("train", "--data", str(data), "--objective", objective,
+                   "--epochs", "3", "--m-epoch", "1", "--lr", "0.01",
+                   "--hidden", "32", "--embed-dim", "8", "--batch", "16",
+                   "--pad", "4", "--img-h", "16", "--img-w", "16",
+                   "--seed", "4", "--out", str(ckpt)) == 0
+        return ckpt.read_bytes(), (tmp_path / f"{tag}.ckpt.metrics.jsonl"
+                                   ).read_bytes()
+
+    @staticmethod
+    def assert_workspaces_move_no_byte(monkeypatch, train_bytes, run_keys):
+        """train_bytes(tag) with `train`'s two workspaces equals it with
+        every step array fresh, as `numerics.buffer` makes them without a
+        workspace. The workspace run fills one run-lifetime dict with
+        `run_keys` and one dict per epoch (3) with the steps' logits."""
+        dicts = {}
+
+        def spy(ws, key, shape):
+            if ws is not None:
+                dicts[id(ws)] = ws       # held, so no id is reused
+            return numerics.buffer(ws, key, shape)
+
+        def fresh(ws, key, shape):
+            return np.empty(shape)
+
+        modules = (losses, model, trainer)
+        for module in modules:
+            monkeypatch.setattr(module, "buffer", spy)
+        shared = train_bytes("shared")
+        for module in modules:
+            monkeypatch.setattr(module, "buffer", fresh)
+        assert train_bytes("fresh") == shared
+        run_ws = [ws for ws in dicts.values() if "sgd" in ws]
+        epoch_ws = [ws for ws in dicts.values() if "sgd" not in ws]
+        assert len(run_ws) == 1 and run_ws[0].keys() == run_keys
+        assert len(epoch_ws) == 3 and all("logits" in ws for ws in epoch_ws)
+
     @pytest.mark.parametrize("objective", ["coins", "coinsP", "coins-imp"])
     def test_train_bytes_match_fresh_step_arrays(self, tmp_path, monkeypatch,
                                                  objective):
-        # the same train with the per-epoch workspace and with every step's
-        # arrays fresh, as `objective` makes them without a scratch dict
-        shared = self.small_blob_train(tmp_path, "shared", objective)
-        dicts = []
+        self.assert_workspaces_move_no_byte(
+            monkeypatch,
+            lambda tag: self.small_blob_train(tmp_path, tag, objective),
+            {"sgd", "grad_W0", "grad_W1"})
 
-        def fresh(*args, scratch=None, **kwargs):
-            dicts.append(scratch)
-            return losses.objective(*args, scratch=None, **kwargs)
-
-        monkeypatch.setattr(trainer, "objective", fresh)
-        assert self.small_blob_train(tmp_path, "fresh", objective) == shared
-        assert any(d is not None for d in dicts)
+    @pytest.mark.parametrize("objective", ["coins", "coinsP"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_patch_train_bytes_match_fresh_step_arrays(
+            self, tmp_path, monkeypatch, dtype, objective):
+        # the batch buffer is float64 whatever the data set's dtype
+        self.assert_workspaces_move_no_byte(
+            monkeypatch,
+            lambda tag: self.small_patch_train(tmp_path, tag, objective,
+                                               dtype),
+            {"batch", "sgd", "grad_W0", "grad_W1"})
 
     # sha256 of the small blob train's checkpoint and metrics, recorded
     # before the steps shared one workspace, for each OpenBLAS 0.3.31 kernel

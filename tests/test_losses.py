@@ -369,19 +369,19 @@ class TestWithinValuesOnly:
         G = rng.standard_normal((coarse.size, 4))
         index = build_coarse_index(coarse)
         members = {k: np.flatnonzero(coarse == k) for k in range(4)}
-        scratch = {}
+        ws = {}
         for missing in (0, 1, 2, 3, None, 1):
             ids = rng.permutation(np.flatnonzero(coarse != missing))
             want = dict_within_coarse_term(params, G[ids], ids, coarse[ids],
                                            members, ids.size)
-            for buffers in (None, scratch):
+            for buffers in (None, ws):
                 got = _within_coarse_term(params, G[ids], ids, coarse[ids],
                                           index, ids.size, buffers)
                 assert got[0] == want[0]
                 assert got[1].tobytes() == want[1].tobytes()
                 assert got[2].tobytes() == want[2].tobytes()
             assert np.all(got[2][:, coarse == missing] == 0.0)
-            assert np.shares_memory(got[2], scratch["grad_instance"])
+            assert np.shares_memory(got[2], ws["grad_instance"])
 
     def test_values_only_makes_no_n_by_d_array(self, monkeypatch):
         # blob-eval's shape: n = 4096 in 32 classes of 128, d = 32. The
@@ -602,8 +602,9 @@ def assert_same_bits(got, want):
 
 
 class TestScratch:
-    """objective with a `scratch` dict writes its logits, head gradients and
-    within-coarse chunk buffers there; the bits are those of fresh arrays."""
+    """objective with a workspace dict `ws` writes its logits, head
+    gradients and within-coarse chunk buffers there; the bits are those of
+    fresh arrays."""
 
     @pytest.mark.parametrize("terms", [
         {"coarse": 1.0}, {"instance": 1.0}, {"within": 1.0}, {"proxy": 1.0},
@@ -622,7 +623,7 @@ class TestScratch:
         m = Membership(assignment=np.arange(n) % 7, P=7, within_coarse=False,
                        objective=0.0)
         index = build_coarse_index(coarse)
-        scratch = {}
+        ws = {}
         # batches of 16, the short last one, one of a single coarse class
         # (the within-coarse gradient then leaves the other classes'
         # columns at zero), then 16 again: the buffers made for the first
@@ -632,26 +633,26 @@ class TestScratch:
                     perm[:16]):
             args = (params, X[ids], ids, terms, coarse[ids], index, m)
             want = objective(*args)
-            got = objective(*args, scratch=scratch)
+            got = objective(*args, ws=ws)
             assert_same_bits(got, want)
             for head, dW in got.grad_heads.items():
-                assert np.shares_memory(dW, scratch["grad_" + head])
+                assert np.shares_memory(dW, ws["grad_" + head])
 
     def test_next_call_overwrites_the_gradients(self, rng):
         params = make_params(rng, d=5, C=2, n=12)
         X = rng.standard_normal((12, 4))
         coarse = np.arange(12) % 2
         terms = {"coarse": 1.0, "instance": 1.0}
-        scratch = {}
+        ws = {}
         first = objective(params, X[:6], np.arange(6), terms, coarse[:6],
-                          scratch=scratch)
+                          ws=ws)
         kept = {head: dW.copy() for head, dW in first.grad_heads.items()}
-        buffers = dict(scratch)
+        buffers = dict(ws)
         second = objective(params, X[6:], np.arange(6, 12), terms,
-                           coarse[6:], scratch=scratch)
+                           coarse[6:], ws=ws)
         # the same arrays: the second call allocated no buffer
-        assert scratch.keys() == buffers.keys()
-        assert all(scratch[key] is buf for key, buf in buffers.items())
+        assert ws.keys() == buffers.keys()
+        assert all(ws[key] is buf for key, buf in buffers.items())
         for head, dW in second.grad_heads.items():
             np.testing.assert_array_equal(first.grad_heads[head], dW)
             assert not np.array_equal(kept[head], dW)

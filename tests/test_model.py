@@ -66,14 +66,17 @@ class TestEncode:
         params = make_params(rng, input_dim=7, hidden=(5, 4), d=3,
                              cosine=cosine)
         X = rng.standard_normal((6, 7)).astype(np.float32)
-        bufs = [np.full_like(W, np.nan) for W, _ in params.encoder]
+        ws = {}
         for rows in (6, 2):              # a short last batch reuses them
             f, cache = encode(params, X[:rows])
             probe = rng.standard_normal(f.shape)
             fresh = encode_backward(params, cache, probe)
-            into = encode_backward(params, cache, probe, bufs)
-            for (gW, gb), (hW, hb), buf in zip(fresh, into, bufs):
-                assert hW is buf
+            bufs = dict(ws)
+            into = encode_backward(params, cache, probe, ws)
+            assert ws.keys() == {"grad_W0", "grad_W1", "grad_W2"}
+            assert all(ws[key] is buf for key, buf in bufs.items())
+            for li, ((gW, gb), (hW, hb)) in enumerate(zip(fresh, into)):
+                assert np.shares_memory(hW, ws[f"grad_W{li}"])
                 assert hW.tobytes() == gW.tobytes()
                 assert hb.tobytes() == gb.tobytes()
 

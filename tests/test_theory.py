@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -281,6 +282,44 @@ class TestVerifyTheorem:
                                    rtol=1e-12, atol=0)
         assert abs(report.h - h) <= 1e-12 * h
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_theorem2_rhs_matches_paper_formula(self, seed):
+        # theorem 2 with the within-coarse constants: per example,
+        # rhs = alpha' z h with c' = exp(2c S), c'' = M c',
+        # alpha' = 1 / (1/alpha + (1 - beta) c'' / beta) and h taken at
+        # alpha', where S is the sum of square roots in h's exponent at
+        # alpha. Every constant measured by brute force, the formula in
+        # linear space
+        emb, W_C, W_I, coarse, fine = random_instance(
+            np.random.default_rng(seed), n=24, C=2, F=6, scale=0.3)
+        k = per_row_constants(emb, W_C, W_I, coarse, "theorem2")
+        alpha, beta = math.exp(k["log_alpha"]), math.exp(k["log_beta"])
+        a, b = math.exp(k["log_a"]), math.exp(k["log_b"])
+        c = max(np.linalg.norm(emb, axis=1).max(),
+                np.linalg.norm(W_I, axis=0).max(),
+                np.linalg.norm(W_C, axis=0).max())
+        z = 24 // 6
+        M = 24 - np.bincount(coarse).min()
+
+        def root_sum(alpha):
+            return (math.sqrt(2 * c * c - 2 * math.log(a * alpha / (1 - alpha)))
+                    + math.sqrt(2 * c * c - 2 * math.log(b * beta / (1 - beta))))
+
+        c_prime = math.exp(2 * c * root_sum(alpha))
+        c_dp = M * c_prime
+        alpha_prime = 1 / (1 / alpha + (1 - beta) * c_dp / beta)
+        h = math.exp(-2 * c * (z - 1) / z * root_sum(alpha_prime))
+        report = verify_theorem(emb, W_C, W_I, coarse, fine, which=2)
+        assert report.M == M and report.z == z
+        for got, want in ((report.c_prime, c_prime),
+                          (report.c_doubleprime, c_dp),
+                          (report.alpha_prime, alpha_prime)):
+            assert abs(got - want) <= 1e-12 * want
+        assert len(report.log_rhs) == 24
+        np.testing.assert_allclose(report.log_rhs,
+                                   math.log(alpha_prime * z * h),
+                                   rtol=1e-12, atol=0)
+
     def test_identical_columns_symmetry(self, rng):
         n, F, d = 8, 4, 3
         emb = 0.5 * rng.standard_normal((n, d))
@@ -324,15 +363,30 @@ class TestVerifyTheorem:
             assert key in payload
         assert len(payload["per_example"]) == emb.shape[0]
 
-    def test_alpha_prime_ratio_increases_with_beta(self):
+    def test_alpha_prime_ratio_increases_with_beta(self, monkeypatch):
         # alpha' = 1 / (1/alpha + (1-beta) c'' / beta): better coarse
-        # separation (larger beta) shrinks the relaxation penalty
-        alpha, c_dp = 0.02, 50.0
-        ratios = []
+        # separation (larger beta) shrinks the relaxation penalty. The
+        # measured constants of one instance, with beta changed and b
+        # moved so that b beta / (1 - beta), and with it c'', stays
+        def log_odds(log_p):
+            return log_p - math.log(-math.expm1(log_p))
+
+        emb, W_C, W_I, coarse, fine = random_instance(
+            np.random.default_rng(0), n=24, C=2, F=6, scale=0.3)
+        k = measure_constants(emb, W_C, W_I, coarse, fine, "theorem2")
+        reports = []
         for beta in (0.3, 0.6, 0.9):
-            alpha_prime = 1.0 / (1.0 / alpha + (1 - beta) * c_dp / beta)
-            ratios.append(alpha_prime / alpha)
-        assert ratios[0] < ratios[1] < ratios[2]
+            log_b = k.log_b + log_odds(k.log_beta) - log_odds(math.log(beta))
+            moved = dataclasses.replace(k, log_beta=math.log(beta),
+                                        log_b=log_b)
+            monkeypatch.setattr(theory, "measure_constants",
+                                lambda *args, moved=moved: moved)
+            reports.append(verify_theorem(emb, W_C, W_I, coarse, fine, 2))
+        assert [r.beta for r in reports] == pytest.approx([0.3, 0.6, 0.9])
+        c_dp = reports[0].c_doubleprime
+        assert [r.c_doubleprime for r in reports] == pytest.approx([c_dp] * 3)
+        ratios = [r.alpha_prime / r.alpha for r in reports]
+        assert 0 < ratios[0] < ratios[1] < ratios[2] < 1
 
     def test_bad_theorem_number(self, rng):
         emb, W_C, W_I, coarse, fine = random_instance(rng)

@@ -8,14 +8,22 @@ from hypothesis import strategies as st
 
 from coarse2fine import losses, model, trainer
 from coarse2fine.cluster import update_proxies
-from coarse2fine.data import Dataset, gen_blob_dataset
+from coarse2fine.cli import synth_train_config
+from coarse2fine.data import (Dataset, augment, gen_blob_dataset,
+                              gen_patch_dataset)
 from coarse2fine.losses import (WI_READS, build_coarse_index, coarse_loss,
                                 combined_objective, instance_loss_full)
-from coarse2fine.model import init_params
+from coarse2fine.model import init_params, param_arrays
+from coarse2fine.numerics import buffer
 from coarse2fine.trainer import (TrainConfig, apply_gradients, lr_at,
                                  param_vector, set_param_vector, sgd_step,
-                                 train, _Velocities)
+                                 train)
 from conftest import ce_block_oracle, make_params
+
+
+def zero_velocities(params):
+    """The SGD velocities `train` starts from, by `param_arrays` name."""
+    return {name: np.zeros_like(a) for name, a in param_arrays(params).items()}
 
 
 def small_blob_config(objective, epochs, **kw):
@@ -73,7 +81,7 @@ class TestSgdStep:
            st.sampled_from([0.0, 5e-4, 0.3]), st.sampled_from([0.0, 0.9]),
            st.booleans())
     def test_bitwise_equal_to_unsliced_formula(self, size, width, seed, wd,
-                                               momentum, own_scratch):
+                                               momentum, own_ws):
         r = np.random.default_rng(seed)
         shape = (width, size)
         p, g, v = (r.standard_normal(shape) for _ in range(3))
@@ -82,9 +90,11 @@ class TestSgdStep:
         v_ref *= momentum
         v_ref += g_ref
         p_ref -= 0.037 * v_ref
-        scratch = np.empty(self.S) if own_scratch else None
-        out = sgd_step(p, g, v, 0.037, momentum, wd, scratch)
+        ws = {} if own_ws else None
+        out = sgd_step(p, g, v, 0.037, momentum, wd, ws)
         assert out[0] is p and out[1] is v
+        if own_ws:
+            assert ws["sgd"].size == min(p.size, self.S)
         assert p.tobytes() == p_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
 
@@ -135,8 +145,8 @@ class TestApplyGradients:
         # so any movement comes from weight decay alone
         lv = coarse_loss(params, rng.standard_normal((3, 4)), np.zeros(3, int))
         assert lv.value == 0.0
-        apply_gradients(params, lv, _Velocities(params), lr=0.1, momentum=0.0,
-                        weight_decay=0.5)
+        apply_gradients(params, lv, zero_velocities(params), lr=0.1,
+                        momentum=0.0, weight_decay=0.5)
         for (W, b), b0, W0 in zip(params.encoder, biases_before,
                                   weights_before):
             np.testing.assert_array_equal(b, b0)
@@ -151,10 +161,24 @@ class TestApplyGradients:
                        within_coarse=False, objective=0.0)
         lv = instance_proxy_loss(params, rng.standard_normal((2, 4)),
                                  np.array([0, 3]), m)
-        apply_gradients(params, lv, _Velocities(params), lr=0.1, momentum=0.9,
-                        weight_decay=0.0)
+        apply_gradients(params, lv, zero_velocities(params), lr=0.1,
+                        momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(params.W_P, W_P_before)
 
+    @staticmethod
+    def transient_peak(step, batches):
+        """Peak memory that step(b) allocates under tracemalloc for the last
+        of `batches`, once the steps of the others have made the workspace
+        buffers."""
+        for b in batches[:-1]:
+            step(b)
+        tracemalloc.start()
+        try:
+            step(batches[-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
 
     def test_step_with_scratch_allocates_no_head_sized_array(self):
         # blob-coins' shape: B = 64 of n = 2048, d = 32. Once the first step
@@ -165,23 +189,47 @@ class TestApplyGradients:
         params = init_params(64, [128], 32, 16, n, seed=0)
         X = rng.standard_normal((n, 64))
         coarse = np.arange(n) % 16
-        vel = _Velocities(params)
-        scratch = {}
+        vel, run_ws, epoch_ws = zero_velocities(params), {}, {}
 
-        def step(ids):
+        def step(b):
+            ids = np.arange(b * B, (b + 1) * B)
             lv = losses.objective(params, X[ids], ids,
                                   {"coarse": 1.0, "instance": 1.0},
-                                  coarse[ids], scratch=scratch)
-            apply_gradients(params, lv, vel, 0.01, 0.9, 5e-4)
+                                  coarse[ids], ws=epoch_ws)
+            apply_gradients(params, lv, vel, 0.01, 0.9, 5e-4, run_ws)
 
-        step(np.arange(B))
-        tracemalloc.start()
-        try:
-            step(np.arange(B, 2 * B))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024
+        assert self.transient_peak(step, (0, 1)) < 512 * 1024
+
+    def test_patch_step_allocates_below_the_mmap_threshold(self):
+        # the comparison's shape: 32 x 32 images, so a 3072 x 64 first
+        # layer, B = 32 and the coins-imp terms. Once an epoch's steps have
+        # made the buffers (the within-coarse ones are sized by the largest
+        # class a batch holds), a step (augment, objective, update) makes
+        # no array above glibc's 128 KiB mmap threshold, the rule of
+        # README's "Memory in the hot loops"
+        data = gen_patch_dataset(256, 32, 128, seed=0)
+        cfg = synth_train_config("coins-imp", seed=1)
+        params = init_params(data.dim, cfg.hidden, cfg.embed_dim, data.C,
+                             data.n, seed=1)
+        assert params.encoder[0][0].shape == (3072, 64)
+        index = build_coarse_index(data.coarse_labels)
+        terms = trainer.objective_terms(cfg, proxy_phase=False)
+        rng = np.random.default_rng(2)
+        vel, run_ws, epoch_ws = zero_velocities(params), {}, {}
+        B = cfg.batch_size
+
+        def step(b):
+            ids = np.arange(b * B, (b + 1) * B) % data.n
+            X = augment(data.examples, ids, 32, 32, cfg.pad, rng,
+                        buffer(run_ws, "batch", (B, data.dim)))
+            lv = losses.objective(params, X, ids, terms,
+                                  data.coarse_labels[ids], index,
+                                  ws=epoch_ws)
+            apply_gradients(params, lv, vel, cfg.lr, cfg.momentum,
+                            cfg.weight_decay, run_ws)
+
+        assert self.transient_peak(step, range(data.n // B + 1)) \
+            <= 128 * 1024
 
 
 class TestTrain:
