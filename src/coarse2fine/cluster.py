@@ -17,6 +17,12 @@ from .numerics import (DegenerateInputError, InvariantError, column_means,
 _KMEANS_MAX_ABS = 0.5 * np.sqrt(np.finfo(np.float64).max)
 
 
+# bytes of k-means distances held at once: the problems of a stack are
+# solved in sub-stacks of at most this many bytes of distances (one
+# problem when a single one takes more)
+_STACK_BYTES = 32 << 20
+
+
 @dataclass
 class Membership:
     assignment: np.ndarray        # n cluster ids in [0, P)
@@ -196,9 +202,17 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
         # laid out as a lone problem's points: that fixes NumPy's sum order
         X = np.repeat(W[None], R, axis=0).transpose(0, 2, 1) \
             if coarse_labels is None else np.repeat(W.T[idx], R, axis=0)
-        centres = np.array(init, np.float64)[None] if init is not None else \
-            _kmeans_pp(X, P_k, [rngs[c * R + r] for c in cls for r in range(R)])
-        a, obj = _lloyd(X, centres, max_iters, tol)
+        stack_rngs = [rngs[c * R + r] for c in cls for r in range(R)]
+        # problem g is class cls[g // R], restart g % R; solved in
+        # sub-stacks whose n_k x P_k distances fit the byte budget
+        per = max(1, _STACK_BYTES // (8 * n_k * P_k))
+        parts = []
+        for g in range(0, X.shape[0], per):
+            sub = X[g:g + per]
+            centres = np.array(init, np.float64)[None] if init is not None \
+                else _kmeans_pp(sub, P_k, stack_rngs[g:g + per])
+            parts.append(_lloyd(sub, centres, max_iters, tol))
+        a, obj = (np.concatenate(part) for part in zip(*parts))
         best = np.arange(0, a.shape[0], R) + np.argmin(obj.reshape(-1, R), axis=1)
         assign[idx], objective[cls] = a[best] + offsets[cls][:, None], obj[best]
     membership = Membership(assign, P, coarse_labels is not None,

@@ -202,6 +202,60 @@ def gen_blob_dataset(C: int, fine_per_coarse: int, z: int, dim: int,
                    F=F)
 
 
+def _scalar_draws(rng: np.random.Generator, B: int, pad: int
+                  ) -> tuple[list, list, list]:
+    """The augmentation draws of B images, one image at a time: random() <
+    0.5 for the mirror, then the crop row and column offsets, each
+    integers(0, 2 pad + 1) (both pad when pad = 0, with no draw)."""
+    mirror, oy, ox = [], [], []
+    for _ in range(B):
+        mirror.append(rng.random() < 0.5)
+        oy.append(int(rng.integers(0, 2 * pad + 1)) if pad > 0 else pad)
+        ox.append(int(rng.integers(0, 2 * pad + 1)) if pad > 0 else pad)
+    return mirror, oy, ox
+
+
+def _block_draws(rng: np.random.Generator, B: int, pad: int
+                 ) -> Optional[tuple[list, list, list]]:
+    """`_scalar_draws` from one block of raw PCG64 words, leaving the
+    generator's state as the scalar draws leave it; None, with the state
+    untouched, for another bit generator or a batch the block cannot
+    draw.
+
+    random() is (w >> 11) 2^-53 of one 64-bit word w, so it is below 0.5
+    exactly when w < 2^63. An offset is NumPy's 32-bit Lemire draw: the
+    high half of u (2 pad + 1) for the next 32-bit output u, taken, as
+    `next_uint32` takes it, from the pending half word (`has_uint32`,
+    `uinteger` in the state) or else the low half of a fresh word, whose
+    high half is left pending. So an image takes two words with pad > 0,
+    and the pending flag is the same after it as before; the last word's
+    high half is left in `uinteger` either way. When some low 32 bits of a
+    product fall below 2 pad + 1, the scalar draw might reject it and draw
+    again: the state is restored and None returned."""
+    bits = getattr(rng, "bit_generator", None)
+    k = 2 * pad + 1
+    if not isinstance(bits, np.random.PCG64) or k >= 1 << 32:
+        return None
+    if pad == 0 or B == 0:
+        coins = bits.random_raw(B)
+        return (coins < 1 << 63).tolist(), [pad] * B, [pad] * B
+    saved = bits.state
+    words = bits.random_raw(2 * B)
+    halves = words[1::2].astype("<u8").view("<u4")
+    last_high = int(halves[-1])
+    if saved["has_uint32"]:
+        halves = np.concatenate(([saved["uinteger"]], halves[:-1]))
+    m = halves.astype(np.uint64) * np.uint64(k)
+    if np.any(m & np.uint64(0xFFFFFFFF) < k):
+        bits.state = saved
+        return None
+    state = bits.state
+    state["uinteger"] = last_high
+    bits.state = state
+    offsets = (m >> np.uint64(32)).tolist()
+    return (words[0::2] < 1 << 63).tolist(), offsets[0::2], offsets[1::2]
+
+
 def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
             pad: int, rng: np.random.Generator,
             out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -210,10 +264,12 @@ def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
     random offset from the image zero-padded by `pad` on every side.
 
     Per image the draws are random(), then the crop row and column offsets
-    (when pad > 0). The part of the crop that overlaps the image is written
-    straight from examples[id] into the output, which is `out` when given
-    (len(ids) x dim, of the examples' dtype or float64, into which float32
-    widens exactly), so no padded image is built."""
+    (when pad > 0), in `_scalar_draws`' order; a PCG64 generator gives the
+    same values from one block of words (`_block_draws`). The part of the
+    crop that overlaps the image is written straight from examples[id] into
+    the output, which is `out` when given (len(ids) x dim, of the examples'
+    dtype or float64, into which float32 widens exactly), so no padded
+    image is built."""
     B = len(ids)
     if out is None:
         out = np.empty((B, examples.shape[1]), dtype=examples.dtype)
@@ -221,12 +277,8 @@ def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
     crops = out.reshape(B, img_h, img_w, 3)
     if pad > 0:
         out.fill(0.0)
-    for b, i in enumerate(ids):
-        mirror = rng.random() < 0.5
-        oy = ox = pad
-        if pad > 0:
-            oy = int(rng.integers(0, 2 * pad + 1))
-            ox = int(rng.integers(0, 2 * pad + 1))
+    draws = _block_draws(rng, B, pad) or _scalar_draws(rng, B, pad)
+    for b, (i, mirror, oy, ox) in enumerate(zip(ids, *draws)):
         # crop pixel (y, x) is padded pixel (y + oy, x + ox): image row
         # y + oy - pad and (mirrored) image column x + ox - pad
         y0, y1 = max(0, pad - oy), min(img_h, img_h + pad - oy)

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import buffer, normalize_rows, normalize_rows_backward
+from .numerics import normalize_rows, normalize_rows_backward
 
 CKPT_MAGIC = b"CFCK1\x00"
 
@@ -114,24 +114,21 @@ def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 
 def encode_backward(params: ModelParams, cache: EncodeCache,
-                    grad_f: np.ndarray, ws: Optional[dict] = None
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of a scalar loss w.r.t. encoder weights and biases.
-
-    Layer li's weight gradient is the `numerics.buffer` "grad_W{li}" of
-    workspace `ws`: fresh without one."""
+                    grad_f: np.ndarray
+                    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per encoder layer, the factors (x, g) of its weight gradient x.T @ g
+    (its input rows and the gradient at its output) and its bias gradient."""
     g = np.asarray(grad_f, dtype=np.float64)
     if params.cosine:
         g = normalize_rows_backward(cache.pre_norm, g)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.encoder)
+    grads: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = \
+        [None] * len(params.encoder)
     n_layers = len(params.encoder)
     for li in range(n_layers - 1, -1, -1):
         W, _ = params.encoder[li]
         if li < n_layers - 1:
             g = g * cache.relu_masks[li]
-        x = cache.layer_inputs[li]
-        gW = np.matmul(x.T, g, out=buffer(ws, f"grad_W{li}", W.shape))
-        grads[li] = (gW, g.sum(axis=0))
+        grads[li] = (cache.layer_inputs[li], g, g.sum(axis=0))
         if li > 0:
             g = g @ W.T
     return grads

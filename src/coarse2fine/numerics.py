@@ -42,19 +42,24 @@ def buffer(ws: Optional[dict], key: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def index_blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of up to `size` indices covering 0..n-1. For
+    size > 2 none is a trailing single index where there are several:
+    NumPy computes a one-row product as a matrix-vector product, which can
+    round differently from the rows of a matrix product."""
+    bounds = list(range(0, n, size)) + [n]
+    if size > 2 and len(bounds) > 2 and n - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def row_blocks(n: int, *widths: int):
-    """Cover rows 0..n-1 in consecutive index blocks of up to _ROW_BLOCK
+    """Cover rows 0..n-1 in the consecutive `index_blocks` of _ROW_BLOCK
     rows. Each block comes with one float64 scratch array of shape
     (block size, width) per width: allocated once, reused by every block."""
     scratch = [np.empty((min(n, _ROW_BLOCK), w)) for w in widths]
-    bounds = list(range(0, n, _ROW_BLOCK)) + [n]
-    if _ROW_BLOCK > 2 and len(bounds) > 2 and n - bounds[-2] == 1:
-        # no trailing one-row block: NumPy computes a one-row product as a
-        # matrix-vector product, which can round differently from the rows
-        # of a matrix product
-        bounds[-2] -= 1
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        blk = np.arange(start, stop)
+    for rows in index_blocks(n, _ROW_BLOCK):
+        blk = np.arange(rows.start, rows.stop)
         yield (blk, *(buf[:blk.size] for buf in scratch))
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .data import Dataset, augment
 from .losses import LossValue, build_coarse_index, objective
 from .model import (ModelParams, branch_forward, encode_backward,
                     init_params, param_arrays, renormalize_heads)
-from .numerics import DegenerateInputError, buffer
+from .numerics import DegenerateInputError, buffer, index_blocks
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -92,29 +92,60 @@ class TrainConfig:
 _SGD_SLICE = 15 * 1024
 
 
-def sgd_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray,
-             lr: float, momentum: float, weight_decay: float,
-             ws: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+def _sgd_slice(p: np.ndarray, g: np.ndarray, v: np.ndarray, t: np.ndarray,
+               lr: float, momentum: float, weight_decay: float) -> None:
+    """The update of one slice, in place, with t as scratch:
+    t = g + wd*p; v = momentum*v + t; p -= lr*v."""
+    np.multiply(weight_decay, p, out=t)
+    np.add(g, t, out=t)
+    v *= momentum
+    v += t
+    np.multiply(lr, v, out=t)
+    p -= t
+
+
+def sgd_step(param: np.ndarray,
+             grad: Union[np.ndarray, tuple[np.ndarray, np.ndarray]],
+             state: np.ndarray, lr: float, momentum: float,
+             weight_decay: float, ws: Optional[dict] = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """g' = grad + wd*param; v <- momentum*v + g'; param <- param - lr*v.
 
-    Updates param and state in place, one slice of the flat arrays at a
-    time through the `numerics.buffer` "sgd" of workspace `ws` (fresh
-    without one)."""
-    if param.shape != grad.shape or param.shape != state.shape:
+    Updates param and state in place, one slice at a time through the
+    `numerics.buffer` "sgd" of workspace `ws` (fresh without one). `grad`
+    is an array of param's shape, walked in flat slices, or the factors
+    (x, g) of an encoder weight gradient x.T @ g (`encode_backward`): then
+    each `index_blocks` slice of param's rows gets its gradient rows
+    x[:, rows].T @ g in the buffer and is updated while they are in cache,
+    so the whole gradient is never held. The bits are the unsliced formula's
+    either way."""
+    factored = isinstance(grad, tuple)
+    grad_shape = ((grad[0].shape[1], grad[1].shape[1]) if factored
+                  else grad.shape)
+    if param.shape != grad_shape or param.shape != state.shape:
         raise ValueError("shape mismatch in sgd_step")
     if not (param.flags.c_contiguous and state.flags.c_contiguous):
         raise ValueError("sgd_step updates C-contiguous param and state only")
+    if factored:
+        # each slice's product is bitwise those rows of the whole one while
+        # both have at least two rows (`index_blocks`) and two columns: NumPy
+        # forms a one-row or one-column product as a matrix-vector product,
+        # whose rounding depends on the rows it is given. So a one-column
+        # weight goes in one slice
+        x, gy = grad
+        height, width = param.shape
+        per = max(3, _SGD_SLICE // width) if width > 1 else height
+        for rows in index_blocks(height, per):
+            g, t = buffer(ws, "sgd", (2, rows.stop - rows.start, width))
+            np.matmul(x[:, rows].T, gy, out=g)
+            _sgd_slice(param[rows], g, state[rows], t, lr, momentum,
+                       weight_decay)
+        return param, state
     p, g, v = param.reshape(-1), grad.reshape(-1), state.reshape(-1)
     scratch = buffer(ws, "sgd", (min(p.size, _SGD_SLICE),))
-    for start in range(0, p.size, _SGD_SLICE):
-        s = slice(start, start + _SGD_SLICE)
-        t = scratch[:min(_SGD_SLICE, p.size - start)]
-        np.multiply(weight_decay, p[s], out=t)
-        np.add(g[s], t, out=t)
-        v[s] *= momentum
-        v[s] += t
-        np.multiply(lr, v[s], out=t)
-        p[s] -= t
+    for s in index_blocks(p.size, _SGD_SLICE):
+        _sgd_slice(p[s], g[s], v[s], scratch[:s.stop - s.start], lr,
+                   momentum, weight_decay)
     return param, state
 
 
@@ -125,14 +156,14 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
     return config.lr / (config.lr_decay_factor ** n_decays)
 
 
-def _gradients(params: ModelParams, lv: LossValue,
-               ws: Optional[dict] = None) -> dict[str, np.ndarray]:
-    """Gradient of every array the loss touched, by `param_arrays` name
-    (encoder weight gradients in workspace `ws` when given)."""
+def _gradients(params: ModelParams, lv: LossValue) -> dict:
+    """Gradient of every array the loss touched, by `param_arrays` name; an
+    encoder weight's as the factors (x, g) of x.T @ g, which `sgd_step`
+    takes as they are and `gradient_vector` multiplies out."""
     grads = {}
-    for li, (gW, gb) in enumerate(encode_backward(
-            params, lv.encoder_cache, lv.grad_embeddings, ws)):
-        grads[f"W{li}"], grads[f"b{li}"] = gW, gb
+    for li, (x, g, gb) in enumerate(encode_backward(
+            params, lv.encoder_cache, lv.grad_embeddings)):
+        grads[f"W{li}"], grads[f"b{li}"] = (x, g), gb
     grads.update(lv.grad_heads)
     if lv.grad_mlp_head is not None:
         grads["mlp0"], grads["mlp1"] = lv.grad_mlp_head
@@ -144,10 +175,11 @@ def apply_gradients(params: ModelParams, lv: LossValue,
                     weight_decay: float, ws: Optional[dict] = None) -> None:
     """One SGD step on every array the loss touched, biases undecayed (the
     proxy gradient is discarded: clustering rebuilds W_P, never SGD).
-    `vel` holds each array's velocity by `param_arrays` name; the encoder
-    weight gradients and the SGD slice are buffers of workspace `ws`."""
+    `vel` holds each array's velocity by `param_arrays` name; the SGD
+    slices, encoder weight gradient rows among them, are the buffer "sgd"
+    of workspace `ws`."""
     arrays = param_arrays(params)
-    for name, grad in _gradients(params, lv, ws).items():
+    for name, grad in _gradients(params, lv).items():
         if name != "proxy":
             sgd_step(arrays[name], grad, vel[name], lr, momentum,
                      0.0 if name.startswith("b") else weight_decay, ws)
@@ -308,7 +340,8 @@ def set_param_vector(params: ModelParams, vec: np.ndarray) -> ModelParams:
 
 def gradient_vector(params: ModelParams, lv: LossValue) -> np.ndarray:
     """Flat end-to-end gradient matching param_vector's layout."""
-    grads = _gradients(params, lv)
+    grads = {name: grad[0].T @ grad[1] if isinstance(grad, tuple) else grad
+             for name, grad in _gradients(params, lv).items()}
     return np.concatenate([grads[name].ravel() if name in grads
                            else np.zeros(a.size)
                            for name, a in param_arrays(params).items()])

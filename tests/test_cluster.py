@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,46 @@ class TestBatchedMatchesOracle:
                 DegenerateInputError, match="W_I too large to cluster: "
                                             r"max \|w\| = \d"):
             kmeans(W_I, 3)
+
+
+class TestStackBudget:
+    @pytest.mark.parametrize("within", [False, True])
+    @pytest.mark.parametrize("P", [30, 240])          # 240: every restart ties
+    def test_sub_stacks_are_bitwise_one_stack(self, rng, monkeypatch,
+                                              within, P):
+        # one stack, one problem per sub-stack, and sub-stacks of three
+        # (of the 4 global restarts: 3, then 1)
+        W_I = rng.standard_normal((3, 240))
+        labels = np.arange(240) % 3 if within else None
+        n_k, P_k = (80, P // 3) if within else (240, P)
+        results = []
+        for budget in (1 << 40, 1, 8 * n_k * P_k * 3):
+            monkeypatch.setattr(cluster, "_STACK_BYTES", budget)
+            m, proxies = kmeans(W_I, P, seed=5, restarts=4,
+                                coarse_labels=labels)
+            results.append((m.assignment.tobytes(), m.objective,
+                            proxies.tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_peak_memory_stays_under_the_budget(self, rng, monkeypatch):
+        # global k-means whose distances dominate its memory: 4 restarts of
+        # 500 points into 250 clusters hold 4 MB of distances in one stack;
+        # under a 1.5 MiB budget a sub-stack holds one restart's 1 MB
+        W_I = rng.standard_normal((2, 500))
+        kmeans(W_I, 250, seed=1, restarts=4)     # first-call set-up
+        budget = 1536 * 1024
+
+        def peak():
+            tracemalloc.start()
+            try:
+                kmeans(W_I, 250, seed=1, restarts=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() > budget
+        monkeypatch.setattr(cluster, "_STACK_BYTES", budget)
+        assert peak() <= budget
 
 
 class _Recorder:

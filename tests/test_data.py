@@ -296,21 +296,59 @@ class TestAugment:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([0, 1, 3, 9]), st.integers(1, 12),
            st.integers(0, 2 ** 31 - 1), st.sampled_from(["<f8", "<f4"]),
-           st.booleans())
-    def test_batch_equals_per_image(self, pad, B, seed, dtype, reuse):
+           st.booleans(), st.booleans())
+    def test_batch_equals_per_image(self, pad, B, seed, dtype, reuse,
+                                    reject):
         # signed values, so a sign-flipped zero in the padding would show
         r = np.random.default_rng(seed)
         images = r.standard_normal((7, 5 * 6 * 3)).astype(dtype)
         ids = r.integers(0, 7, size=B)
-        oracle_rng = np.random.default_rng([seed, 1])
+        rngs = [np.random.default_rng([seed, 1]) for _ in range(2)]
+        if reject:      # a pending half word 0: the first offset rejects it
+            state = rngs[0].bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            for rng in rngs:
+                rng.bit_generator.state = state
+        oracle_rng, rng = rngs
         want = np.stack([per_image_augment(images[i], 5, 6, pad, oracle_rng)
                          for i in ids])
         # a reused output buffer holds stale values that must not survive
         out = np.full((B, images.shape[1]), np.nan, dtype) if reuse else None
-        got = augment(images, ids, 5, 6, pad, np.random.default_rng([seed, 1]),
-                      out)
+        got = augment(images, ids, 5, 6, pad, rng, out)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert got.dtype == images.dtype and (out is None or got is out)
         assert got.tobytes() == want.tobytes()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 8]), st.integers(1, 64),
+           st.integers(0, 2 ** 63 - 1), st.sampled_from([None, "drawn", 0]))
+    def test_block_draws_equal_the_scalar_draws(self, pad, B, seed, pending):
+        # a PCG64 generator with no half word pending, with one left by a
+        # 32-bit draw, or with a pending 0: u k = 0 is a Lemire rejection
+        # for k = 3 and 17 (2^32 mod k = 1), so the block must fall back
+        # to the scalar loop. The values and the generator's full state
+        # afterwards are the scalar loop's
+        rng = np.random.default_rng(seed)
+        if pending == "drawn":
+            rng.integers(0, 5)
+        elif pending == 0:
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+        oracle = np.random.default_rng()
+        oracle.bit_generator.state = before = rng.bit_generator.state
+        want = data._scalar_draws(oracle, B, pad)
+        got = data._block_draws(rng, B, pad)
+        if pending == 0 and pad > 0:
+            assert got is None and rng.bit_generator.state == before
+            got = data._scalar_draws(rng, B, pad)
+        assert got == want
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_other_bit_generators_take_the_scalar_draws(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        assert data._block_draws(rng, 4, 2) is None
 
 
 class TestDatasetFile:

@@ -12,7 +12,7 @@ from coarse2fine.model import (CheckpointFormatError, ModelParams,
                                head_logits, init_params, load_checkpoint,
                                param_arrays, renormalize_heads,
                                save_checkpoint)
-from coarse2fine.numerics import grad_check
+from coarse2fine.numerics import grad_check, index_blocks
 from coarse2fine.trainer import param_vector
 from conftest import identity_params, make_params
 
@@ -61,24 +61,27 @@ class TestEncode:
         b, _ = encode(params, X)
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("cosine", [False, True])
-    def test_backward_into_buffers_is_bitwise_fresh(self, rng, cosine):
-        params = make_params(rng, input_dim=7, hidden=(5, 4), d=3,
-                             cosine=cosine)
-        X = rng.standard_normal((6, 7)).astype(np.float32)
-        ws = {}
-        for rows in (6, 2):              # a short last batch reuses them
-            f, cache = encode(params, X[:rows])
-            probe = rng.standard_normal(f.shape)
-            fresh = encode_backward(params, cache, probe)
-            bufs = dict(ws)
-            into = encode_backward(params, cache, probe, ws)
-            assert ws.keys() == {"grad_W0", "grad_W1", "grad_W2"}
-            assert all(ws[key] is buf for key, buf in bufs.items())
-            for li, ((gW, gb), (hW, hb)) in enumerate(zip(fresh, into)):
-                assert np.shares_memory(hW, ws[f"grad_W{li}"])
-                assert hW.tobytes() == gW.tobytes()
-                assert hb.tobytes() == gb.tobytes()
+    @settings(max_examples=30, deadline=None)
+    @given(st.booleans(), st.integers(1, 9), st.integers(3, 8),
+           st.integers(0, 2 ** 31 - 1))
+    def test_weight_gradient_row_blocks_are_bitwise_the_whole_product(
+            self, cosine, rows, block, seed):
+        # the fused SGD update forms a weight gradient one `index_blocks`
+        # slice of rows at a time: each must be bitwise those rows of x.T @ g
+        r = np.random.default_rng(seed)
+        params = make_params(r, input_dim=rows + 9, hidden=(rows + 2, 4),
+                             d=3, cosine=cosine)
+        X = r.standard_normal((6, rows + 9)).astype(np.float32)
+        f, cache = encode(params, X)
+        for (x, g, _), (W, _) in zip(
+                encode_backward(params, cache, r.standard_normal(f.shape)),
+                params.encoder):
+            whole = x.T @ g
+            assert whole.shape == W.shape
+            out = np.empty(W.shape)
+            for s in index_blocks(W.shape[0], block):
+                np.matmul(x[:, s].T, g, out=out[s])
+            assert out.tobytes() == whole.tobytes()
 
     def test_backward_matches_finite_differences(self, rng):
         params = make_params(rng, input_dim=3, hidden=(4,), d=2)
@@ -95,7 +98,7 @@ class TestEncode:
                 params.encoder[li] = saved
                 return float(np.sum(out * probe))
 
-            assert grad_check(loss_at_W, W, grads[li][0]) < 1e-4
+            assert grad_check(loss_at_W, W, grads[li][0].T @ grads[li][1]) < 1e-4
 
             def loss_at_b(bv, li=li):
                 saved = params.encoder[li]
@@ -104,7 +107,7 @@ class TestEncode:
                 params.encoder[li] = saved
                 return float(np.sum(out * probe))
 
-            assert grad_check(loss_at_b, b, grads[li][1]) < 1e-4
+            assert grad_check(loss_at_b, b, grads[li][2]) < 1e-4
 
     def test_cosine_output_unit_norm(self, rng):
         params = make_params(rng, cosine=True)

@@ -235,6 +235,37 @@ class TestVerifyLemma1:
             report = verify_lemma1(emb, W_I, fine)
             assert report.jensen_ok and report.lemma_ok
 
+    @pytest.mark.parametrize("F", [6, 8, 12])        # z = 4, 3, 2
+    def test_lemma1_matches_paper_formula(self, rng, F):
+        # per example i of fine class s(i): lhs = Pr{s(i) | f_i} over the
+        # proxies wbar_s, rhs = z alpha exp(f_i.wbar_s(i) - f_i.w_i); the
+        # Jensen slack of every (i, s) is log((1/z) sum_{j in s}
+        # exp(f_i.w_j)) - f_i.wbar_s. Every quantity is measured by brute
+        # force, lhs and rhs in linear space. The pin is 1e-12 relative to
+        # the value or 1, whichever is larger: at z = 2 the least Jensen
+        # slack is about 4e-7, a difference of two logits of order 1
+        emb, _, W_I, _, fine = random_instance(rng, n=24, C=2, F=F)
+        z = 24 // F
+        inst = emb @ W_I
+        alpha = min(math.exp(inst[i, i]) / np.exp(inst[i]).sum()
+                    for i in range(24))
+        proxy = emb @ np.stack([W_I[:, fine == s].mean(axis=1)
+                                for s in range(F)], axis=1)
+        lemma, jensen = [], []
+        for i in range(24):
+            own = proxy[i, fine[i]]
+            lhs = math.exp(own) / np.exp(proxy[i]).sum()
+            rhs = z * alpha * math.exp(own - inst[i, i])
+            lemma.append(math.log(lhs / rhs))
+            jensen += [math.log(np.exp(inst[i, fine == s]).sum() / z)
+                       - proxy[i, s] for s in range(F)]
+        report = verify_lemma1(emb, W_I, fine)
+        for got, want in ((report.lemma_slack_min, min(lemma)),
+                          (report.jensen_slack_min, min(jensen)),
+                          (report.log_alpha, math.log(alpha))):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert report.lemma_ok and report.jensen_ok
+
 
 def test_fine_class_probability_and_alpha_agree_across_paths(rng):
     # eval, theorem 1 and lemma 1 read one fine-class pass and one alpha
