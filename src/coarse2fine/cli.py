@@ -129,8 +129,13 @@ def _load_run(args: argparse.Namespace):
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_data(args.data, args.format)
-    if args.img_h and args.img_w:
-        dataset.image_shape = (args.img_h, args.img_w)
+    shape = (args.img_h, args.img_w)
+    if shape != (None, None):
+        if None in shape or min(shape) < 1 or 3 * shape[0] * shape[1] != dataset.dim:
+            raise UsageError(f"--img-h {shape[0]} --img-w {shape[1]}: give "
+                             f"both, each >= 1, with img_h x img_w x 3 equal "
+                             f"to the data's width {dataset.dim}")
+        dataset.image_shape = shape
     cfg = _merge_config(args)
     params, metrics, _ = train(cfg, dataset)
     metrics_path = args.metrics or args.out + ".metrics.jsonl"

@@ -1,13 +1,15 @@
 """The training objective with analytic gradients.
 
-`objective` returns a weighted sum of mean cross-entropy terms over the
-batch together with gradients w.r.t. the backbone embeddings, each head
-it read (dense, d x K) and the projection weights when the instance/proxy
-branch has one. Instance-head column reads are counted so the
-within-coarse speedup can be verified exactly. A training loop can
-pass `objective` one workspace dict `ws` for many steps, so that the large
-per-step arrays are overwritten (through `numerics.buffer`) instead of
-page-faulted afresh.
+`objective` is the module's one entry point. It returns a weighted sum of
+mean cross-entropy terms over the batch together with gradients w.r.t.
+the backbone embeddings, each head it read (dense, d x K) and the
+projection weights when the instance/proxy branch has one. Each form,
+one term alone among them, is a `terms` mapping: {"coarse": 1.0} is the
+coarse loss, and CoInsP is {"coarse": 1.0, "within": lambda_I, "proxy":
+lambda_P}. Instance-head column reads are counted so the within-coarse
+speedup can be verified exactly. A training loop can pass `objective` one
+workspace dict `ws` for many steps, so that the large per-step arrays are
+overwritten (through `numerics.buffer`) instead of page-faulted afresh.
 """
 
 from __future__ import annotations
@@ -130,15 +132,15 @@ def build_coarse_index(coarse_labels: np.ndarray) -> CoarseIndex:
 
 
 def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
-                        coarse_labels: np.ndarray, index: CoarseIndex,
-                        denom: int, ws: Optional[dict] = None,
-                        values_only: bool = False
+                        index: CoarseIndex, denom: int,
+                        ws: Optional[dict] = None, values_only: bool = False
                         ) -> tuple[float, Optional[np.ndarray],
                                    Optional[np.ndarray]]:
     """Instance CE restricted to each example's coarse class: only member
     columns are read, so the per-example head cost is O(d n_k), not O(d n).
 
-    The batch rows are sorted by class into a padded classes x r_max x d
+    Row i is example ids[i], whose class is `index.labels[ids[i]]`. The
+    batch rows are sorted by class into a padded classes x r_max x d
     block and the member columns gathered by `index.grid` as classes x
     n_max x d, so one batched product scores a chunk of classes; padded
     members are masked to -inf and padded rows are zero, so neither
@@ -147,12 +149,8 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
     as one contiguous row of an n x d buffer, whose transpose is copied
     into the d x n dW once per call, in blocks of rows."""
     W_I = params.W_I
-    order, starts, counts = group_by_label(coarse_labels)
+    order, starts, counts = group_by_label(index.labels[ids])
     sorted_ids = ids[order]
-    bad = np.flatnonzero(index.labels[sorted_ids] != coarse_labels[order])
-    if bad.size:
-        raise ValueError(f"example {sorted_ids[bad[0]]} not listed in coarse "
-                         f"class {coarse_labels[order[bad[0]]]} membership")
     classes = np.flatnonzero(counts)
     starts, counts, sizes = starts[classes], counts[classes], index.counts[classes]
     r_max, n_max, d = int(counts.max()), int(sizes.max()), G.shape[1]
@@ -233,17 +231,18 @@ def objective(params: ModelParams, batch: np.ndarray,
     """Weighted sum of mean cross-entropy terms over the batch.
 
     `terms` maps a term to its weight: "coarse" (`coarse_labels` on the
-    coarse head), "instance" (the full n-way instance softmax), "within"
-    (the instance softmax restricted to the example's coarse class, whose
-    members `coarse_index` lists) and "proxy" (the example's cluster in
-    `membership` over the P proxy columns). A term that is absent or
-    weighted 0 is not computed. Head gradients are dense d x K arrays,
-    present only for heads some term read; `components` holds each head's
-    unweighted cross-entropy. `values_only` forms no gradient (None or
-    empty), stops each within-coarse chunk at its value and scores the
-    full-softmax terms in row blocks: bitwise alike where the BLAS rounds
-    a block's product as the same rows of the whole product, which not
-    every kernel does at every shape (README, "One cross-entropy loop").
+    coarse head, the only term that reads them), "instance" (the full
+    n-way instance softmax), "within" (the instance softmax over the
+    members of the example's coarse class, both read from `coarse_index`)
+    and "proxy" (the example's cluster in `membership` over the P proxy
+    columns). A term that is absent or weighted 0 is not computed. Head
+    gradients are dense d x K arrays, present only for heads some term
+    read; `components` holds each head's unweighted cross-entropy.
+    `values_only` forms no gradient (None or empty), stops each
+    within-coarse chunk at its value and scores the full-softmax terms in
+    row blocks: bitwise alike where the BLAS rounds a block's product as
+    the same rows of the whole product, which not every kernel does at
+    every shape (README, "One cross-entropy loop").
 
     `ws` is a workspace dict the caller keeps between calls (start it
     empty; `train` keeps one per epoch): the logits, the head gradients,
@@ -270,12 +269,8 @@ def objective(params: ModelParams, batch: np.ndarray,
     if set(active) - {"coarse"} and (
             ids.min(initial=0) < 0 or ids.max(initial=0) >= params.W_I.shape[1]):
         raise ValueError("instance id out of range")
-    if "proxy" in active:
-        if params.W_P is None:
-            raise RuntimeError("instance-proxy loss requested before the proxy "
-                               "head was initialized")
-        if membership is None:
-            raise RuntimeError("proxy term requires a membership and W_P")
+    if "proxy" in active and (params.W_P is None or membership is None):
+        raise RuntimeError("the proxy term needs a membership and W_P")
 
     f, ecache = encode(params, batch)
     if values_only:
@@ -288,8 +283,8 @@ def objective(params: ModelParams, batch: np.ndarray,
         head = "instance" if term == "within" else term
         G, bcache = branch_forward(params, f, head)
         if term == "within":
-            v, dG, dW = _within_coarse_term(params, G, ids, y, coarse_index,
-                                            B, ws, values_only)
+            v, dG, dW = _within_coarse_term(params, G, ids, coarse_index, B,
+                                            ws, values_only)
         else:
             if term == "coarse":
                 labels = y
@@ -316,43 +311,3 @@ def objective(params: ModelParams, batch: np.ndarray,
                      grad_mlp_head=mlp_grad, encoder_cache=ecache,
                      embeddings=f, components=components).check_finite()
 
-
-# The single-term and combined forms as entry points of their own.
-
-def coarse_loss(params: ModelParams, batch: np.ndarray,
-                coarse_labels: np.ndarray) -> LossValue:
-    return objective(params, batch, None, {"coarse": 1.0}, coarse_labels)
-
-
-def instance_loss_full(params: ModelParams, batch: np.ndarray,
-                       instance_ids: np.ndarray) -> LossValue:
-    return objective(params, batch, instance_ids, {"instance": 1.0})
-
-
-def instance_loss_within_coarse(params: ModelParams, batch: np.ndarray,
-                                instance_ids: np.ndarray,
-                                coarse_labels: np.ndarray,
-                                coarse_index: CoarseIndex
-                                ) -> LossValue:
-    return objective(params, batch, instance_ids, {"within": 1.0},
-                     coarse_labels, coarse_index)
-
-
-def instance_proxy_loss(params: ModelParams, batch: np.ndarray,
-                        instance_ids: np.ndarray,
-                        membership: Membership) -> LossValue:
-    return objective(params, batch, instance_ids, {"proxy": 1.0},
-                     membership=membership)
-
-
-def combined_objective(params: ModelParams, batch: np.ndarray,
-                       instance_ids: np.ndarray, coarse_labels: np.ndarray,
-                       coarse_index: CoarseIndex,
-                       lambda_I: float, lambda_P: float,
-                       membership: Optional[Membership] = None,
-                       within_coarse: bool = True) -> LossValue:
-    """coarse + lambda_I * (within-coarse or full) instance + lambda_P * proxy."""
-    return objective(params, batch, instance_ids,
-                     {"coarse": 1.0, "within" if within_coarse else "instance":
-                      lambda_I, "proxy": lambda_P},
-                     coarse_labels, coarse_index, membership)

@@ -15,10 +15,7 @@ from coarse2fine.cli import main as cli_main
 from coarse2fine.cli import reproduce_synthetic
 from coarse2fine.cluster import Membership, kmeans, update_proxies
 from coarse2fine.data import gen_blob_dataset
-from coarse2fine.losses import (WI_READS, build_coarse_index, coarse_loss,
-                                combined_objective, instance_loss_full,
-                                instance_loss_within_coarse,
-                                instance_proxy_loss)
+from coarse2fine.losses import WI_READS, build_coarse_index, objective
 from coarse2fine.model import encode
 from coarse2fine.numerics import DegenerateInputError, grad_check
 from coarse2fine.theory import verify_lemma1, verify_theorem
@@ -48,13 +45,18 @@ def random_theory_instance(rng, n=12, C=2, F=4, d=4, scale=0.6):
 def test_criterion_1_gradient_suite():
     """All six loss forms and the encoder match finite differences."""
     rng = np.random.default_rng(2024)
-    forms = ("instance", "coarse", "combined-full", "combined-within",
-             "proxy", "combined-proxy")
+    # each form as its loss terms
+    forms = {"instance": {"instance": 1.0},
+             "coarse": {"coarse": 1.0},
+             "combined-full": {"coarse": 1.0, "instance": 0.6},
+             "combined-within": {"coarse": 1.0, "within": 0.6},
+             "proxy": {"proxy": 1.0},
+             "combined-proxy": {"coarse": 1.0, "within": 0.6, "proxy": 1.4}}
     n_configs = 102
     worst = 0.0
     start = time.monotonic()
     for i in range(n_configs):
-        form = forms[i % len(forms)]
+        form = list(forms)[i % len(forms)]
         cosine = (i // len(forms)) % 2 == 1
         mlp = (i // (2 * len(forms))) % 2 == 1
         n, C, P = 6, 2, 3
@@ -74,21 +76,8 @@ def test_criterion_1_gradient_suite():
                            objective=0.0)
 
             def call(p, form=form, m=m, X=X, ids=ids):
-                if form == "instance":
-                    return instance_loss_full(p, X, ids)
-                if form == "coarse":
-                    return coarse_loss(p, X, coarse[ids])
-                if form == "proxy":
-                    return instance_proxy_loss(p, X, ids, m)
-                if form == "combined-full":
-                    return combined_objective(p, X, ids, coarse[ids], index,
-                                              0.6, 0.0, within_coarse=False)
-                if form == "combined-within":
-                    return combined_objective(p, X, ids, coarse[ids], index,
-                                              0.6, 0.0, within_coarse=True)
-                return combined_objective(p, X, ids, coarse[ids], index,
-                                          0.6, 1.4, membership=m,
-                                          within_coarse=True)
+                return objective(p, X, ids, forms[form], coarse[ids], index,
+                                 m)
 
             try:
                 lv = call(params)
@@ -111,21 +100,24 @@ def test_criterion_2_reduction_equivalences():
     ids = np.arange(5)
 
     single_coarse = np.zeros(5, int)
+    full = objective(params, X, ids, {"instance": 1.0}).value
     gap_within = abs(
-        instance_loss_within_coarse(params, X, ids, single_coarse,
-                                    build_coarse_index(single_coarse)).value
-        - instance_loss_full(params, X, ids).value)
+        objective(params, X, ids, {"within": 1.0},
+                  coarse_index=build_coarse_index(single_coarse)).value
+        - full)
 
     m = Membership(assignment=np.arange(5), P=5, within_coarse=False,
                    objective=0.0)
     params.W_P = update_proxies(params.W_I, m)
-    gap_proxy = abs(instance_proxy_loss(params, X, ids, m).value
-                    - instance_loss_full(params, X, ids).value)
+    gap_proxy = abs(objective(params, X, ids, {"proxy": 1.0},
+                              membership=m).value - full)
 
     coarse = np.array([0, 0, 1, 1, 1])
-    combined = combined_objective(params, X, ids, coarse,
-                                  build_coarse_index(coarse), 0.0, 0.0)
-    exact = combined.value == coarse_loss(params, X, coarse).value
+    combined = objective(params, X, ids,
+                         {"coarse": 1.0, "within": 0.0, "proxy": 0.0},
+                         coarse, build_coarse_index(coarse))
+    exact = combined.value == objective(params, X, None, {"coarse": 1.0},
+                                        coarse).value
 
     ok = gap_within < 1e-12 and gap_proxy < 1e-12 and exact
     report(2, ok, f"within gap {gap_within:.1e}, proxy gap {gap_proxy:.1e}, "
@@ -209,10 +201,10 @@ def test_criterion_6_within_coarse_cost():
     ids = np.arange(n)
     index = build_coarse_index(coarse)
     WI_READS.reset()
-    instance_loss_within_coarse(params, X, ids, coarse, index)
+    objective(params, X, ids, {"within": 1.0}, coarse_index=index)
     within_reads = WI_READS.reads
     WI_READS.reset()
-    instance_loss_full(params, X, ids)
+    objective(params, X, ids, {"instance": 1.0})
     full_reads = WI_READS.reads
     ratio = within_reads / full_reads
     report(6, ratio == 0.05,

@@ -253,16 +253,18 @@ class TestTrain:
         assert "bad dataset file: example row 3 is not finite" \
             in capsys.readouterr().err
 
-    def test_deterministic_checkpoints(self, tmp_path, blob_file):
+    @pytest.mark.parametrize("objective", trainer.OBJECTIVES)
+    def test_deterministic_checkpoints(self, tmp_path, blob_file, objective):
         outs = []
         for name in ("a.ckpt", "b.ckpt"):
             path = tmp_path / name
-            rc = run("train", "--data", blob_file, "--objective", "coinsP",
+            rc = run("train", "--data", blob_file, "--objective", objective,
                      "--epochs", "4", "--lr", "0.003", "--clusters", "4",
                      "--hidden", "8", "--embed-dim", "4", "--seed", "3",
                      "--out", str(path))
             assert rc == 0
-            outs.append(path.read_bytes())
+            outs.append((path.read_bytes(),
+                         (tmp_path / f"{name}.metrics.jsonl").read_bytes()))
         assert outs[0] == outs[1]
 
     def test_opt_without_fine_labels(self, tmp_path):
@@ -274,12 +276,41 @@ class TestTrain:
         assert rc == 2
 
     def test_proxy_phase_skipped_warns_but_succeeds(self, tmp_path, blob_file):
+        """A coinsP run whose proxy phase would start after the last epoch
+        trains coins-imp, byte for byte."""
+        flags = ("--data", blob_file, "--epochs", "3", "--m-epoch", "5",
+                 "--lr", "0.003", "--hidden", "8", "--embed-dim", "4",
+                 "--clusters", "4")
         with pytest.warns(UserWarning):
-            rc = run("train", "--data", blob_file, "--objective", "coinsP",
-                     "--epochs", "2", "--m-epoch", "5", "--lr", "0.003",
-                     "--hidden", "8", "--embed-dim", "4", "--clusters", "4",
-                     "--out", str(tmp_path / "m.ckpt"))
+            rc = run("train", *flags, "--objective", "coinsP",
+                     "--out", str(tmp_path / "p.ckpt"))
         assert rc == 0
+        assert run("train", *flags, "--objective", "coins-imp",
+                   "--out", str(tmp_path / "i.ckpt")) == 0
+        for suffix in (".ckpt", ".ckpt.metrics.jsonl"):
+            assert (tmp_path / f"p{suffix}").read_bytes() == \
+                (tmp_path / f"i{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ("--img-h", "32"), ("--img-w", "32"), ("--img-h", "0", "--img-w", "32"),
+        ("--img-h", "-2", "--img-w", "-2"),          # -2 x -2 x 3 = 12
+        ("--img-h", "2", "--img-w", "3")])
+    def test_bad_image_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        """A lone image flag, one below 1, or a shape whose img_h x img_w x 3
+        is not the data's width exits 2 before training, writing nothing."""
+        data = tmp_path / "blob.cfds"
+        assert run("gen-data", "--kind", "blob", "--dim", "12",
+                   "--out", str(data)) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(data), "--epochs", "1", *flags,
+                   "--out", str(ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --img-h ")
+        assert "--img-w" in err and "the data's width 12" in err
+        assert err.count("\n") == 1
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.ckpt.metrics.jsonl").exists()
 
     def test_config_file_with_flag_precedence(self, tmp_path, blob_file):
         cfg = tmp_path / "cfg.json"

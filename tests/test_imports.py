@@ -80,3 +80,41 @@ def test_grouping_by_label_only_in_numerics(path):
 def test_detects_an_argsort():
     assert argsort_calls("np.argsort(y, kind='stable')\nnumpy.argsort(a)\n"
                          "x.argsort()\nnp.sort(y)\n") == 2
+
+
+# checks that only the tests and the acceptance gate call
+GATE_CHECKS = {"grad_check", "param_vector", "set_param_vector",
+               "gradient_vector", "verify_lemma1"}
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the given modules that no
+    expression in any of them reads, by name or as an attribute."""
+    defined, read = set(), set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        defined.update(node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_no_unread_definitions():
+    """Every top-level function or class of the package is called or named
+    somewhere in it, but for the checks the acceptance gate runs."""
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert [name for name in unread_definitions(sources)
+            if name not in GATE_CHECKS] == []
+
+
+def test_detects_an_unread_definition():
+    assert unread_definitions({
+        "a.py": "def used(): pass\ndef dead(): pass\nclass Kept: pass\n"
+                "class Gone: pass\n",
+        "b.py": "from a import used\nimport a\nx = used() or a.Kept\n"
+                "a.dead = None\n"}) == ["Gone", "dead"]

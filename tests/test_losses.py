@@ -9,10 +9,7 @@ from coarse2fine import losses
 from coarse2fine.cluster import Membership, update_proxies
 from coarse2fine.data import gen_blob_dataset
 from coarse2fine.losses import (WI_READS, _within_coarse_term,
-                                build_coarse_index, coarse_loss,
-                                combined_objective, instance_loss_full,
-                                instance_loss_within_coarse,
-                                instance_proxy_loss, objective)
+                                build_coarse_index, objective)
 from coarse2fine.model import encode, init_params
 from coarse2fine.numerics import grad_check, group_by_label, softmax_core
 from coarse2fine.trainer import (gradient_vector, param_vector,
@@ -122,14 +119,15 @@ def _direct_ce_oracle(logit_rows, labels):
 class TestCoarseLoss:
     def test_single_class_is_zero(self, rng):
         params = make_params(rng, C=1)
-        lv = coarse_loss(params, rng.standard_normal((3, 4)), np.zeros(3, int))
+        lv = objective(params, rng.standard_normal((3, 4)), None,
+                       {"coarse": 1.0}, np.zeros(3, int))
         assert lv.value == 0.0
 
     def test_zero_embeddings_give_log_C(self, rng):
         params = make_params(rng, C=5)
         params.encoder = [(np.zeros((4, 3)), np.zeros(3))]
-        lv = coarse_loss(params, rng.standard_normal((2, 4)),
-                         np.array([0, 4]))
+        lv = objective(params, rng.standard_normal((2, 4)), None,
+                       {"coarse": 1.0}, np.array([0, 4]))
         assert abs(lv.value - np.log(5)) < 1e-12
 
     def test_matches_direct_oracle(self, rng):
@@ -138,26 +136,28 @@ class TestCoarseLoss:
         y = rng.integers(0, 3, 5)
         f, _ = encode(params, X)
         oracle = _direct_ce_oracle(f @ params.W_C, y)
-        assert abs(coarse_loss(params, X, y).value - oracle) < 1e-12
+        lv = objective(params, X, None, {"coarse": 1.0}, y)
+        assert abs(lv.value - oracle) < 1e-12
 
     def test_label_out_of_range(self, rng):
         params = make_params(rng, C=2)
         with pytest.raises(ValueError):
-            coarse_loss(params, rng.standard_normal((1, 4)), np.array([2]))
+            objective(params, rng.standard_normal((1, 4)), None,
+                      {"coarse": 1.0}, np.array([2]))
 
 
 class TestInstanceLossFull:
     def test_single_instance_is_zero(self, rng):
         params = make_params(rng, n=1)
-        lv = instance_loss_full(params, rng.standard_normal((1, 4)),
-                                np.array([0]))
+        lv = objective(params, rng.standard_normal((1, 4)), np.array([0]),
+                       {"instance": 1.0})
         assert lv.value == 0.0
 
     def test_zero_embeddings_give_log_n(self, rng):
         params = make_params(rng, n=7)
         params.encoder = [(np.zeros((4, 3)), np.zeros(3))]
-        lv = instance_loss_full(params, rng.standard_normal((3, 4)),
-                                np.array([0, 3, 6]))
+        lv = objective(params, rng.standard_normal((3, 4)),
+                       np.array([0, 3, 6]), {"instance": 1.0})
         assert abs(lv.value - np.log(7)) < 1e-12
 
     def test_matches_direct_oracle(self, rng):
@@ -166,7 +166,8 @@ class TestInstanceLossFull:
         ids = np.array([0, 2, 3, 5])
         f, _ = encode(params, X)
         oracle = _direct_ce_oracle(f @ params.W_I, ids)
-        assert abs(instance_loss_full(params, X, ids).value - oracle) < 1e-12
+        lv = objective(params, X, ids, {"instance": 1.0})
+        assert abs(lv.value - oracle) < 1e-12
 
 
 class TestWithinCoarse:
@@ -176,8 +177,8 @@ class TestWithinCoarse:
         ids = np.arange(5)
         coarse = np.zeros(5, int)
         index = build_coarse_index(coarse)
-        full = instance_loss_full(params, X, ids)
-        within = instance_loss_within_coarse(params, X, ids, coarse, index)
+        full = objective(params, X, ids, {"instance": 1.0})
+        within = objective(params, X, ids, {"within": 1.0}, coarse_index=index)
         assert abs(full.value - within.value) < 1e-12
         np.testing.assert_allclose(within.grad_embeddings,
                                    full.grad_embeddings, atol=1e-12)
@@ -188,8 +189,8 @@ class TestWithinCoarse:
         params = make_params(rng, n=4)
         X = rng.standard_normal((4, 4))
         coarse = np.arange(4)
-        lv = instance_loss_within_coarse(params, X, np.arange(4), coarse,
-                                         build_coarse_index(coarse))
+        lv = objective(params, X, np.arange(4), {"within": 1.0},
+                       coarse_index=build_coarse_index(coarse))
         assert lv.value == 0.0
 
     def test_matches_direct_oracle_three_classes(self, rng):
@@ -204,7 +205,7 @@ class TestWithinCoarse:
             members = np.flatnonzero(coarse == coarse[i])
             row = f[i] @ params.W_I[:, members]
             total += cross_entropy(row, int(np.nonzero(members == i)[0][0]))
-        lv = instance_loss_within_coarse(params, X, ids, coarse, index)
+        lv = objective(params, X, ids, {"within": 1.0}, coarse_index=index)
         assert abs(lv.value - total / 9) < 1e-12
 
     def test_reads_only_member_columns(self, rng):
@@ -213,14 +214,14 @@ class TestWithinCoarse:
         coarse = np.array([0, 0, 0, 0, 0, 1, 1, 1])
         index = build_coarse_index(coarse)
         WI_READS.reset()
-        lv = instance_loss_within_coarse(params, X, np.arange(8), coarse,
-                                         index)
+        lv = objective(params, X, np.arange(8), {"within": 1.0},
+                       coarse_index=index)
         assert WI_READS.reads == 5 * 5 + 3 * 3
         # one dense d x n gradient for the instance head, none for the others
         assert set(lv.grad_heads) == {"instance"}
         assert lv.grad_heads["instance"].shape == params.W_I.shape
         WI_READS.reset()
-        instance_loss_full(params, X, np.arange(8))
+        objective(params, X, np.arange(8), {"instance": 1.0})
         assert WI_READS.reads == 8 * 8
 
     def test_batch_in_one_coarse_class_leaves_other_columns_zero(self, rng):
@@ -229,8 +230,8 @@ class TestWithinCoarse:
         index = build_coarse_index(coarse)
         ids = np.array([3, 5, 6])                    # all in coarse class 1
         WI_READS.reset()
-        lv = instance_loss_within_coarse(params, rng.standard_normal((3, 4)),
-                                         ids, coarse[ids], index)
+        lv = objective(params, rng.standard_normal((3, 4)), ids,
+                       {"within": 1.0}, coarse_index=index)
         assert WI_READS.reads == 3 * 4
         grad = lv.grad_heads["instance"]
         outside = coarse != 1
@@ -241,12 +242,12 @@ class TestWithinCoarse:
 class TestBatchedWithinCoarse:
     """The batched term against the per-class loop, to 1e-12 relative."""
 
-    def check(self, params, G, ids, coarse_labels, coarse):
+    def check(self, params, G, ids, coarse):
         WI_READS.reset()
-        v, dG, dW = _within_coarse_term(params, G, ids, coarse_labels,
+        v, dG, dW = _within_coarse_term(params, G, ids,
                                         build_coarse_index(coarse), len(ids))
-        assert WI_READS.reads == int(np.bincount(coarse)[coarse_labels].sum())
-        ov, odG, odW = per_class_within_oracle(params, G, ids, coarse_labels,
+        assert WI_READS.reads == int(np.bincount(coarse)[coarse[ids]].sum())
+        ov, odG, odW = per_class_within_oracle(params, G, ids, coarse[ids],
                                                coarse, len(ids))
         assert abs(v - ov) <= 1e-12 * abs(ov)
         scale = max(np.abs(odG).max(), np.abs(odW).max())
@@ -259,14 +260,13 @@ class TestBatchedWithinCoarse:
         params = make_params(rng, d=4, n=coarse.size)
         ids = rng.permutation(coarse.size)[:15]
         G = rng.standard_normal((15, 4))
-        self.check(params, G, ids, coarse[ids], coarse)
+        self.check(params, G, ids, coarse)
 
     def test_batch_in_one_class(self, rng):
         coarse = np.repeat(np.arange(3), [4, 9, 5])
         params = make_params(rng, d=4, n=coarse.size)
         ids = np.array([12, 4, 9, 7])
-        self.check(params, rng.standard_normal((4, 4)), ids, coarse[ids],
-                   coarse)
+        self.check(params, rng.standard_normal((4, 4)), ids, coarse)
 
     def test_cosine_with_mlp_head(self, rng):
         coarse = rng.permutation(np.repeat(np.arange(4), [6, 2, 5, 3]))
@@ -275,10 +275,10 @@ class TestBatchedWithinCoarse:
         ids = rng.permutation(coarse.size)[:11]
         X = rng.standard_normal((11, 4)) + 0.4
         index = build_coarse_index(coarse)
-        lv = instance_loss_within_coarse(params, X, ids, coarse[ids], index)
+        lv = objective(params, X, ids, {"within": 1.0}, coarse_index=index)
         f, _ = encode(params, X)
         G, _ = losses.branch_forward(params, f, "instance")
-        self.check(params, G, ids, coarse[ids], coarse)
+        self.check(params, G, ids, coarse)
         ov, _, odW = per_class_within_oracle(params, G, ids, coarse[ids],
                                              coarse, len(ids))
         assert abs(lv.value - ov) <= 1e-12 * ov
@@ -296,16 +296,7 @@ class TestBatchedWithinCoarse:
         r_max, n_max = 5, 5
         monkeypatch.setattr(losses, "_CHUNK_FLOATS",
                             1 if chunk == 1 else chunk * r_max * n_max)
-        self.check(params, G, ids, coarse[ids], coarse)
-
-    def test_first_unlisted_example_named(self, rng):
-        params = make_params(rng, n=6)
-        index = build_coarse_index(np.array([1, 0, 0, 0, 1, 0]))
-        coarse = np.array([1, 0, 1, 0, 1, 0])        # example 2 is in class 0
-        with pytest.raises(ValueError, match="example 2 not listed in "
-                                             "coarse class 1 membership"):
-            _within_coarse_term(params, rng.standard_normal((6, 3)),
-                                np.arange(6), coarse, index, 6)
+        self.check(params, G, ids, coarse)
 
 
 class TestWithinValuesOnly:
@@ -316,12 +307,11 @@ class TestWithinValuesOnly:
     def values_agree(self, params, G, ids, coarse):
         index = build_coarse_index(coarse)
         WI_READS.reset()
-        want = _within_coarse_term(params, G, ids, coarse[ids], index,
-                                   len(ids) + 2)
+        want = _within_coarse_term(params, G, ids, index, len(ids) + 2)
         reads = WI_READS.reads
         WI_READS.reset()
-        got = _within_coarse_term(params, G, ids, coarse[ids], index,
-                                  len(ids) + 2, values_only=True)
+        got = _within_coarse_term(params, G, ids, index, len(ids) + 2,
+                                  values_only=True)
         assert got == (want[0], None, None)
         assert WI_READS.reads == reads
 
@@ -375,8 +365,8 @@ class TestWithinValuesOnly:
             want = dict_within_coarse_term(params, G[ids], ids, coarse[ids],
                                            members, ids.size)
             for buffers in (None, ws):
-                got = _within_coarse_term(params, G[ids], ids, coarse[ids],
-                                          index, ids.size, buffers)
+                got = _within_coarse_term(params, G[ids], ids, index,
+                                          ids.size, buffers)
                 assert got[0] == want[0]
                 assert got[1].tobytes() == want[1].tobytes()
                 assert got[2].tobytes() == want[2].tobytes()
@@ -460,7 +450,7 @@ class TestPerRunLayout:
                                            ids.size)
             want_reads = WI_READS.reads
             WI_READS.reset()
-            got = _within_coarse_term(params, G, ids, coarse[ids],
+            got = _within_coarse_term(params, G, ids,
                                       build_coarse_index(coarse), ids.size)
             assert WI_READS.reads == want_reads
             assert got[0] == want[0]
@@ -474,8 +464,8 @@ class TestInstanceProxy:
         m = Membership(assignment=np.zeros(4, int), P=1, within_coarse=False,
                        objective=0.0)
         params.W_P = update_proxies(params.W_I, m)
-        lv = instance_proxy_loss(params, rng.standard_normal((2, 4)),
-                                 np.array([0, 3]), m)
+        lv = objective(params, rng.standard_normal((2, 4)), np.array([0, 3]),
+                       {"proxy": 1.0}, membership=m)
         assert lv.value == 0.0
 
     def test_singleton_clusters_equal_full_loss(self, rng):
@@ -485,8 +475,8 @@ class TestInstanceProxy:
         params.W_P = update_proxies(params.W_I, m)
         X = rng.standard_normal((3, 4))
         ids = np.array([0, 2, 4])
-        full = instance_loss_full(params, X, ids)
-        proxy = instance_proxy_loss(params, X, ids, m)
+        full = objective(params, X, ids, {"instance": 1.0})
+        proxy = objective(params, X, ids, {"proxy": 1.0}, membership=m)
         assert abs(full.value - proxy.value) < 1e-12
 
     def test_requires_proxy_head(self, rng):
@@ -494,8 +484,8 @@ class TestInstanceProxy:
         m = Membership(assignment=np.zeros(3, int), P=1, within_coarse=False,
                        objective=0.0)
         with pytest.raises(RuntimeError):
-            instance_proxy_loss(params, rng.standard_normal((1, 4)),
-                                np.array([0]), m)
+            objective(params, rng.standard_normal((1, 4)), np.array([0]),
+                      {"proxy": 1.0}, membership=m)
 
     def test_matches_direct_oracle(self, rng):
         params = make_params(rng, n=6, with_proxy=3)
@@ -505,8 +495,8 @@ class TestInstanceProxy:
         ids = np.array([1, 2, 4, 5])
         f, _ = encode(params, X)
         oracle = _direct_ce_oracle(f @ params.W_P, m.assignment[ids])
-        assert abs(instance_proxy_loss(params, X, ids, m).value
-                   - oracle) < 1e-12
+        lv = objective(params, X, ids, {"proxy": 1.0}, membership=m)
+        assert abs(lv.value - oracle) < 1e-12
 
 
 class TestCombined:
@@ -519,50 +509,55 @@ class TestCombined:
                        within_coarse=False, objective=0.0)
         return params, X, ids, coarse, build_coarse_index(coarse), m
 
-    def test_zero_weights_equal_coarse_loss(self, rng):
+    def test_zero_weights_equal_the_coarse_term(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
-        combined = combined_objective(params, X, ids, coarse[ids], index,
-                                      0.0, 0.0)
-        assert combined.value == coarse_loss(params, X, coarse[ids]).value
+        combined = objective(params, X, ids,
+                             {"coarse": 1.0, "within": 0.0, "proxy": 0.0},
+                             coarse[ids], index)
+        alone = objective(params, X, None, {"coarse": 1.0}, coarse[ids])
+        assert combined.value == alone.value
 
     def test_affine_in_lambda_I(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
 
         def at(lam):
-            return combined_objective(params, X, ids, coarse[ids], index,
-                                      lam, 0.0).value
+            return objective(params, X, ids, {"coarse": 1.0, "within": lam},
+                             coarse[ids], index).value
 
         assert abs((at(0.8) - at(0.4)) - (at(0.4) - at(0.0))) < 1e-12
 
     def test_equals_weighted_sum_of_terms(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
         lam_i, lam_p = 0.3, 1.7
-        lv = combined_objective(params, X, ids, coarse[ids], index,
-                                lam_i, lam_p, membership=m)
-        c = coarse_loss(params, X, coarse[ids]).value
-        i = instance_loss_within_coarse(params, X, ids, coarse[ids],
-                                        index).value
-        p = instance_proxy_loss(params, X, ids, m).value
+        lv = objective(params, X, ids,
+                       {"coarse": 1.0, "within": lam_i, "proxy": lam_p},
+                       coarse[ids], index, m)
+        c = objective(params, X, None, {"coarse": 1.0}, coarse[ids]).value
+        i = objective(params, X, ids, {"within": 1.0},
+                      coarse_index=index).value
+        p = objective(params, X, ids, {"proxy": 1.0}, membership=m).value
         assert abs(lv.value - (c + lam_i * i + lam_p * p)) < 1e-12
         assert lv.components == {"coarse": c, "instance": i, "proxy": p}
 
     def test_full_instance_mode(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
-        lv = combined_objective(params, X, ids, coarse[ids], index, 0.5, 0.0,
-                                within_coarse=False)
-        c = coarse_loss(params, X, coarse[ids]).value
-        i = instance_loss_full(params, X, ids).value
+        lv = objective(params, X, ids, {"coarse": 1.0, "instance": 0.5},
+                       coarse[ids])
+        c = objective(params, X, None, {"coarse": 1.0}, coarse[ids]).value
+        i = objective(params, X, ids, {"instance": 1.0}).value
         assert abs(lv.value - (c + 0.5 * i)) < 1e-12
 
     def test_proxy_weight_requires_membership(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
         with pytest.raises(RuntimeError):
-            combined_objective(params, X, ids, coarse[ids], index, 0.0, 1.0)
+            objective(params, X, ids, {"coarse": 1.0, "proxy": 1.0},
+                      coarse[ids], index)
 
     def test_negative_weights_rejected(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
         with pytest.raises(ValueError):
-            combined_objective(params, X, ids, coarse[ids], index, -1.0, 0.0)
+            objective(params, X, ids, {"coarse": 1.0, "within": -1.0},
+                      coarse[ids], index)
 
 
 class TestObjective:
@@ -575,6 +570,18 @@ class TestObjective:
                        build_coarse_index(coarse))
         assert WI_READS.reads == 0
         assert set(lv.grad_heads) == set(lv.components) == {"coarse"}
+
+    def test_within_term_takes_classes_from_the_index(self, rng):
+        # only the coarse term reads coarse_labels: labels that disagree
+        # with the index leave the within-coarse term's bits as they are
+        params = make_params(rng, n=6)
+        X = rng.standard_normal((4, 4))
+        ids = np.array([5, 0, 3, 1])
+        index = build_coarse_index(np.array([0, 0, 0, 1, 1, 1]))
+        want = objective(params, X, ids, {"within": 1.0}, coarse_index=index)
+        got = objective(params, X, ids, {"within": 1.0},
+                        np.array([0, 1, 0, 1]), index)
+        assert_same_bits(got, want)
 
     @pytest.mark.parametrize("terms", [{"bogus": 1.0},
                                        {"instance": 1.0, "within": 1.0},
@@ -745,8 +752,7 @@ class TestOneSoftmaxCeBlock:
                 ({"coarse": -1.0}, coarse, np.arange(4), "non-negative"),
                 ({"bogus": 1.0}, coarse, np.arange(4), "unknown"),
                 ({"coarse": 1.0}, coarse + 1, np.arange(4), "coarse label"),
-                ({"instance": 1.0}, coarse, np.arange(1, 5), "instance id"),
-                ({"within": 1.0}, coarse[::-1], np.arange(4), "not listed")]:
+                ({"instance": 1.0}, coarse, np.arange(1, 5), "instance id")]:
             with pytest.raises(ValueError, match=match):
                 objective(params, X, ids, terms, labels, index,
                           values_only=True)
@@ -769,8 +775,9 @@ class TestGradients:
                        within_coarse=False, objective=0.0)
 
         def call(p):
-            return combined_objective(p, X, ids, coarse[ids], index,
-                                      0.7, 1.3, membership=m)
+            return objective(p, X, ids,
+                             {"coarse": 1.0, "within": 0.7, "proxy": 1.3},
+                             coarse[ids], index, m)
 
         lv = call(params)
         err = grad_check(_loss_fn_builder(params, call), param_vector(params),
@@ -781,5 +788,7 @@ class TestGradients:
         params = make_params(rng, n=5)
         X = rng.standard_normal((4, 4))
         coarse = np.array([0, 0, 1, 1, 1])
-        assert coarse_loss(params, X, coarse[:4]).value >= 0
-        assert instance_loss_full(params, X, np.arange(4)).value >= 0
+        assert objective(params, X, None, {"coarse": 1.0},
+                         coarse[:4]).value >= 0
+        assert objective(params, X, np.arange(4),
+                         {"instance": 1.0}).value >= 0

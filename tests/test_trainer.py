@@ -13,8 +13,7 @@ from coarse2fine.cluster import update_proxies
 from coarse2fine.cli import synth_train_config
 from coarse2fine.data import (Dataset, augment, gen_blob_dataset,
                               gen_patch_dataset)
-from coarse2fine.losses import (WI_READS, build_coarse_index, coarse_loss,
-                                combined_objective, instance_loss_full)
+from coarse2fine.losses import WI_READS, build_coarse_index, objective
 from coarse2fine.model import init_params, param_arrays
 from coarse2fine.numerics import buffer
 from coarse2fine.trainer import (TrainConfig, apply_gradients, lr_at,
@@ -174,7 +173,8 @@ class TestApplyGradients:
         weights_before = [W.copy() for W, _ in params.encoder]
         # single coarse class: loss and every gradient are exactly zero,
         # so any movement comes from weight decay alone
-        lv = coarse_loss(params, rng.standard_normal((3, 4)), np.zeros(3, int))
+        lv = objective(params, rng.standard_normal((3, 4)), None,
+                       {"coarse": 1.0}, np.zeros(3, int))
         assert lv.value == 0.0
         apply_gradients(params, lv, zero_velocities(params), lr=0.1,
                         momentum=0.0, weight_decay=0.5)
@@ -185,13 +185,12 @@ class TestApplyGradients:
 
     def test_proxy_gradients_discarded(self, rng):
         from coarse2fine.cluster import Membership
-        from coarse2fine.losses import instance_proxy_loss
         params = make_params(rng, n=4, with_proxy=2)
         W_P_before = params.W_P.copy()
         m = Membership(assignment=np.array([0, 0, 1, 1]), P=2,
                        within_coarse=False, objective=0.0)
-        lv = instance_proxy_loss(params, rng.standard_normal((2, 4)),
-                                 np.array([0, 3]), m)
+        lv = objective(params, rng.standard_normal((2, 4)), np.array([0, 3]),
+                       {"proxy": 1.0}, membership=m)
         apply_gradients(params, lv, zero_velocities(params), lr=0.1,
                         momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(params.W_P, W_P_before)
@@ -358,8 +357,8 @@ class TestTrain:
         cfg = small_blob_config("coins-imp", epochs=3, lambda_I=0.5)
         params, metrics, _ = train(cfg, d)
         index = build_coarse_index(d.coarse_labels)
-        lv = combined_objective(params, d.examples, np.arange(d.n),
-                                d.coarse_labels, index, 0.5, 0.0)
+        lv = objective(params, d.examples, np.arange(d.n),
+                       {"coarse": 1.0, "within": 0.5}, d.coarse_labels, index)
         last = metrics[-1]
         assert abs(last["loss_total"] - lv.value) < 1e-9
         assert abs(last["loss_coarse"] - lv.components["coarse"]) < 1e-9
@@ -369,9 +368,22 @@ class TestTrain:
         d = gen_blob_dataset(2, 2, 3, 6, seed=5)
         cfg = small_blob_config("ins", epochs=2)
         params, metrics, _ = train(cfg, d)
-        lv = instance_loss_full(params, d.examples, np.arange(d.n))
+        lv = objective(params, d.examples, np.arange(d.n), {"instance": 1.0})
         assert abs(metrics[-1]["loss_total"] - lv.value) < 1e-9
         assert metrics[-1]["loss_coarse"] == 0.0
+
+    def test_one_coarse_class_within_trains_as_full(self):
+        """On one coarse class the within-coarse softmax is the full one, so
+        coins-imp trains as coins. Its batched product need not round as
+        G @ W does, so the epoch metrics agree to 1e-9, not in bytes."""
+        d = gen_blob_dataset(1, 4, 6, 8, seed=8)
+        full, within = (train(small_blob_config(o, epochs=4, batch_size=8), d)[1]
+                        for o in ("coins", "coins-imp"))
+        assert len(full) == len(within) == 4
+        for want, got in zip(full, within):
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-9), key
 
     def test_cosine_head_norms_stay_unit(self):
         d = gen_blob_dataset(2, 2, 4, 6, seed=6)
