@@ -261,6 +261,13 @@ def objective(params: ModelParams, batch: np.ndarray,
         raise ValueError("no loss term has a positive weight")
     if "instance" in active and "within" in active:
         raise ValueError("the 'instance' and 'within' terms exclude each other")
+    for term, name, arg in (("coarse", "coarse_labels", coarse_labels),
+                            ("instance", "instance_ids", instance_ids),
+                            ("within", "instance_ids", instance_ids),
+                            ("within", "coarse_index", coarse_index),
+                            ("proxy", "instance_ids", instance_ids)):
+        if term in active and arg is None:
+            raise ValueError(f"the {term!r} term needs {name}")
     y = None if coarse_labels is None else np.asarray(coarse_labels, dtype=np.int64)
     ids = None if instance_ids is None else np.asarray(instance_ids, dtype=np.int64)
     if "coarse" in active and (y.min(initial=0) < 0

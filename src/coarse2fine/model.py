@@ -4,7 +4,9 @@ instance/proxy branch, plus a byte-exact checkpoint format."""
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -208,6 +210,8 @@ def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 # --- checkpoint format -------------------------------------------------
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
+    """Each array is written from its own buffer when it is already a
+    contiguous little-endian float64 array, as every trained array is."""
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", len(params.encoder)))
@@ -219,62 +223,75 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         fh.write(struct.pack("<IIIIBd", *widths,
                              1 if params.cosine else 0, params.temperature))
         for a in arrays.values():
-            fh.write(a.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a CFCK1 file. The header is read in its three short parts, and
+    each array is `readinto` straight from the file once the header's body
+    size matches the file's."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:6] != CKPT_MAGIC:
-        raise CheckpointFormatError(f"bad magic at offset 0: {raw[:6]!r}")
-    off = len(CKPT_MAGIC)
-
-    def take(size: int) -> int:
-        """Claim the next `size` bytes and return their offset."""
-        nonlocal off
-        if len(raw) < off + size:
-            raise CheckpointFormatError(f"truncated at offset {len(raw)}")
-        off += size
-        return off - size
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack_from(fmt, raw, take(struct.calcsize(fmt)))
-
-    (n_layers,) = unpack("<I")
-    if n_layers == 0:
-        raise CheckpointFormatError("zero encoder layers at offset 6")
-    shapes = [unpack("<II") for _ in range(n_layers)]
-    for li in range(1, n_layers):
-        if shapes[li][0] != shapes[li - 1][1]:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(10)
+        if head[:6] != CKPT_MAGIC:
+            raise CheckpointFormatError(f"bad magic at offset 0: {head[:6]!r}")
+        if len(head) < 10:
+            raise CheckpointFormatError(f"truncated at offset {size}")
+        (n_layers,) = struct.unpack_from("<I", head, 6)
+        if n_layers == 0:
+            raise CheckpointFormatError("zero encoder layers at offset 6")
+        # the shapes, then C, n, P, d_h, the cosine flag and the temperature
+        at_widths = 10 + 8 * n_layers
+        if size < at_widths:
+            raise CheckpointFormatError(f"truncated at offset {size}")
+        shapes = list(struct.iter_unpack("<II", fh.read(8 * n_layers)))
+        for li in range(1, n_layers):
+            if shapes[li][0] != shapes[li - 1][1]:
+                raise CheckpointFormatError(
+                    f"encoder layer {li} takes {shapes[li][0]} inputs but "
+                    f"layer {li - 1} gives {shapes[li - 1][1]} outputs "
+                    f"(shape at offset {10 + 8 * li})")
+        off = at_widths + 25
+        if size < off:
+            raise CheckpointFormatError(f"truncated at offset {size}")
+        C, n, P, d_h, cosine_flag, temperature = struct.unpack(
+            "<IIIIBd", fh.read(25))
+        if cosine_flag not in (0, 1):
+            raise CheckpointFormatError(f"cosine flag {cosine_flag} at offset "
+                                        f"{off - 9} must be 0 or 1")
+        if not (np.isfinite(temperature) and temperature > 0):
+            raise CheckpointFormatError(f"temperature {temperature!r} at "
+                                        f"offset {off - 8} must be finite "
+                                        f"and > 0")
+        d = shapes[-1][1]
+        # the header's body size is checked before any array of it is
+        # allocated
+        end = off + 8 * (sum(r * c + c for r, c in shapes)
+                         + d * (C + n + P + 2 * d_h))
+        if size < end:
+            raise CheckpointFormatError(f"truncated at offset {size}")
+        if size > end:
             raise CheckpointFormatError(
-                f"encoder layer {li} takes {shapes[li][0]} inputs but layer "
-                f"{li - 1} gives {shapes[li - 1][1]} outputs "
-                f"(shape at offset {10 + 8 * li})")
-    C, n, P, d_h, cosine_flag, temperature = unpack("<IIIIBd")
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise CheckpointFormatError(f"temperature {temperature!r} at offset "
-                                    f"{off - 8} must be finite and > 0")
-    d = shapes[-1][1]
-    # the header's body size is checked before any array of it is allocated
-    end = off + 8 * (sum(r * c + c for r, c in shapes)
-                     + d * (C + n + P + 2 * d_h))
-    if len(raw) < end:
-        raise CheckpointFormatError(f"truncated at offset {len(raw)}")
-    if len(raw) > end:
-        raise CheckpointFormatError(
-            f"{len(raw) - end} trailing bytes at offset {end}")
-    params = ModelParams(
-        encoder=[(np.empty(shape), np.empty(shape[1])) for shape in shapes],
-        W_C=np.empty((d, C)), W_I=np.empty((d, n)),
-        W_P=np.empty((d, P)) if P > 0 else None,
-        mlp_head=(np.empty((d, d_h)), np.empty((d_h, d))) if d_h > 0 else None,
-        cosine=bool(cosine_flag), temperature=float(temperature))
-    for name, a in param_arrays(params).items():
-        start = take(8 * a.size)
-        a[...] = np.frombuffer(raw, dtype="<f8", count=a.size,
-                               offset=start).reshape(a.shape)
-        if not np.isfinite(a).all():
-            bad = int(np.argmin(np.isfinite(a)))      # first, in body order
-            raise CheckpointFormatError(f"{name} value {bad} is not finite "
-                                        f"(at offset {start + 8 * bad})")
+                f"{size - end} trailing bytes at offset {end}")
+        params = ModelParams(
+            encoder=[(np.empty(shape), np.empty(shape[1]))
+                     for shape in shapes],
+            W_C=np.empty((d, C)), W_I=np.empty((d, n)),
+            W_P=np.empty((d, P)) if P > 0 else None,
+            mlp_head=((np.empty((d, d_h)), np.empty((d_h, d))) if d_h > 0
+                      else None),
+            cosine=bool(cosine_flag), temperature=float(temperature))
+        for name, a in param_arrays(params).items():
+            got = fh.readinto(a)
+            if got < a.nbytes:
+                raise CheckpointFormatError(
+                    f"truncated at offset {off + got}")
+            if sys.byteorder == "big":
+                a.byteswap(inplace=True)     # the body is little-endian
+            if not np.isfinite(a).all():
+                bad = int(np.argmin(np.isfinite(a)))   # first, in body order
+                raise CheckpointFormatError(
+                    f"{name} value {bad} is not finite "
+                    f"(at offset {off + 8 * bad})")
+            off += a.nbytes
     return params

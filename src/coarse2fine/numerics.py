@@ -118,16 +118,30 @@ def group_by_label(labels: np.ndarray, K: int = 0) -> tuple[np.ndarray, ...]:
 
 def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     """d x K matrix whose column s is the mean of the columns of W labelled s,
-    each taken over its contiguous run of `group_by_label`'s order.
+    each taken over its columns in index order, as `W[:, labels == s]`
+    holds them. The groups are gathered fewest columns first, so that the
+    groups of one size form a (d, groups, size) view and one `mean` over
+    its last axis serves them all.
     DegenerateInputError: a label in [0, K) labels no column."""
-    order, starts, counts = group_by_label(labels, K)
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=K)
     if not counts[:K].all():
         s = int(np.argmin(counts[:K]))
         raise DegenerateInputError(f"group {s} is empty: no column is labelled {s}")
-    grouped = W[:, order]
+    by_size = np.argsort(counts[:K], kind="stable")
+    rank = np.full(counts.size, K)           # a label >= K is gathered last
+    rank[by_size] = np.arange(K)
+    grouped = W[:, np.argsort(rank[labels], kind="stable")]
+    sizes = counts[by_size]
+    first = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()  # of a size
     out = np.empty((W.shape[0], K))
-    for s in range(K):
-        out[:, s] = grouped[:, starts[s]:starts[s] + counts[s]].mean(axis=1)
+    col = 0
+    for g0, g1 in zip(first, first[1:] + [K]):
+        size = int(sizes[g0])
+        span = grouped[:, col:col + (g1 - g0) * size]
+        out[:, by_size[g0:g1]] = span.reshape(W.shape[0], g1 - g0,
+                                              size).mean(axis=2)
+        col += span.shape[1]
     return out
 
 

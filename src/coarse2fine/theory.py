@@ -231,18 +231,18 @@ class BoundReport:
         """The report as `json.dump(..., indent=2)` of its non-None fields
         writes it, with the linear lhs and rhs of each example as
         "per_example" before "log_lhs". Every value's text is json's own,
-        from its C encoder: one call formats a list's distinct floats,
-        keyed on their bits so that -0.0 and 0.0 stay apart (a rhs list is
-        one value n times), and no float's text holds the ", " that splits
-        it."""
+        from its C encoder: one call formats a whole list, whose items are
+        split at the ", " that no float's text holds, and a list of one
+        value (a rhs list is one value n times) has that value's text
+        repeated. The value is told by its float64 bits, so that -0.0 and
+        0.0 keep their own texts."""
         def texts(values: list) -> list[str]:
             if not values:
                 return []
             bits = np.asarray(values, dtype=np.float64).view(np.int64)
-            _, first, where = np.unique(bits, return_index=True,
-                                        return_inverse=True)
-            text = json.dumps([values[i] for i in first.tolist()])
-            return np.array(text[1:-1].split(", "), dtype=object)[where].tolist()
+            if (bits == bits[0]).all():
+                return [json.dumps(values[0])] * len(values)
+            return json.dumps(values)[1:-1].split(", ")
 
         def array(items: list[str]) -> str:      # a list at depth 1
             return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"

@@ -613,6 +613,41 @@ class TestTrain:
         assert tuple(hashlib.sha256(b).hexdigest() for b in outputs
                      ) == self.PINNED[core][objective]
 
+    # sha256 of the small blob train's `eval` report and its theorem 1 and
+    # theorem 2 bound reports, recorded on the SkylakeX kernel set before
+    # checkpoints were read straight into their arrays
+    PINNED_READS = {
+        "SkylakeX": {
+            "coins": ("cad41ad3eaf34da9b2bb1bb8f0826983"
+                      "8eb45d563d9f8d9de5c1cb43ae074980",
+                      "afec0e621245322cd998f6bcefa3201f"
+                      "d83dcc9b68d4f020c9c83f459d1b8147",
+                      "a9e68762759c4a7360eb28630175b180"
+                      "42479bca7fbdd93da6c815748efd031d"),
+            "coinsP": ("4a4eb9482bd8ee8c0a1d16dbffb0da38"
+                       "6e2bbfc3568ce52500ac3d7fa9469e01",
+                       "83e87714a077184d097d6a302219855c"
+                       "c4d8601768b3f158d2ee2fcee31bf226",
+                       "e7fde58775b1d7c8b8decbca6ed3629e"
+                       "051a8cbb2bb72354a8bc33fd0ad69d93")}}
+
+    @pytest.mark.parametrize("objective", ["coins", "coinsP"])
+    def test_read_outputs_are_pinned(self, tmp_path, objective):
+        core = openblas_core()
+        if core not in self.PINNED_READS:
+            pytest.skip(f"no digests recorded for BLAS kernel set {core}")
+        self.small_blob_train(tmp_path, "m", objective)
+        args = ["--data", str(tmp_path / "b.cfds"),
+                "--checkpoint", str(tmp_path / "m.ckpt")]
+        commands = [["eval"], ["verify-bounds", "--theorem", "1"],
+                    ["verify-bounds", "--theorem", "2"]]
+        digests = []
+        for i, command in enumerate(commands):
+            out = tmp_path / f"r{i}.json"
+            assert run(*command, *args, "--out", str(out)) == 0
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert tuple(digests) == self.PINNED_READS[core][objective]
+
 
 class TestEval:
     def test_report_with_monotone_recall(self, tmp_path, blob_file, trained):

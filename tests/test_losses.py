@@ -593,6 +593,19 @@ class TestObjective:
             objective(params, rng.standard_normal((4, 4)), np.arange(4),
                       terms, coarse, build_coarse_index(coarse))
 
+    @pytest.mark.parametrize("term, name", [("within", "coarse_index"),
+                                            ("instance", "instance_ids"),
+                                            ("coarse", "coarse_labels")])
+    def test_missing_input_named(self, rng, term, name):
+        params = make_params(rng, n=6)
+        coarse = np.array([0, 0, 0, 1, 1, 1])
+        args = {"instance_ids": np.array([0, 4]),
+                "coarse_labels": coarse[[0, 4]],
+                "coarse_index": build_coarse_index(coarse), name: None}
+        with pytest.raises(ValueError, match=f"the '{term}' term needs {name}$"):
+            objective(params, rng.standard_normal((2, 4)), terms={term: 1.0},
+                      **args)
+
 
 def assert_same_bits(got, want):
     """Two LossValues of a gradient pass hold the same bits."""

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,35 @@ class TestCheckpoint:
                            match=f"temperature .* at offset {at} "):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_cosine_flag_not_0_or_1_rejected(self, tmp_path, rng, flag):
+        params = make_params(rng, input_dim=4, hidden=(3,), d=2, cosine=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+        raw = bytearray(path.read_bytes())
+        # after the magic, the layer count, two shapes and C, n, P, d_h
+        at = 10 + 8 * 2 + 16
+        assert raw[at] == 1
+        raw[at] = flag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"^cosine flag {flag} at offset {at} "):
+            load_checkpoint(str(path))
+
+    def test_load_holds_one_copy_of_the_arrays(self, tmp_path, rng):
+        params = make_params(rng, input_dim=256, hidden=(128,), d=32, C=8,
+                             n=4096, with_proxy=64, mlp_head=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, str(path))
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in param_arrays(back).values())
+        assert nbytes <= peak <= 1.15 * nbytes
+
     def test_optional_parts_absent(self, tmp_path, rng):
         params = make_params(rng)  # no proxy head, no projection
         path = tmp_path / "m.ckpt"
@@ -270,12 +300,15 @@ class TestCheckpoint:
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans(),
-       st.integers(0, 2), st.binary(min_size=1, max_size=16))
-def test_checkpoint_prefixes_and_trailing_bytes_rejected(seed, mlp_head,
-                                                         cosine, proxies,
-                                                         extra):
+       st.integers(0, 2), st.binary(min_size=1, max_size=16),
+       st.integers(1, 255))
+def test_checkpoint_prefixes_trailing_bytes_and_header_bytes(
+        seed, mlp_head, cosine, proxies, extra, flip):
     """Every strict prefix of a small checkpoint, and the checkpoint with
-    bytes appended, raise CheckpointFormatError; the file itself loads."""
+    bytes appended, raise CheckpointFormatError; the file itself loads.
+    Each header byte xor-ed with `flip` either raises CheckpointFormatError
+    or loads a checkpoint that saves as the same bytes, and nothing else
+    (no struct.error, other ValueError or MemoryError)."""
     params = make_params(np.random.default_rng(seed), input_dim=2,
                          hidden=(), d=2, C=1, n=2, with_proxy=proxies,
                          mlp_head=mlp_head, cosine=cosine)
@@ -290,3 +323,17 @@ def test_checkpoint_prefixes_and_trailing_bytes_rejected(seed, mlp_head,
                 fh.write(data)
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(path)
+        # the magic, the layer count, one shape, C, n, P, d_h, the cosine
+        # flag and the temperature
+        for at in range(10 + 8 + 25):
+            data = bytearray(blob)
+            data[at] ^= flip
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                back = load_checkpoint(path)
+            except CheckpointFormatError:
+                continue
+            save_checkpoint(back, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == data

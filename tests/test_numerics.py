@@ -210,15 +210,29 @@ class TestColumnMeans:
         np.testing.assert_array_equal(got[:, 0], W[:, [1, 4]].mean(axis=1))
         np.testing.assert_array_equal(got[:, 1], W[:, [0, 2, 3]].mean(axis=1))
 
+    # group sizes below, at and past the 8-way blocks of NumPy's pairwise
+    # sum and its split above 128; "random" draws n and the labels, "mixed"
+    # draws sizes from the list, so that the groups of each size are taken
+    # together
+    SIZES = [1, 7, 8, 9, 16, 129, 300]
+
+    @pytest.mark.parametrize("layout", ["random", *SIZES, "mixed"])
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 2 ** 31 - 1))
-    def test_bitwise_equal_to_masked_means(self, d, n, seed):
+    @given(st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
+    def test_bitwise_equal_to_masked_means(self, layout, d, seed):
         # the per-group masked mean, kept here as the oracle
         r = np.random.default_rng(seed)
-        K = int(r.integers(1, n + 1))
-        labels = np.concatenate([np.arange(K), r.integers(0, K, n - K)])
+        if layout == "random":
+            n = int(r.integers(1, 301))
+            K = int(r.integers(1, n + 1))
+            labels = np.concatenate([np.arange(K), r.integers(0, K, n - K)])
+        else:
+            sizes = (r.choice(self.SIZES, int(r.integers(2, 9)))
+                     if layout == "mixed" else [layout] * int(r.integers(1, 6)))
+            K = len(sizes)
+            labels = np.repeat(np.arange(K), sizes)
         r.shuffle(labels)
-        W = r.standard_normal((d, n))
+        W = r.standard_normal((d, labels.size))
         want = np.stack([W[:, labels == s].mean(axis=1) for s in range(K)],
                         axis=1)
         assert column_means(W, labels, K).tobytes() == want.tobytes()

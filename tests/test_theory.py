@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarse2fine import numerics, theory
@@ -479,6 +479,12 @@ def bound_reports(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(bound_reports())
+# -0.0 and 0.0 compare equal but have their own texts
+@example(BoundReport(theorem=1, alpha=0.5, beta=0.5, a=1.0, b=1.0, c=1.0,
+                     z=2, M=0, h=1.0, log_alpha=-0.0, log_a=0.0, log_b=0.0,
+                     log_lhs=[-0.0, 0.0, -0.0], log_rhs=[0.0, -0.0, 0.0],
+                     all_hold=True, slack_min=0.0, slack_log_min=-0.0,
+                     vacuous=False))
 def test_report_text_equals_indented_json(report):
     """to_json writes the bytes json.dumps(..., indent=2) writes for the
     report's dict, with Infinity, NaN and empty lists."""
