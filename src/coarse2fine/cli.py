@@ -3,8 +3,9 @@ the end-to-end synthetic comparison (reproduce-synthetic).
 
 Exit codes: 0 success (and bounds hold), 1 internal error (a failed
 invariant check among them) / bounds violated, 2 usage error, 3 IO
-failure, 4 unsupported or degenerate data (e.g. a non-finite embedding)
-or a malformed dataset or checkpoint file, 5 training diverged (a
+failure, 4 unsupported or degenerate data (e.g. a non-finite embedding,
+or alpha or beta exactly 1, which leaves the bound undefined) or a
+malformed dataset or checkpoint file, 5 training diverged (a
 non-finite loss, gradient or epoch metric; nothing is written).
 """
 
@@ -26,7 +27,7 @@ from .evaluate import evaluate_model
 from .model import (CheckpointFormatError, embed, load_checkpoint,
                     save_checkpoint)
 from .numerics import DegenerateInputError, InvariantError
-from .theory import NonUniformClassSizeError, verify_theorem
+from .theory import DomainError, NonUniformClassSizeError, verify_theorem
 from .trainer import OBJECTIVES, DivergenceError, TrainConfig, train
 
 EXIT_OK, EXIT_INTERNAL, EXIT_USAGE, EXIT_IO, EXIT_UNSUPPORTED = 0, 1, 2, 3, 4
@@ -203,6 +204,8 @@ def reproduce_synthetic(seeds: list[int], out_dir: str, epochs: int = 150,
                         ) -> list[dict]:
     """Patch-image comparison of all objectives; returns the rows that are
     also written to comparison.csv / comparison.json (medians included)."""
+    for seed in seeds:                  # a bad seed before anything is written
+        synth_train_config(OBJECTIVES[0], seed, epochs).validate()
     os.makedirs(out_dir, exist_ok=True)
     rows: list[dict] = []
     for seed in seeds:
@@ -328,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the message prefix and exit code of each expected failure, matched in order
 _FAILURES = [
-    (NonUniformClassSizeError, "unsupported data", EXIT_UNSUPPORTED),
+    ((NonUniformClassSizeError, DomainError), "unsupported data",
+     EXIT_UNSUPPORTED),
     (DatasetFormatError, "bad dataset file", EXIT_UNSUPPORTED),
     (CheckpointFormatError, "bad checkpoint file", EXIT_UNSUPPORTED),
     (DegenerateInputError, "degenerate input", EXIT_UNSUPPORTED),

@@ -130,6 +130,8 @@ def gen_patch_dataset(n: int, n_big: int, n_small: int, img_h: int = 32,
     if big_size + small_size > img_h and big_size + small_size > img_w:
         raise ValueError("patches cannot be placed without overlap: "
                          "big_size + small_size exceeds both image sides")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     big_colors = rng.uniform(0.0, 1.0, size=(n_big, 3))
     small_colors = rng.uniform(0.0, 1.0, size=(n_small, 3))
@@ -184,6 +186,8 @@ def gen_blob_dataset(C: int, fine_per_coarse: int, z: int, dim: int,
         raise ValueError("spreads must be finite and positive")
     if not (np.isfinite(noise) and noise >= 0):
         raise ValueError("noise must be finite and >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n = C * fine_per_coarse * z
     F = C * fine_per_coarse

@@ -16,9 +16,10 @@ from typing import Optional
 import numpy as np
 from numpy import logaddexp
 
+from . import numerics
 from .numerics import (InvariantError, check_finite_embeddings, column_means,
-                       group_by_label, own_proxy_softmax, row_blocks,
-                       softmax_core)
+                       buffer, group_by_label, index_blocks, own_proxy_softmax,
+                       row_blocks, softmax_core)
 
 REL_TOL = 1e-9
 
@@ -31,20 +32,25 @@ class DomainError(ValueError):
     """A measured constant leaves no valid bound (e.g. alpha = 1)."""
 
 
-def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray,
-                           own: np.ndarray) -> tuple[float, float]:
-    """Over the rows i of emb, with logits l = emb[i] @ W and own column
-    own[i]: the min of log softmax(l)[own[i]] and the min of the logsumexp
-    of the other logits (-inf when there are none). Row blocks of logits."""
+def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray, own: np.ndarray,
+                           ws: Optional[dict] = None) -> tuple[float, float]:
+    """Over the rows i of each slice j of the stacks emb (k, n, d) and W
+    (k, d, K), with logits l = emb[j, i] @ W[j] and own column own[i]: the
+    min of log softmax(l)[own[i]] and the min of the logsumexp of the other
+    logits (-inf when there are none). One batched product per row block
+    of _ROW_BLOCK rows, into the `numerics.buffer` "logits" of `ws`."""
+    block = numerics._ROW_BLOCK
+    L = buffer(ws, "logits", (len(emb), min(emb.shape[1], block), W.shape[2]))
     log_prob = log_rest = np.inf
-    for blk, L in row_blocks(emb.shape[0], W.shape[1]):
-        rows = np.arange(blk.size)
-        np.matmul(emb[blk], W, out=L)
-        own_logit = L[rows, own[blk]]
-        L[rows, own[blk]] = -np.inf
-        _, m, total = softmax_core(L)
+    for blk in index_blocks(emb.shape[1], block):
+        Lb = L[:, :blk.stop - blk.start]
+        rows = np.arange(Lb.shape[1])
+        np.matmul(emb[:, blk], W, out=Lb)
+        own_logit = Lb[:, rows, own[blk]]
+        Lb[:, rows, own[blk]] = -np.inf
+        _, m, total = softmax_core(Lb)
         with np.errstate(divide="ignore"):     # no other column: log 0
-            lse_rest = m[:, 0] + np.log(total[:, 0])
+            lse_rest = m[..., 0] + np.log(total[..., 0])
         log_prob = min(log_prob, float(np.min(
             own_logit - np.logaddexp(own_logit, lse_rest))))
         log_rest = min(log_rest, float(np.min(lse_rest)))
@@ -91,8 +97,9 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
 
     alpha/a use the full instance softmax in theorem1 mode and the
     within-coarse softmax in theorem2 mode; both are computed in log space,
-    over row blocks of logits (theorem 2 over each coarse class's block).
-    """
+    over row blocks of logits; theorem 2 over stacks of the coarse classes
+    of one size whose logits fit one _ROW_BLOCK x _ROW_BLOCK block (or one
+    class), each class's rows against its own columns."""
     if mode not in ("theorem1", "theorem2"):
         raise ValueError(f"unknown mode {mode!r}")
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -106,15 +113,23 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
 
     order, starts, counts = group_by_label(y_c)
     if mode == "theorem1":
-        log_alpha, log_a = _min_log_prob_and_rest(emb, W_I, np.arange(n))
+        log_alpha, log_a = _min_log_prob_and_rest(emb[None], W_I[None],
+                                                  np.arange(n))
     else:
         log_alpha = log_a = np.inf
-        for k in np.flatnonzero(counts):
-            members = order[starts[k]:starts[k] + counts[k]]
-            la, lr = _min_log_prob_and_rest(emb[members], W_I[:, members],
-                                            np.arange(members.size))
-            log_alpha, log_a = min(log_alpha, la), min(log_a, lr)
-    log_beta, log_b = _min_log_prob_and_rest(emb, W_C, y_c)
+        block, ws = numerics._ROW_BLOCK, {}
+        # not np.unique, which imports numpy.ma: about 1 MiB resident
+        for size in sorted(set(counts.tolist()) - {0}):
+            runs = order[starts[counts == size][:, None] + np.arange(size)]
+            per = max(1, block * block // (min(size, block) * size))
+            for stack in np.split(runs, range(per, len(runs), per)):
+                # each W_I slice column-major, as a lone class's
+                # W_I[:, members] is: BLAS rounds by the operands' layout
+                la, lr = _min_log_prob_and_rest(
+                    emb[stack], W_I.T[stack].transpose(0, 2, 1),
+                    np.arange(size), ws)
+                log_alpha, log_a = min(log_alpha, la), min(log_a, lr)
+    log_beta, log_b = _min_log_prob_and_rest(emb[None], W_C[None], y_c)
 
     if log_alpha >= 0.0 or log_beta >= 0.0:
         raise DomainError("alpha or beta is exactly 1; the 1-alpha "
@@ -189,7 +204,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
         jensen_slack = min(jensen_slack, float(slack.min()))
 
     # alpha over the full instance softmax, as theorem 1 measures it
-    log_alpha, _ = _min_log_prob_and_rest(emb, W_I, np.arange(n))
+    log_alpha, _ = _min_log_prob_and_rest(emb[None], W_I[None], np.arange(n))
     own_proxy, m, total = own_proxy_softmax(emb, W_I, fine)   # f_i . wbar_s(i)
     log_lhs = own_proxy - (m + np.log(total))
     log_rhs = np.log(z) + log_alpha + own_proxy - own_inst

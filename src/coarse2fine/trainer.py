@@ -66,6 +66,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.pad < 0:
             raise ValueError("pad must be >= 0")
         if self.kmeans_restarts < 1:

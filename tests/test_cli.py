@@ -122,6 +122,7 @@ class TestGenData:
         (["--big-size", "32", "--small-size", "32"],
          "patches cannot be placed without overlap: "
          "big_size + small_size exceeds both image sides"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ])
     def test_bad_patch_shape_is_usage_error(self, tmp_path, capsys, flags,
                                             message):
@@ -138,6 +139,7 @@ class TestGenData:
         (["--coarse-spread", "nan"], "spreads must be finite and positive"),
         (["--fine-spread", "inf"], "spreads must be finite and positive"),
         (["--fine-spread", "0"], "spreads must be finite and positive"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ])
     def test_bad_blob_spread_or_noise_is_usage_error(self, tmp_path, capsys,
                                                      flags, message):
@@ -380,6 +382,7 @@ class TestTrain:
         (["--hidden", "0"], "hidden widths must be >= 1"),
         (["--hidden", "8,0"], "hidden widths must be >= 1"),
         (["--pad", "-20"], "pad must be >= 0"),
+        (["--seed", "-1"], "usage error: seed must be >= 0\n"),
         (["--objective", "coins", "--lambda-i", "nan"], "lambda_I must be finite"),
         (["--objective", "coinsP", "--lambda-p", "inf"], "lambda_P must be finite"),
         (["--lr", "nan"], "lr must be finite"),
@@ -855,6 +858,25 @@ class TestVerifyBounds:
         for key in ("c_prime", "c_doubleprime", "alpha_prime"):
             assert key in report
 
+    def test_undefined_bound_is_unsupported_data(self, tmp_path, capsys):
+        # every coarse class holds one example: its within-coarse softmax
+        # has one column, so alpha is exactly 1 and 1 - alpha is 0
+        data_path, ckpt = tmp_path / "one.cfds", tmp_path / "m.ckpt"
+        assert run("gen-data", "--kind", "blob", "--classes", "3",
+                   "--fine-per-coarse", "1", "--z", "1", "--dim", "4",
+                   "--out", str(data_path)) == 0
+        assert run("train", "--data", str(data_path), "--epochs", "2",
+                   "--batch", "2", "--hidden", "4", "--embed-dim", "2",
+                   "--out", str(ckpt)) == 0
+        capsys.readouterr()
+        out = tmp_path / "b.json"
+        assert run("verify-bounds", "--data", str(data_path), "--checkpoint",
+                   str(ckpt), "--theorem", "2", "--out", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "unsupported data: alpha or beta is exactly 1; the 1-alpha "
+            "denominator in the bound is undefined\n")
+        assert not out.exists()
+
     def test_non_uniform_fine_classes_unsupported(self, tmp_path, trained):
         csv_path = tmp_path / "d.csv"
         rows = ["coarse,fine,x0,x1,x2,x3"]
@@ -904,4 +926,12 @@ class TestReproduceSynthetic:
                    str(out)) == 2
         assert capsys.readouterr().err == \
             "usage error: --seeds needs at least one value\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "1,-1"])
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys, seeds):
+        out = tmp_path / "cmp"
+        assert run("reproduce-synthetic", "--seeds", seeds, "--out",
+                   str(out)) == 2
+        assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
         assert not out.exists()

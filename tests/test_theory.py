@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coarse2fine import numerics, theory
@@ -44,6 +44,36 @@ def per_row_constants(emb, W_C, W_I, coarse, mode):
                 out["log_" + resid],
                 per_row_logsumexp(rest) if rest.size else -np.inf)
     return out
+
+
+def per_class_theorem2(emb, W_I, coarse):
+    """Reference: theorem 2's (log alpha, log a) one coarse class at a time,
+    as measure_constants took them before it stacked the classes of one
+    size: each class's rows against its own columns, in the row blocks of
+    `numerics.row_blocks`. DomainError when alpha is exactly 1."""
+    log_alpha = log_a = np.inf
+    order, starts, counts = numerics.group_by_label(coarse)
+    for k in np.flatnonzero(counts):
+        members = order[starts[k]:starts[k] + counts[k]]
+        E, W = emb[members], W_I[:, members]
+        for blk, L in numerics.row_blocks(members.size, members.size):
+            rows = np.arange(blk.size)
+            np.matmul(E[blk], W, out=L)
+            own = L[rows, blk]
+            L[rows, blk] = -np.inf
+            _, m, total = numerics.softmax_core(L)
+            with np.errstate(divide="ignore"):
+                rest = m[:, 0] + np.log(total[:, 0])
+            log_alpha = min(log_alpha, float(np.min(
+                own - np.logaddexp(own, rest))))
+            log_a = min(log_a, float(np.min(rest)))
+    if log_alpha >= 0.0:
+        raise DomainError("alpha is exactly 1")
+    return log_alpha, log_a
+
+
+def float_bits(*values):
+    return [int(np.float64(v).view(np.int64)) for v in values]
 
 
 def random_instance(rng, n=12, C=2, F=4, d=4, scale=0.6):
@@ -176,6 +206,46 @@ class TestMeasureConstants:
         with pytest.raises(DomainError):
             measure_constants(emb, k["W_C"], 100.0 * np.eye(2),
                               k["coarse_labels"], k["fine_labels"])
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 128])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sizes=st.lists(st.one_of(st.integers(1, 300), st.integers(1, 6)),
+                          min_size=1, max_size=8),
+           kind=st.sampled_from(["normal", "grid", "duplicate"]),
+           d=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @example(sizes=[1, 1, 1, 1], kind="normal", d=2, seed=0)
+    @example(sizes=[1] * 40, kind="grid", d=1, seed=1)
+    def test_stacks_match_per_class_loop(self, monkeypatch, block, sizes,
+                                         kind, d, seed):
+        """Theorem 2's constants from the stacks of equal-size classes are
+        the per-class loop's bit for bit: unequal sizes from 1 to 300 (a
+        class of more than _ROW_BLOCK rows takes several blocks), labels in
+        shuffled order, exact ties from grid values, duplicated rows and
+        columns; all-singleton classes raise DomainError on both sides."""
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        coarse = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        if kind == "normal":
+            emb, W_I = rng.standard_normal((n, d)), rng.standard_normal((d, n))
+        elif kind == "grid":                    # many exactly tied logits
+            emb = 0.5 * rng.integers(-2, 3, (n, d))
+            W_I = 0.5 * rng.integers(-2, 3, (d, n))
+        else:                                   # a pool of three vectors
+            pool = rng.standard_normal((3, d))
+            emb = pool[rng.integers(0, 3, n)]
+            W_I = np.ascontiguousarray(pool[rng.integers(0, 3, n)].T)
+        W_C = 0.5 * rng.standard_normal((d, len(sizes) + 1))
+        fine = np.arange(n)                     # z = 1 nests in any coarse
+        try:
+            want = per_class_theorem2(emb, W_I, coarse)
+        except DomainError:
+            with pytest.raises(DomainError):
+                measure_constants(emb, W_C, W_I, coarse, fine, "theorem2")
+            return
+        got = measure_constants(emb, W_C, W_I, coarse, fine, "theorem2")
+        assert float_bits(got.log_alpha, got.log_a) == float_bits(*want)
 
 
 def log_h(c, alpha, beta, a, b, z):
