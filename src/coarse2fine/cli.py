@@ -112,11 +112,22 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
 
 def _write_run(params, metrics: list[dict], ckpt_path: str,
                metrics_path: str) -> None:
-    """A trained model's checkpoint, and its metrics one JSON line per epoch."""
-    save_checkpoint(params, ckpt_path)
-    with open(metrics_path, "w") as fh:
-        for rec in metrics:
-            fh.write(json.dumps(rec) + "\n")
+    """A trained model's checkpoint, and its metrics one JSON line per epoch,
+    each under a temporary name beside its target, renamed into place once
+    both are written: a failed write leaves neither, nor a temporary file."""
+    paths = (ckpt_path, metrics_path)
+    temps = [f"{path}.{os.getpid()}-{i}.tmp" for i, path in enumerate(paths)]
+    try:
+        save_checkpoint(params, temps[0])
+        with open(temps[1], "w") as fh:
+            for rec in metrics:
+                fh.write(json.dumps(rec) + "\n")
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in filter(os.path.exists, temps):
+            os.remove(tmp)
+        raise
 
 
 def _load_run(args: argparse.Namespace):

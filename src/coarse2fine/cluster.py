@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .numerics import (DegenerateInputError, InvariantError, column_means,
-                       group_by_label)
+                       equal_size_groups, group_by_label)
 
 
 # largest |w| of d*n entries for which no squared distance, nor a sum of n
@@ -134,7 +134,7 @@ def _lloyd(X: np.ndarray, centres: np.ndarray, max_iters: int,
 
 def apportion(counts: list[int], P: int) -> list[int]:
     """Largest-remainder split of P cluster slots proportional to counts,
-    with every share in [1, count]."""
+    with every share in [1, count] for len(counts) <= P <= sum(counts)."""
     n = sum(counts)
     quotas = [P * c / n for c in counts]
     shares = [int(np.floor(q)) for q in quotas]
@@ -142,26 +142,20 @@ def apportion(counts: list[int], P: int) -> list[int]:
     order = sorted(range(len(counts)), key=lambda k: (shares[k] - quotas[k], k))
     for k in order[:remainder]:
         shares[k] += 1
-    # enforce 1 <= share <= count by moving slots between classes
+    # share <= count: floor(quota) < count if P < n, and no remainder if P = n
     for k in range(len(shares)):
         while shares[k] < 1:
             donor = max(range(len(shares)),
                         key=lambda j: (shares[j] - 1, -j) if shares[j] > 1 else (-1, -j))
             shares[donor] -= 1
             shares[k] += 1
-        while shares[k] > counts[k]:
-            taker = min(range(len(shares)),
-                        key=lambda j: (shares[j] / counts[j], j)
-                        if shares[j] < counts[j] else (np.inf, j))
-            shares[taker] += 1
-            shares[k] -= 1
     return shares
 
 
 def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
            tol: float = 1e-6, restarts: int = 4,
            coarse_labels: Optional[np.ndarray] = None,
-           init: Optional[np.ndarray] = None) -> tuple[Membership, np.ndarray]:
+           init: Optional[np.ndarray] = None) -> Membership:
     """Cluster the columns of W_I into P clusters: k-means++ and Lloyd with
     empty-cluster repair per restart, and the lowest objective wins (ties to
     the lower restart). With coarse_labels, P is apportioned to the classes
@@ -169,8 +163,9 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
     ascending class. `init` (P x d centroids) replaces k-means++ and runs
     one global restart. Restart r of class k draws from
     SeedSequence(seed).spawn(classes)[k].spawn(restarts)[r]. Problems of
-    equal (n_k, P_k) are solved in one stack. DegenerateInputError: W_I is
-    non-finite, or so large that a squared distance could overflow."""
+    equal (n_k, P_k) are solved in one stack; `update_proxies` makes the
+    proxies. DegenerateInputError: W_I is non-finite, or so large that a
+    squared distance could overflow."""
     n = W_I.shape[1]
     if P > n or P < 1:
         raise ValueError(f"P={P} out of range for n={n}")
@@ -184,7 +179,8 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
     if coarse_labels is not None:
         if init is not None:
             raise ValueError("init applies to global clustering only")
-        labels = np.unique(np.asarray(coarse_labels, np.int64), return_inverse=True)[1]
+        coarse = np.asarray(coarse_labels, np.int64)     # to dense class ids
+        labels = (np.cumsum(np.bincount(coarse) > 0) - 1)[coarse]
         if P < labels.max() + 1:
             raise ValueError("P must be at least the number of coarse classes")
         seqs = seedseq.spawn(int(labels.max()) + 1)
@@ -194,11 +190,9 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
     rngs = [np.random.default_rng(s) for ss in seqs for s in ss.spawn(R)]
     offsets = np.cumsum(budgets) - budgets
     assign, objective = np.empty(n, np.int64), np.empty(counts.size)
-    shape = counts * (P + 1) + budgets
-    for key in np.unique(shape):            # one stack per (n_k, P_k)
-        cls = np.flatnonzero(shape == key)
-        n_k, P_k = counts[cls[0]], budgets[cls[0]]
-        idx = members[first[cls][:, None] + np.arange(n_k)]
+    shape = counts * (P + 1) + budgets      # one stack per (n_k, P_k)
+    for cls, idx in equal_size_groups(members, first, counts, shape):
+        n_k, P_k = idx.shape[1], budgets[cls[0]]
         # laid out as a lone problem's points: that fixes NumPy's sum order
         X = np.repeat(W[None], R, axis=0).transpose(0, 2, 1) \
             if coarse_labels is None else np.repeat(W.T[idx], R, axis=0)
@@ -215,6 +209,5 @@ def kmeans(W_I: np.ndarray, P: int, seed: int = 0, max_iters: int = 100,
         a, obj = (np.concatenate(part) for part in zip(*parts))
         best = np.arange(0, a.shape[0], R) + np.argmin(obj.reshape(-1, R), axis=1)
         assign[idx], objective[cls] = a[best] + offsets[cls][:, None], obj[best]
-    membership = Membership(assign, P, coarse_labels is not None,
-                            float(np.cumsum(objective)[-1]))
-    return membership, update_proxies(W_I, membership)
+    return Membership(assign, P, coarse_labels is not None,
+                      float(np.cumsum(objective)[-1]))

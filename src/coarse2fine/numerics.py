@@ -1,6 +1,6 @@
-"""Row normalisation, indices grouped by label, grouped column means, the
-row blocks the O(n^2) read paths stream over, the one softmax core, the
-workspace buffers of the training step, and a finite-difference checker.
+"""Row normalisation, indices grouped by label, groups of equal size, grouped
+column means, the row blocks the O(n^2) read paths stream over, the one
+softmax core, the step's workspace buffers and a finite-difference checker.
 
 Everything here operates on float64 numpy arrays, as does the whole
 package: `model.encode` casts every batch to float64, and the bound checks
@@ -116,32 +116,35 @@ def group_by_label(labels: np.ndarray, K: int = 0) -> tuple[np.ndarray, ...]:
     return np.argsort(labels, kind="stable"), np.cumsum(counts) - counts, counts
 
 
+def equal_size_groups(order: np.ndarray, starts: np.ndarray,
+                      counts: np.ndarray, key: Optional[np.ndarray] = None):
+    """For each distinct key, ascending, of the non-empty groups of a
+    `group_by_label` layout (order, starts, counts): the ids of its groups,
+    ascending, and their (groups, size) matrix of indices, row g holding
+    group ids[g]'s. A group's key is its size unless `key` gives one per
+    group; the groups of one key must be of one size."""
+    key = counts if key is None else key
+    live = np.flatnonzero(counts)
+    live = live[np.argsort(key[live], kind="stable")]
+    cuts = np.flatnonzero(np.diff(key[live])) + 1
+    for ids in np.split(live, cuts) if live.size else []:
+        yield ids, order[starts[ids][:, None] + np.arange(counts[ids[0]])]
+
+
 def column_means(W: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
     """d x K matrix whose column s is the mean of the columns of W labelled s,
     each taken over its columns in index order, as `W[:, labels == s]`
-    holds them. The groups are gathered fewest columns first, so that the
-    groups of one size form a (d, groups, size) view and one `mean` over
-    its last axis serves them all.
+    holds them; a label >= K is ignored. The groups of one size are
+    gathered as one (d, groups, size) array (`equal_size_groups`), and one
+    `mean` over its last axis serves them all.
     DegenerateInputError: a label in [0, K) labels no column."""
-    labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=K)
+    order, starts, counts = group_by_label(labels, K)
     if not counts[:K].all():
         s = int(np.argmin(counts[:K]))
         raise DegenerateInputError(f"group {s} is empty: no column is labelled {s}")
-    by_size = np.argsort(counts[:K], kind="stable")
-    rank = np.full(counts.size, K)           # a label >= K is gathered last
-    rank[by_size] = np.arange(K)
-    grouped = W[:, np.argsort(rank[labels], kind="stable")]
-    sizes = counts[by_size]
-    first = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()  # of a size
     out = np.empty((W.shape[0], K))
-    col = 0
-    for g0, g1 in zip(first, first[1:] + [K]):
-        size = int(sizes[g0])
-        span = grouped[:, col:col + (g1 - g0) * size]
-        out[:, by_size[g0:g1]] = span.reshape(W.shape[0], g1 - g0,
-                                              size).mean(axis=2)
-        col += span.shape[1]
+    for ids, idx in equal_size_groups(order, starts[:K], counts[:K]):
+        out[:, ids] = W[:, idx].mean(axis=2)
     return out
 
 

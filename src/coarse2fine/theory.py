@@ -18,8 +18,8 @@ from numpy import logaddexp
 
 from . import numerics
 from .numerics import (InvariantError, check_finite_embeddings, column_means,
-                       buffer, group_by_label, index_blocks, own_proxy_softmax,
-                       row_blocks, softmax_core)
+                       buffer, equal_size_groups, group_by_label, index_blocks,
+                       own_proxy_softmax, row_blocks, softmax_core)
 
 REL_TOL = 1e-9
 
@@ -118,9 +118,8 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
     else:
         log_alpha = log_a = np.inf
         block, ws = numerics._ROW_BLOCK, {}
-        # not np.unique, which imports numpy.ma: about 1 MiB resident
-        for size in sorted(set(counts.tolist()) - {0}):
-            runs = order[starts[counts == size][:, None] + np.arange(size)]
+        for _, runs in equal_size_groups(order, starts, counts):
+            size = runs.shape[1]
             per = max(1, block * block // (min(size, block) * size))
             for stack in np.split(runs, range(per, len(runs), per)):
                 # each W_I slice column-major, as a lone class's

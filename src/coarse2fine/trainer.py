@@ -56,34 +56,25 @@ class TrainConfig:
                      "lr_decay_factor", "temperature"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
-        if min(self.hidden, default=1) < 1:
-            raise ValueError("hidden widths must be >= 1")
-        if self.epochs < 0 or self.lr <= 0:
-            raise ValueError("epochs must be >= 0 and lr > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.pad < 0:
-            raise ValueError("pad must be >= 0")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be > 0")
-        if not self.lr_decay_factor > 0:
-            raise ValueError("lr_decay_factor must be > 0")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
-        m = self.m_epoch(self.epochs)
-        if not 0 <= m:
-            raise ValueError("ip_start_epoch must be >= 0")
-        if any(b >= a for a, b in zip(self.lr_decay_epochs[1:],
-                                      self.lr_decay_epochs[:-1])):
-            raise ValueError("lr decay epochs must be strictly increasing")
+        decays = self.lr_decay_epochs
+        for ok, rule in (
+                (self.embed_dim >= 1, "embed_dim must be >= 1"),
+                (min(self.hidden, default=1) >= 1, "hidden widths must be >= 1"),
+                (self.epochs >= 0 and self.lr > 0, "epochs must be >= 0 and lr > 0"),
+                (0.0 <= self.momentum < 1.0, "momentum must be in [0, 1)"),
+                (self.batch_size >= 1, "batch_size must be >= 1"),
+                (self.seed >= 0, "seed must be >= 0"),
+                (self.pad >= 0, "pad must be >= 0"),
+                (self.kmeans_restarts >= 1, "kmeans_restarts must be >= 1"),
+                (self.temperature > 0, "temperature must be > 0"),
+                (self.lr_decay_factor > 0, "lr_decay_factor must be > 0"),
+                (self.weight_decay >= 0, "weight_decay must be >= 0"),
+                (self.m_epoch(self.epochs) >= 0, "ip_start_epoch must be >= 0"),
+                (all(a < b for a, b in zip(decays, decays[1:])),
+                 "lr decay epochs must be strictly increasing"),
+                (min(decays, default=0) >= 0, "lr decay epochs must be >= 0")):
+            if not ok:                 # the first rule broken, in this order
+                raise ValueError(rule)
 
     def m_epoch(self, T: int) -> int:
         return T // 2 if self.ip_start_epoch is None else self.ip_start_epoch
@@ -248,7 +239,7 @@ def train(config: TrainConfig, dataset: Dataset
     if config.objective == "coinsP" and M >= T:
         import warnings
         warnings.warn("ip_start_epoch >= epochs: the instance-proxy phase "
-                      "never runs", stacklevel=2)
+                      "never runs", stacklevel=3)   # past np.errstate's frame
 
     head_C = dataset.F if config.objective == "opt" else dataset.C
     class_labels = dataset.fine_labels if config.objective == "opt" \
@@ -269,14 +260,14 @@ def train(config: TrainConfig, dataset: Dataset
 
     def recluster(t: int) -> Membership:
         try:
-            m, _ = kmeans(params.W_I, P, seed=config.seed * 1000003 + t,
-                          restarts=config.kmeans_restarts,
-                          coarse_labels=dataset.coarse_labels
-                          if config.cluster_within_coarse else None)
+            m = kmeans(params.W_I, P, seed=config.seed * 1000003 + t,
+                       restarts=config.kmeans_restarts,
+                       coarse_labels=dataset.coarse_labels
+                       if config.cluster_within_coarse else None)
+            params.W_P = update_proxies(params.W_I, m, cosine=config.cosine)
         except DegenerateInputError as exc:   # the cause, then ": detail"
             what, sep, detail = str(exc).partition(":")
             raise DivergenceError(f"{what} after epoch {t}{sep}{detail}") from exc
-        params.W_P = update_proxies(params.W_I, m, cosine=config.cosine)
         return m
 
     if config.objective == "coinsP" and M == 0 and T > 0:

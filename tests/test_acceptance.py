@@ -143,11 +143,11 @@ def test_criterion_3_kmeans_oracle():
                     obj += float(np.sum((members - members.mean(0)) ** 2))
             if obj < best:
                 best, best_assign = obj, a
-        m, _ = kmeans(W_I, P, seed=trial, restarts=4)
+        m = kmeans(W_I, P, seed=trial, restarts=4)
         worst_gap = max(worst_gap, best - m.objective)
         used = np.unique(best_assign)
         centers = np.stack([pts[best_assign == p].mean(0) for p in used])
-        m2, _ = kmeans(W_I, len(used), init=centers)
+        m2 = kmeans(W_I, len(used), init=centers)
         worst_init = max(worst_init, abs(m2.objective - best))
     ok = worst_gap <= 1e-9 and worst_init <= 1e-9
     report(3, ok, f"50 trials, max oracle excess {worst_gap:.1e}, "

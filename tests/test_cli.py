@@ -363,6 +363,15 @@ class TestTrain:
                  "--out", str(tmp_path / "m.ckpt"))
         assert rc == 3
 
+    def test_unwritable_metrics_leave_no_checkpoint(self, tmp_path,
+                                                     blob_file):
+        rc = run("train", "--data", blob_file, "--epochs", "1", "--hidden",
+                 "8", "--embed-dim", "4", "--out", str(tmp_path / "m.ckpt"),
+                 "--metrics", str(tmp_path / "absent" / "m.jsonl"))
+        assert rc == 3
+        # no checkpoint, and no temporary file beside it
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.cfds"]
+
     def test_corrupt_data_file(self, tmp_path):
         bad = tmp_path / "bad.cfds"
         bad.write_bytes(b"NOT A DATASET AT ALL.......")
@@ -391,6 +400,8 @@ class TestTrain:
         (["--wd", "inf"], "weight_decay must be finite"),
         (["--decay-factor", "inf", "--decay-epochs", "1"],
          "lr_decay_factor must be finite"),
+        (["--decay-epochs", "-1", "--lr", "0.1"],
+         "usage error: lr decay epochs must be >= 0\n"),
     ])
     def test_bad_config_field_is_usage_error(self, tmp_path, blob_file,
                                              capsys, flags, field):
@@ -410,6 +421,7 @@ class TestTrain:
         ({"lr_decay_epochs": [1, 2.5]}, "'lr_decay_epochs' must be list[int]"),
         ({"epochs": None}, "'epochs' must be int, not None"),
         ({"kmeans_restarts": -3}, "kmeans_restarts must be >= 1"),
+        ({"lr_decay_epochs": [-1, 3]}, "lr decay epochs must be >= 0"),
         ([1], "--config must hold a JSON object"),
         ({"learning_rate": 0.1}, "unknown config key 'learning_rate'"),
         # a TrainConfig method is no field

@@ -197,7 +197,8 @@ class TestApportion:
 class TestKmeans:
     def test_P_equals_n_gives_zero_objective(self, rng):
         W_I = rng.standard_normal((3, 6))
-        m, W_P = kmeans(W_I, 6, seed=0)
+        m = kmeans(W_I, 6, seed=0)
+        W_P = update_proxies(W_I, m)
         assert m.objective == 0.0
         # every point is its own proxy, up to cluster relabeling
         np.testing.assert_allclose(np.sort(W_P, axis=1),
@@ -205,7 +206,8 @@ class TestKmeans:
 
     def test_single_cluster_centroid_is_mean(self, rng):
         W_I = rng.standard_normal((4, 7))
-        m, W_P = kmeans(W_I, 1, seed=1)
+        m = kmeans(W_I, 1, seed=1)
+        W_P = update_proxies(W_I, m)
         np.testing.assert_allclose(W_P[:, 0], W_I.mean(axis=1), atol=1e-12)
         assert abs(m.objective - recompute_objective(m, W_I)) < 1e-9
 
@@ -214,7 +216,7 @@ class TestKmeans:
             n = int(rng.integers(4, 9))
             P = int(rng.integers(2, 4))
             W_I = rng.standard_normal((3, n))
-            m, _ = kmeans(W_I, P, seed=trial, restarts=8)
+            m = kmeans(W_I, P, seed=trial, restarts=8)
             oracle, _ = exhaustive_kmeans_oracle(W_I.T, P)
             assert m.objective >= oracle - 1e-9
 
@@ -224,18 +226,18 @@ class TestKmeans:
             oracle, assign = exhaustive_kmeans_oracle(W_I.T, 3)
             centers = np.stack([W_I[:, assign == p].mean(axis=1)
                                 for p in range(3)])
-            m, _ = kmeans(W_I, 3, init=centers)
+            m = kmeans(W_I, 3, init=centers)
             assert abs(m.objective - oracle) < 1e-9
 
     def test_deterministic(self, rng):
         W_I = rng.standard_normal((4, 20))
-        a, _ = kmeans(W_I, 5, seed=42)
-        b, _ = kmeans(W_I, 5, seed=42)
+        a = kmeans(W_I, 5, seed=42)
+        b = kmeans(W_I, 5, seed=42)
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_objective_matches_recompute(self, rng):
         W_I = rng.standard_normal((4, 30))
-        m, _ = kmeans(W_I, 6, seed=5)
+        m = kmeans(W_I, 6, seed=5)
         assert abs(m.objective - recompute_objective(m, W_I)) < 1e-9
 
     def test_bad_P_rejected(self, rng):
@@ -247,8 +249,8 @@ class TestKmeans:
 
     def test_more_restarts_never_worse(self, rng):
         W_I = rng.standard_normal((3, 24))
-        few, _ = kmeans(W_I, 4, seed=7, restarts=1)
-        many, _ = kmeans(W_I, 4, seed=7, restarts=8)
+        few = kmeans(W_I, 4, seed=7, restarts=1)
+        many = kmeans(W_I, 4, seed=7, restarts=8)
         assert many.objective <= few.objective + 1e-9
 
 
@@ -256,7 +258,7 @@ class TestKmeansWithinCoarse:
     def test_no_cluster_crosses_class_boundary(self, rng):
         W_I = rng.standard_normal((4, 24))
         coarse = rng.integers(0, 3, 24)
-        m, _ = kmeans(W_I, 7, seed=0, coarse_labels=coarse)
+        m = kmeans(W_I, 7, seed=0, coarse_labels=coarse)
         assert m.within_coarse
         for p in range(m.P):
             members = np.nonzero(m.assignment == p)[0]
@@ -266,7 +268,7 @@ class TestKmeansWithinCoarse:
     def test_budget_proportional_to_class_size(self, rng):
         W_I = rng.standard_normal((3, 30))
         coarse = np.repeat([0, 1, 2], [15, 10, 5])
-        m, _ = kmeans(W_I, 6, seed=1, coarse_labels=coarse)
+        m = kmeans(W_I, 6, seed=1, coarse_labels=coarse)
         used = [np.unique(m.assignment[coarse == k]).size for k in range(3)]
         assert used == [3, 2, 1]
 
@@ -278,7 +280,7 @@ class TestKmeansWithinCoarse:
     def test_objective_is_sum_over_classes(self, rng):
         W_I = rng.standard_normal((3, 16))
         coarse = np.repeat([0, 1], 8)
-        m, _ = kmeans(W_I, 4, seed=2, coarse_labels=coarse)
+        m = kmeans(W_I, 4, seed=2, coarse_labels=coarse)
         assert abs(m.objective - recompute_objective(m, W_I)) < 1e-9
 
     @settings(max_examples=15, deadline=None)
@@ -289,7 +291,8 @@ class TestKmeansWithinCoarse:
         coarse = r.integers(0, 2, 18)
         if np.unique(coarse).size < 2:
             coarse[0], coarse[1] = 0, 1
-        m, W_P = kmeans(W_I, 5, seed=seed, coarse_labels=coarse)
+        m = kmeans(W_I, 5, seed=seed, coarse_labels=coarse)
+        W_P = update_proxies(W_I, m)
         assert np.array_equal(np.unique(m.assignment), np.arange(5))
         assert W_P.shape == (3, 5)
 
@@ -304,9 +307,10 @@ def assert_matches_oracle(W_I, P, **kw):
         want_W_P = update_proxies(W_I, want)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            kmeans(W_I, P, **kw)
+            update_proxies(W_I, kmeans(W_I, P, **kw))
         return None
-    got, got_W_P = kmeans(W_I, P, **kw)
+    got = kmeans(W_I, P, **kw)
+    got_W_P = update_proxies(W_I, got)
     assert np.array_equal(got.assignment, want.assignment)
     assert got_W_P.tobytes() == want_W_P.tobytes()
     assert got.objective == want.objective
@@ -409,7 +413,7 @@ class TestBatchedMatchesOracle:
         to the lowest centre, and the proxies are degenerate input."""
         with pytest.raises(DegenerateInputError,
                            match="group 1 is empty: no column is labelled 1"):
-            kmeans(np.ones((3, 6)), 3)
+            update_proxies(np.ones((3, 6)), kmeans(np.ones((3, 6)), 3))
 
     def test_huge_finite_columns_rejected(self, rng):
         """A finite W_I whose squared distances would overflow is named as
@@ -434,10 +438,9 @@ class TestStackBudget:
         results = []
         for budget in (1 << 40, 1, 8 * n_k * P_k * 3):
             monkeypatch.setattr(cluster, "_STACK_BYTES", budget)
-            m, proxies = kmeans(W_I, P, seed=5, restarts=4,
-                                coarse_labels=labels)
+            m = kmeans(W_I, P, seed=5, restarts=4, coarse_labels=labels)
             results.append((m.assignment.tobytes(), m.objective,
-                            proxies.tobytes()))
+                            update_proxies(W_I, m).tobytes()))
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_peak_memory_stays_under_the_budget(self, rng, monkeypatch):

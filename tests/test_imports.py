@@ -1,7 +1,10 @@
 """Every name a coarse2fine module imports is used in that module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,12 +62,12 @@ def test_detects_an_in_place_exp():
                          "y = np.exp(x - m) / s\n") == 2
 
 
-def argsort_calls(source: str) -> int:
-    """Calls of np.argsort (or numpy.argsort)."""
+def numpy_calls(source: str, name: str) -> int:
+    """Calls of np.<name> (or numpy.<name>)."""
     return sum(
         1 for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute) and node.func.attr == "argsort"
+        and isinstance(node.func, ast.Attribute) and node.func.attr == name
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id in ("np", "numpy"))
 
@@ -74,12 +77,44 @@ def argsort_calls(source: str) -> int:
                          ids=lambda p: p.name)
 def test_grouping_by_label_only_in_numerics(path):
     """Indices are grouped by label once, as numerics.group_by_label."""
-    assert argsort_calls(path.read_text()) == 0
+    assert numpy_calls(path.read_text(), "argsort") == 0
 
 
 def test_detects_an_argsort():
-    assert argsort_calls("np.argsort(y, kind='stable')\nnumpy.argsort(a)\n"
-                         "x.argsort()\nnp.sort(y)\n") == 2
+    assert numpy_calls("np.argsort(y, kind='stable')\nnumpy.argsort(a)\n"
+                       "x.argsort()\nnp.sort(y)\n", "argsort") == 2
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_np_unique(path):
+    """np.unique imports numpy.ma on first use (about 1 MiB, resident for
+    the rest of the process); the package groups by bincount and
+    numerics.equal_size_groups instead."""
+    assert numpy_calls(path.read_text(), "unique") == 0
+
+
+def test_detects_an_np_unique():
+    assert numpy_calls("np.unique(y)\nnumpy.unique(a, return_inverse=True)\n"
+                       "set(y)\nnp.union1d(a, b)\n", "unique") == 2
+
+
+def test_coinsP_train_leaves_numpy_ma_unimported():
+    """A k-means refresh, the proxy term and the epoch metrics of a coinsP
+    run import nothing that pulls numpy.ma in."""
+    code = ("import sys\n"
+            "from coarse2fine.data import gen_blob_dataset\n"
+            "from coarse2fine.trainer import TrainConfig, train\n"
+            "d = gen_blob_dataset(2, 2, 3, 4, seed=0)\n"
+            "cfg = TrainConfig(objective='coinsP', epochs=2, ip_start_epoch=0,"
+            " P=4, lr=0.003, hidden=[8], embed_dim=4, batch_size=8)\n"
+            "assert train(cfg, d)[2] is not None\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 # checks that only the tests and the acceptance gate call

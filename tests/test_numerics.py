@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from coarse2fine import numerics
 from coarse2fine.numerics import (DegenerateInputError, column_means,
-                                  grad_check, normalize_rows,
+                                  equal_size_groups, grad_check,
+                                  group_by_label, normalize_rows,
                                   normalize_rows_backward, own_proxy_softmax,
                                   row_blocks, softmax_core)
 from conftest import cross_entropy, log_softmax_rows, softmax_rows
@@ -240,6 +241,19 @@ class TestColumnMeans:
     def test_empty_group_named(self, rng):
         with pytest.raises(ValueError, match="group 1 is empty"):
             column_means(rng.standard_normal((2, 3)), np.array([0, 2, 2]), 3)
+
+
+class TestEqualSizeGroups:
+    def test_by_size_or_key_ascending_without_empty_groups(self):
+        labels = np.array([3, 0, 3, 1, 0, 3, 1, 4, 4])      # no label 2
+        layout = group_by_label(labels)
+        assert [(ids.tolist(), idx.tolist())
+                for ids, idx in equal_size_groups(*layout)] == [
+            ([0, 1, 4], [[1, 4], [3, 6], [7, 8]]), ([3], [[0, 2, 5]])]
+        # the empty group's key 0 yields nothing; groups 0 and 4 share one
+        key = np.array([5, 1, 0, 9, 5])
+        assert [ids.tolist() for ids, _ in
+                equal_size_groups(*layout, key)] == [[1], [0, 4], [3]]
 
 
 class TestRowBlocks:

@@ -330,8 +330,10 @@ class TestTrain:
     def test_proxy_phase_never_running_warns(self):
         d = gen_blob_dataset(2, 2, 3, 4, seed=0)
         cfg = small_blob_config("coinsP", epochs=2, ip_start_epoch=5, P=4)
-        with pytest.warns(UserWarning, match="never runs"):
+        with pytest.warns(UserWarning, match="never runs") as record:
             train(cfg, d)
+        # reported at the caller's line, not inside np.errstate's wrapper
+        assert [Path(w.filename) for w in record] == [Path(__file__)]
 
     def test_global_clustering_mixes_coarse_classes(self):
         # P = 2 below C = 3 is legal only when clustering over all of W_I
