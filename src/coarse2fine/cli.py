@@ -110,24 +110,40 @@ def _merge_config(args: argparse.Namespace) -> TrainConfig:
     return cfg
 
 
-def _write_run(params, metrics: list[dict], ckpt_path: str,
-               metrics_path: str) -> None:
-    """A trained model's checkpoint, and its metrics one JSON line per epoch,
-    each under a temporary name beside its target, renamed into place once
-    both are written: a failed write leaves neither, nor a temporary file."""
-    paths = (ckpt_path, metrics_path)
-    temps = [f"{path}.{os.getpid()}-{i}.tmp" for i, path in enumerate(paths)]
+def _write_files(*files: tuple[str, typing.Callable[[str], None]]) -> None:
+    """Each (path, write) pair's file, written by write(tmp) under a
+    temporary name beside its target and renamed into place once every one
+    is written: a failed write leaves no target changed and no temporary
+    file."""
+    temps = [f"{path}.{os.getpid()}-{i}.tmp"
+             for i, (path, _) in enumerate(files)]
     try:
-        save_checkpoint(params, temps[0])
-        with open(temps[1], "w") as fh:
-            for rec in metrics:
-                fh.write(json.dumps(rec) + "\n")
-        for tmp, path in zip(temps, paths):
+        for tmp, (_, write) in zip(temps, files):
+            write(tmp)
+        for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
     except BaseException:
         for tmp in filter(os.path.exists, temps):
             os.remove(tmp)
         raise
+
+
+def _text(text: str) -> typing.Callable[[str], None]:
+    """A `_write_files` writer of `text`."""
+    def write(path: str) -> None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return write
+
+
+def _write_run(params, metrics: list[dict], ckpt_path: str,
+               metrics_path: str) -> None:
+    """A trained model's checkpoint, and its metrics one JSON line per epoch,
+    written together by `_write_files`."""
+    _write_files(
+        (ckpt_path, lambda tmp: save_checkpoint(params, tmp)),
+        (metrics_path, _text("".join(json.dumps(rec) + "\n"
+                                     for rec in metrics))))
 
 
 def _load_run(args: argparse.Namespace):
@@ -165,8 +181,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("--recall-at values must be >= 1")
     dataset, params = _load_run(args)
     report = evaluate_model(params, dataset, ks)
-    with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    _write_files((args.out, _text(json.dumps(report.to_dict(), indent=2))))
     print(f"wrote {args.out}: " +
           " ".join(f"R@{k}={v:.3f}" for k, v in report.recall_at.items()))
     return EXIT_OK
@@ -179,8 +194,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     report = verify_theorem(embed(params, dataset.examples), params.W_C,
                             params.W_I, dataset.coarse_labels,
                             dataset.fine_labels, which=args.theorem)
-    with open(args.out, "w") as fh:
-        fh.write(report.to_json())
+    _write_files((args.out, _text(report.to_json())))
     print(f"theorem {args.theorem}: all_hold={report.all_hold} "
           f"slack_log_min={report.slack_log_min:.6g}")
     return EXIT_OK if report.all_hold else EXIT_INTERNAL

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .numerics import (check_finite_embeddings, group_by_label,
-                       own_proxy_softmax, row_blocks)
+                       own_proxy_softmax, threaded_row_blocks)
 
 
 class NoValidQueriesError(ValueError):
@@ -45,11 +45,11 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     A query hits at k when its best same-label neighbour b (highest
     similarity, lowest index among ties) ranks below min(k, n - 1): its
     rank counts the other examples that beat b on similarity, or tie it
-    at a lower index. Queries are scored one row block at a time. b is
-    sought among the query's own label members only; one argmax over the
-    block's rows finds the queries whose rank is 0, and only the others
-    take the exact count, on a copy of their rows in the block's second
-    scratch array.
+    at a lower index. Queries are scored one row block at a time, by
+    `numerics.threaded_row_blocks`. b is sought among the query's own label
+    members only; one argmax over the block's rows finds the queries whose
+    rank is 0, and only the others take the exact count, on a copy of
+    their rows in the block's second scratch array.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -67,7 +67,9 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
     queries = np.nonzero(valid)[0]
     ranks = np.empty(queries.size, dtype=np.int64)
     cols = np.arange(n)
-    for blk, sims, hard_sims in row_blocks(queries.size, n, n):
+
+    def rank_block(blk: np.ndarray, sims: np.ndarray,
+                   hard_sims: np.ndarray) -> None:
         q = queries[blk]
         rows = np.arange(q.size)
         np.matmul(unit[q], unit.T, out=sims)
@@ -91,6 +93,8 @@ def recall_at_k(embeddings: np.ndarray, labels: np.ndarray,
                                              & (cols < best[hard, None]),
                                              axis=1))
         ranks[blk] = rank
+
+    threaded_row_blocks(queries.size, rank_block, n, n)
     kmax = min(max(ks), n - 1)
     return ({k: int(np.count_nonzero(ranks < min(k, kmax))) / queries.size
              for k in ks}, int(queries.size))

@@ -217,8 +217,11 @@ def _within_coarse_term(params: ModelParams, G: np.ndarray, ids: np.ndarray,
 
 
 def _accumulate(total, weight, x):
-    """total + weight * x, or weight * x for the first term."""
-    return weight * x if total is None else total + weight * x
+    """total + weight * x, or weight * x for the first term; x itself at
+    weight 1.0, whose product is x for every float."""
+    if weight != 1.0:
+        x = weight * x
+    return x if total is None else total + x
 
 
 def objective(params: ModelParams, batch: np.ndarray,
@@ -308,7 +311,8 @@ def objective(params: ModelParams, batch: np.ndarray,
             continue
         dF_term, dmlp = branch_backward(params, bcache, dG)
         dF = _accumulate(dF, weight, dF_term)
-        dW *= weight          # fresh, or this call's buffer: scaled in place
+        if weight != 1.0:     # fresh, or this call's buffer: scaled in place
+            dW *= weight
         grad_heads[head] = dW
         if dmlp is not None:
             prev = mlp_grad or (None, None)

@@ -1,6 +1,7 @@
 """Row normalisation, indices grouped by label, groups of equal size, grouped
-column means, the row blocks the O(n^2) read paths stream over, the one
-softmax core, the step's workspace buffers and a finite-difference checker.
+column means, the row blocks the O(n^2) read paths stream over (on one
+thread or two), the one softmax core, the step's workspace buffers and a
+finite-difference checker.
 
 Everything here operates on float64 numpy arrays, as does the whole
 package: `model.encode` casts every batch to float64, and the bound checks
@@ -9,7 +10,10 @@ evaluate exp() of large dot products.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,6 +23,11 @@ import numpy as np
 # columns (retrieval, bound constants, the epoch metrics): memory is
 # O(block * n), not n x n
 _ROW_BLOCK = 128
+
+# rows x columns below which a `threaded_row_blocks` pass stays on the
+# calling thread: there, starting and joining a second one costs more
+# than it saves
+_THREAD_CELLS = 640 * 640
 
 
 class DegenerateInputError(ValueError):
@@ -61,6 +70,65 @@ def row_blocks(n: int, *widths: int):
     for rows in index_blocks(n, _ROW_BLOCK):
         blk = np.arange(rows.start, rows.stop)
         yield (blk, *(buf[:blk.size] for buf in scratch))
+
+
+def _threads(cells: int) -> int:
+    """Threads for a pass over `cells` rows x columns: two where the process
+    may run on two CPUs and the pass reaches _THREAD_CELLS, else one."""
+    if cells < _THREAD_CELLS:
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int
+                        ) -> None:
+    """Call body(blk, *scratch) on each of the consecutive `index_blocks` of
+    _ROW_BLOCK // 2 rows (at least one) covering rows 0..n-1, blk the block's
+    row indices, on `_threads` threads: the caller and, for two, one helper
+    thread that runs in a copy of the caller's context (so NumPy's errstate
+    holds there too). Each thread takes the next block in turn and has its
+    own scratch, one float64 array of shape (block size, width) per width.
+    `body` writes its results per row into the caller's arrays, so they do
+    not depend on the thread count, and must call no traced seam. The
+    helper is joined on every path. Once a block raises, no later block is
+    begun, and the exception of the lowest block that raised is re-raised,
+    as on one thread."""
+    size = max(1, _ROW_BLOCK // 2)
+    blocks = index_blocks(n, size)
+    todo = iter(range(len(blocks)))
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+
+    def work() -> None:
+        scratch = [np.empty((min(n, size), w)) for w in widths]
+        while True:
+            with lock:
+                i = next(todo, None)
+                if i is None or (errors and i > min(errors)):
+                    return
+            blk = np.arange(blocks[i].start, blocks[i].stop)
+            try:
+                body(blk, *(buf[:blk.size] for buf in scratch))
+            except BaseException as exc:      # re-raised below, after the join
+                with lock:
+                    errors[i] = exc
+                return
+
+    helper = None
+    if _threads(n * max(widths, default=0)) > 1:
+        helper = threading.Thread(target=contextvars.copy_context().run,
+                                  args=(work,))
+        try:
+            helper.start()
+        except RuntimeError:          # no thread to be had: all on this one
+            helper = None
+    try:
+        work()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def softmax_core(x: np.ndarray, at: Optional[tuple] = None

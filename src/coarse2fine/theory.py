@@ -19,7 +19,8 @@ from numpy import logaddexp
 from . import numerics
 from .numerics import (InvariantError, check_finite_embeddings, column_means,
                        buffer, equal_size_groups, group_by_label, index_blocks,
-                       own_proxy_softmax, row_blocks, softmax_core)
+                       own_proxy_softmax, row_blocks, softmax_core,
+                       threaded_row_blocks)
 
 REL_TOL = 1e-9
 
@@ -32,29 +33,54 @@ class DomainError(ValueError):
     """A measured constant leaves no valid bound (e.g. alpha = 1)."""
 
 
+def _block_log_probs(E: np.ndarray, W: np.ndarray, own: np.ndarray,
+                     L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows i of each slice j of the stacks E (k, rows, d) and W
+    (k, d, K), with logits L = E @ W (k, rows, K; overwritten) and own
+    column own[i]: log softmax(L[j, i])[own[i]] and the logsumexp of the
+    other logits (-inf when there are none), each of shape (k, rows)."""
+    rows = np.arange(L.shape[1])
+    np.matmul(E, W, out=L)
+    own_logit = L[:, rows, own]
+    L[:, rows, own] = -np.inf
+    _, m, total = softmax_core(L)
+    with np.errstate(divide="ignore"):     # no other column: log 0
+        lse_rest = m[..., 0] + np.log(total[..., 0])
+    return own_logit - np.logaddexp(own_logit, lse_rest), lse_rest
+
+
 def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray, own: np.ndarray,
                            ws: Optional[dict] = None) -> tuple[float, float]:
-    """Over the rows i of each slice j of the stacks emb (k, n, d) and W
-    (k, d, K), with logits l = emb[j, i] @ W[j] and own column own[i]: the
-    min of log softmax(l)[own[i]] and the min of the logsumexp of the other
-    logits (-inf when there are none). One batched product per row block
-    of _ROW_BLOCK rows, into the `numerics.buffer` "logits" of `ws`."""
+    """The min over the rows of each slice j of the stacks emb (k, n, d) and
+    W (k, d, K) of `_block_log_probs`' two values. One batched product per
+    row block of _ROW_BLOCK rows, into the `numerics.buffer` "logits" of
+    `ws`."""
     block = numerics._ROW_BLOCK
     L = buffer(ws, "logits", (len(emb), min(emb.shape[1], block), W.shape[2]))
     log_prob = log_rest = np.inf
     for blk in index_blocks(emb.shape[1], block):
-        Lb = L[:, :blk.stop - blk.start]
-        rows = np.arange(Lb.shape[1])
-        np.matmul(emb[:, blk], W, out=Lb)
-        own_logit = Lb[:, rows, own[blk]]
-        Lb[:, rows, own[blk]] = -np.inf
-        _, m, total = softmax_core(Lb)
-        with np.errstate(divide="ignore"):     # no other column: log 0
-            lse_rest = m[..., 0] + np.log(total[..., 0])
-        log_prob = min(log_prob, float(np.min(
-            own_logit - np.logaddexp(own_logit, lse_rest))))
-        log_rest = min(log_rest, float(np.min(lse_rest)))
+        lp, lr = _block_log_probs(emb[:, blk], W, own[blk],
+                                  L[:, :blk.stop - blk.start])
+        log_prob = min(log_prob, float(np.min(lp)))
+        log_rest = min(log_rest, float(np.min(lr)))
     return log_prob, log_rest
+
+
+def _instance_log_prob_and_rest(emb: np.ndarray, W_I: np.ndarray
+                                ) -> tuple[float, float]:
+    """`_min_log_prob_and_rest` of example i against all n columns of W_I,
+    own column i: theorem 1's log alpha and log a, scored per row by
+    `numerics.threaded_row_blocks` (n x n is the largest pass of the bound
+    checks) and reduced once over the n rows."""
+    n = emb.shape[0]
+    log_prob, log_rest = np.empty((2, n))
+
+    def score(blk: np.ndarray, L: np.ndarray) -> None:
+        lp, lr = _block_log_probs(emb[None, blk], W_I[None], blk, L[None])
+        log_prob[blk], log_rest[blk] = lp[0], lr[0]
+
+    threaded_row_blocks(n, score, n)
+    return float(np.min(log_prob)), float(np.min(log_rest))
 
 
 def uniform_z(fine_labels: np.ndarray) -> int:
@@ -97,9 +123,10 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
 
     alpha/a use the full instance softmax in theorem1 mode and the
     within-coarse softmax in theorem2 mode; both are computed in log space,
-    over row blocks of logits; theorem 2 over stacks of the coarse classes
-    of one size whose logits fit one _ROW_BLOCK x _ROW_BLOCK block (or one
-    class), each class's rows against its own columns."""
+    over row blocks of logits: theorem 1 by `threaded_row_blocks`, theorem
+    2 over stacks of the coarse classes of one size whose logits fit one
+    _ROW_BLOCK x _ROW_BLOCK block (or one class), each class's rows
+    against its own columns."""
     if mode not in ("theorem1", "theorem2"):
         raise ValueError(f"unknown mode {mode!r}")
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -113,8 +140,7 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
 
     order, starts, counts = group_by_label(y_c)
     if mode == "theorem1":
-        log_alpha, log_a = _min_log_prob_and_rest(emb[None], W_I[None],
-                                                  np.arange(n))
+        log_alpha, log_a = _instance_log_prob_and_rest(emb, W_I)
     else:
         log_alpha = log_a = np.inf
         block, ws = numerics._ROW_BLOCK, {}
@@ -203,7 +229,7 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
         jensen_slack = min(jensen_slack, float(slack.min()))
 
     # alpha over the full instance softmax, as theorem 1 measures it
-    log_alpha, _ = _min_log_prob_and_rest(emb[None], W_I[None], np.arange(n))
+    log_alpha, _ = _instance_log_prob_and_rest(emb, W_I)
     own_proxy, m, total = own_proxy_softmax(emb, W_I, fine)   # f_i . wbar_s(i)
     log_lhs = own_proxy - (m + np.log(total))
     log_rhs = np.log(z) + log_alpha + own_proxy - own_inst

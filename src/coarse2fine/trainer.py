@@ -209,7 +209,8 @@ def _epoch_metrics(params: ModelParams, config: TrainConfig, dataset: Dataset,
     except (FloatingPointError, DegenerateInputError) as exc:
         raise DivergenceError(f"{exc} in the epoch {epoch} metrics pass") from exc
     g, _ = branch_forward(params, lv.embeddings, "instance")
-    w_gap = float(np.mean(np.sum((g - params.W_I.T) ** 2, axis=1)))
+    gap = np.subtract(g, params.W_I.T)
+    w_gap = float(np.mean(np.sum(np.square(gap, out=gap), axis=1)))
     record = {"epoch": epoch, "lr": lr,
               "loss_coarse": lv.components.get("coarse", 0.0),
               "loss_instance": lv.components.get("instance", 0.0),

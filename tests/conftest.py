@@ -1,4 +1,7 @@
-"""Shared builders for small random models and datasets."""
+"""Shared builders for small random models and datasets, and a check that
+no test leaves a thread running."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -98,6 +101,16 @@ def bound_report_dict(report):
         if value is not None:
             out[key] = value
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that ends with more live threads than it started with,
+    such as a row-block helper thread left unjoined on an error path."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert left == [], f"threads left running: {left}"
 
 
 @pytest.fixture

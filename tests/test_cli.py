@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarse2fine import cli, data, losses, numerics, trainer
+from coarse2fine import (cli, data, evaluate, losses, numerics, theory,
+                         trainer)
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import gen_patch_dataset, load_dataset, save_dataset
-from coarse2fine.model import (ModelParams, encode, load_checkpoint,
-                               param_arrays, save_checkpoint)
+from coarse2fine.model import (ModelParams, encode, init_params,
+                               load_checkpoint, param_arrays, save_checkpoint)
 from coarse2fine.numerics import InvariantError
 from coarse2fine.theory import verify_theorem
 from coarse2fine.trainer import TrainConfig
@@ -915,6 +916,120 @@ class TestVerifyBounds:
         rc = run("verify-bounds", "--data", str(csv_path), "--format", "csv",
                  "--checkpoint", str(ckpt), "--out", str(tmp_path / "b.json"))
         assert rc == 4
+
+
+class TestReadReportWrites:
+    """`eval` and `verify-bounds` write their report under a temporary name
+    beside --out and rename it into place: a failure while formatting or
+    writing leaves an existing report as it was, and no temporary file."""
+
+    COMMANDS = {"eval": ["eval"],
+                "theorem1": ["verify-bounds", "--theorem", "1"],
+                "theorem2": ["verify-bounds", "--theorem", "2"]}
+
+    def run_over_old(self, tmp_path, blob_file, trained, command):
+        out = tmp_path / "r.json"
+        out.write_bytes(b"old report\n")
+        rc = run(*self.COMMANDS[command], "--data", blob_file,
+                 "--checkpoint", trained, "--out", str(out))
+        assert out.read_bytes() == b"old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "blob.cfds", "m.ckpt", "m.ckpt.metrics.jsonl", "r.json"]
+        return rc
+
+    @pytest.mark.parametrize("command", ["eval", "theorem1", "theorem2"])
+    def test_format_error_keeps_old_report(self, tmp_path, blob_file,
+                                           trained, capsys, monkeypatch,
+                                           command):
+        def broken(self):
+            raise RuntimeError("format failed")
+        monkeypatch.setattr(evaluate.EvalReport, "to_dict", broken)
+        monkeypatch.setattr(theory.BoundReport, "to_json", broken)
+        assert self.run_over_old(tmp_path, blob_file, trained, command) == 1
+        assert capsys.readouterr().err == \
+            "internal error: RuntimeError: format failed\n"
+
+    @pytest.mark.parametrize("command", ["eval", "theorem1", "theorem2"])
+    def test_write_error_keeps_old_report(self, tmp_path, blob_file, trained,
+                                          capsys, monkeypatch, command):
+        def broken(src, dst):
+            raise OSError("rename failed")
+        monkeypatch.setattr(cli.os, "replace", broken)
+        assert self.run_over_old(tmp_path, blob_file, trained, command) == 3
+        assert capsys.readouterr().err == "io error: rename failed\n"
+
+    def test_violated_bound_still_writes_its_report(self, tmp_path,
+                                                    blob_file, trained,
+                                                    monkeypatch):
+        def violated(*args, **kwargs):
+            report = verify_theorem(*args, **kwargs)
+            report.all_hold = False
+            return report
+        monkeypatch.setattr(cli, "verify_theorem", violated)
+        out = tmp_path / "r.json"
+        out.write_bytes(b"old report\n")
+        assert run("verify-bounds", "--data", blob_file, "--checkpoint",
+                   trained, "--out", str(out)) == 1
+        assert json.loads(out.read_text())["all_hold"] is False
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestTwoThreadReads:
+    """The O(n^2) passes of `eval` and theorem 1 run on one thread or two
+    (`numerics.threaded_row_blocks`); the reports are the same bytes."""
+
+    # (coarse classes, fine per coarse, z) of n = 200, 255, 300 and 512
+    SHAPES = {200: (4, 5, 10), 255: (3, 5, 17), 300: (4, 5, 15),
+              512: (4, 8, 16)}
+
+    @staticmethod
+    def untrained_run(tmp_path, n):
+        """A blob data set of n examples and an untrained model of it."""
+        classes, fine, z = TestTwoThreadReads.SHAPES[n]
+        d = data.gen_blob_dataset(classes, fine, z, 8, seed=n)
+        data_path, ckpt = tmp_path / f"d{n}.cfds", tmp_path / f"m{n}.ckpt"
+        save_dataset(d, str(data_path))
+        save_checkpoint(init_params(8, [16], 6, classes, n, seed=n),
+                        str(ckpt))
+        return ["--data", str(data_path), "--checkpoint", str(ckpt)]
+
+    @pytest.mark.parametrize("block", [1, 3, 128])
+    @pytest.mark.parametrize("n", [200, 255, 300, 512])
+    def test_reports_equal_on_one_and_two_threads(self, tmp_path,
+                                                  monkeypatch, n, block):
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        args = self.untrained_run(tmp_path, n)
+        reports = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(numerics, "_threads", lambda cells: threads)
+            for name, command in TestReadReportWrites.COMMANDS.items():
+                out = tmp_path / f"{name}-{threads}.json"
+                assert run(*command, *args, "--out", str(out)) == 0
+                reports[name, threads] = out.read_bytes()
+        for name in TestReadReportWrites.COMMANDS:
+            assert reports[name, 1] == reports[name, 2], name
+
+    @pytest.mark.parametrize("command", ["eval", "theorem1"])
+    def test_non_finite_row_in_a_late_block_exits_4(self, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    command):
+        # row 250 of 300 is in the last block of 64 rows, which either
+        # thread may take
+        monkeypatch.setattr(numerics, "_threads", lambda cells: 2)
+        args = self.untrained_run(tmp_path, 300)
+        d = load_dataset(args[1])
+        d.examples[250] = np.finfo(np.float64).max
+        save_dataset(d, args[1])
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*TestReadReportWrites.COMMANDS[command], *args,
+                     "--out", str(out))
+        assert rc == 4
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == \
+            "degenerate input: embedding row 250 is not finite\n"
+        assert not out.exists()
 
 
 class TestReproduceSynthetic:

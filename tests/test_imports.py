@@ -110,11 +110,35 @@ def test_coinsP_train_leaves_numpy_ma_unimported():
             " P=4, lr=0.003, hidden=[8], embed_dim=4, batch_size=8)\n"
             "assert train(cfg, d)[2] is not None\n"
             "print('numpy.ma' in sys.modules)\n")
+    assert run_python(code) == "False\n"
+
+
+def run_python(code: str) -> str:
+    """The standard output of `code` run in a fresh interpreter that
+    imports the package from src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "False\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_two_thread_passes_leave_concurrent_futures_unimported():
+    """The row-block passes start a plain threading.Thread: importing
+    concurrent.futures alone holds about 768 KiB for the rest of the
+    process."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from coarse2fine import numerics\n"
+            "from coarse2fine.evaluate import recall_at_k\n"
+            "from coarse2fine.theory import measure_constants\n"
+            "numerics._threads = lambda cells: 2\n"
+            "rng = np.random.default_rng(0)\n"
+            "emb, W = rng.standard_normal((300, 4)), rng.standard_normal((4, 300))\n"
+            "recall_at_k(emb, np.arange(300) % 50, [1])\n"
+            "measure_constants(emb, W[:, :3], W, np.arange(300) % 3,"
+            " np.arange(300))\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    assert run_python(code) == "False\n"
 
 
 # checks that only the tests and the acceptance gate call

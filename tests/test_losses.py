@@ -539,6 +539,48 @@ class TestCombined:
         assert abs(lv.value - (c + lam_i * i + lam_p * p)) < 1e-12
         assert lv.components == {"coarse": c, "instance": i, "proxy": p}
 
+    @pytest.mark.parametrize("terms", [
+        {"coarse": 1.0, "within": 1.0},
+        {"coarse": 1.0, "instance": 1.0},
+        {"coarse": 1.0, "within": 1.0, "proxy": 0.7},
+        {"coarse": 0.5, "within": 1.0, "proxy": 1.0}])
+    @pytest.mark.parametrize("cosine, mlp_head", [(False, False),
+                                                  (True, True)])
+    def test_unit_weights_are_the_weighted_sum_bitwise(self, rng, terms,
+                                                       cosine, mlp_head):
+        # a weight of 1.0 skips its products; the bits are those of
+        # weight * x for every term, summed in term order
+        params = make_params(rng, hidden=(8,), d=6, C=3, n=12, with_proxy=4,
+                             cosine=cosine, mlp_head=mlp_head)
+        X = rng.standard_normal((12, 4)) + 0.4
+        ids, coarse = np.arange(12), np.arange(12) % 3
+        index = build_coarse_index(coarse)
+        m = Membership(assignment=np.arange(12) % 4, P=4, within_coarse=False,
+                       objective=0.0)
+        got = objective(params, X, ids, terms, coarse[ids], index, m)
+        value = dF = dmlp = None
+        heads = {}
+        for term, weight in terms.items():
+            lv = objective(params, X, ids, {term: 1.0}, coarse[ids], index, m)
+            value = weight * lv.value if value is None \
+                else value + weight * lv.value
+            dF = weight * lv.grad_embeddings if dF is None \
+                else dF + weight * lv.grad_embeddings
+            (head, dW), = lv.grad_heads.items()
+            heads[head] = weight * dW
+            if lv.grad_mlp_head is not None:
+                dmlp = [weight * g if dmlp is None else d + weight * g
+                        for d, g in zip(dmlp or lv.grad_mlp_head,
+                                        lv.grad_mlp_head)]
+        assert got.value == value
+        assert got.grad_embeddings.tobytes() == dF.tobytes()
+        assert got.grad_heads.keys() == heads.keys()
+        for head, dW in heads.items():
+            assert got.grad_heads[head].tobytes() == dW.tobytes()
+        assert (got.grad_mlp_head is None) == (dmlp is None)
+        for g, w in zip(got.grad_mlp_head or (), dmlp or ()):
+            assert g.tobytes() == w.tobytes()
+
     def test_full_instance_mode(self, rng):
         params, X, ids, coarse, index, m = self._setup(rng)
         lv = objective(params, X, ids, {"coarse": 1.0, "instance": 0.5},

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from coarse2fine.numerics import (DegenerateInputError, column_means,
                                   equal_size_groups, grad_check,
                                   group_by_label, normalize_rows,
                                   normalize_rows_backward, own_proxy_softmax,
-                                  row_blocks, softmax_core)
+                                  row_blocks, softmax_core,
+                                  threaded_row_blocks)
 from conftest import cross_entropy, log_softmax_rows, softmax_rows
 
 
@@ -266,6 +268,101 @@ class TestRowBlocks:
         np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]),
                                       np.arange(n))
         assert all(buf.shape == (blk.size, 3) for blk, buf in blocks)
+
+
+def on_the_helper(monkeypatch, action, n=6):
+    """A two-thread `threaded_row_blocks` pass over n rows in blocks of one
+    row that runs action() on the helper thread: the caller's first block
+    waits until the helper has taken one."""
+    monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
+    monkeypatch.setattr(numerics, "_threads", lambda cells: 2)
+    helper_started = threading.Event()
+
+    def body(blk, buf):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_started.wait(timeout=60)
+        else:
+            helper_started.set()
+            action()
+
+    threaded_row_blocks(n, body, 1)
+
+
+class TestThreadedRowBlocks:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (5, [3, 2]), (8, [4, 4]), (9, [4, 3, 2]), (10, [4, 4, 2])])
+    def test_half_blocks_each_thread_its_own_scratch(self, monkeypatch,
+                                                     threads, n, sizes):
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", 8)
+        monkeypatch.setattr(numerics, "_threads", lambda cells: threads)
+        seen, lock = [], threading.Lock()
+
+        def body(blk, a, b):
+            assert a.shape == (blk.size, 3) and b.shape == (blk.size, 5)
+            with lock:
+                seen.append((blk.tolist(), threading.get_ident(),
+                             id(a.base), id(b.base)))
+
+        threaded_row_blocks(n, body, 3, 5)
+        assert sorted(len(rows) for rows, *_ in seen) == sorted(sizes)
+        assert sorted(sum((rows for rows, *_ in seen), [])) == list(range(n))
+        owner = {}
+        for _, ident, *bases in seen:
+            for base in bases:
+                assert owner.setdefault(base, ident) == ident
+        assert len({ident for _, ident, *_ in seen}) <= threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_block_reraised_with_its_type(self, monkeypatch,
+                                                        threads):
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
+        monkeypatch.setattr(numerics, "_threads", lambda cells: threads)
+
+        class BlockError(Exception):
+            pass
+
+        def body(blk, buf):
+            if blk[0] >= 3:
+                raise BlockError(int(blk[0]))
+
+        with pytest.raises(BlockError) as caught:
+            threaded_row_blocks(20, body, 1)
+        assert caught.value.args == (3,)
+
+    def test_helper_exception_reraised_with_its_type(self, monkeypatch):
+        def fail():
+            raise KeyError("on the helper")
+        with pytest.raises(KeyError, match="on the helper"):
+            on_the_helper(monkeypatch, fail)
+
+    def test_helper_follows_the_callers_errstate(self, monkeypatch):
+        values = []
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            on_the_helper(monkeypatch, lambda: np.exp(np.full(2, 1000.0)))
+        # RuntimeWarning is an error in this suite: ignored means not raised
+        with np.errstate(over="ignore"):
+            on_the_helper(monkeypatch, lambda: values.append(
+                np.exp(np.full(2, 1000.0))))
+        assert np.isinf(np.concatenate(values)).all()
+
+    def test_no_thread_to_be_had_runs_all_on_the_caller(self, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(numerics, "_threads", lambda cells: 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        idents = set()
+        threaded_row_blocks(300, lambda blk, buf: idents.add(
+            threading.get_ident()), 1)
+        assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus, cells, threads", [
+        ({0}, 10 ** 9, 1), ({0, 1}, 10 ** 9, 2), ({0, 1, 2, 3}, 10 ** 9, 2),
+        ({0, 1, 2, 3}, numerics._THREAD_CELLS - 1, 1),
+        ({0, 1}, numerics._THREAD_CELLS, 2)])
+    def test_thread_count(self, monkeypatch, cpus, cells, threads):
+        monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: cpus)
+        assert numerics._threads(cells) == threads
 
 
 class TestGradCheck:
