@@ -2,8 +2,9 @@
 the end-to-end synthetic comparison (reproduce-synthetic).
 
 Exit codes: 0 success (and bounds hold), 1 internal error (a failed
-invariant check among them) / bounds violated, 2 usage error, 3 IO
-failure, 4 unsupported or degenerate data (e.g. a non-finite embedding,
+invariant check among them) / bounds violated, 2 usage error (a run too
+large for the machine's memory among them), 3 IO failure, 4 unsupported
+or degenerate data (e.g. a non-finite embedding, a NaN bound constant,
 or alpha or beta exactly 1, which leaves the bound undefined) or a
 malformed dataset or checkpoint file, 5 training diverged (a
 non-finite loss, gradient or epoch metric; nothing is written).
@@ -363,6 +364,7 @@ _FAILURES = [
     (DegenerateInputError, "degenerate input", EXIT_UNSUPPORTED),
     (DivergenceError, "training diverged", EXIT_DIVERGED),
     (InvariantError, "internal error: check failed", EXIT_INTERNAL),
+    (MemoryError, "out of memory", EXIT_USAGE),
     ((UsageError, ValueError), "usage error", EXIT_USAGE),
     (OSError, "io error", EXIT_IO),
 ]

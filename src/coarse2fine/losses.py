@@ -22,7 +22,8 @@ import numpy as np
 from .cluster import Membership
 from .model import (EncodeCache, ModelParams, branch_backward, branch_forward,
                     encode)
-from .numerics import buffer, group_by_label, row_blocks, softmax_core
+from . import numerics
+from .numerics import buffer, group_by_label, softmax_core
 
 
 class AccessCounter:
@@ -79,16 +80,17 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
               ) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
     """Cross-entropy of G against every column of a head, summed and divided
     by denom: (value, grad wrt G, d x K grad wrt the head). `values_only`
-    gives None gradients and scores each row block in one reused block x K
-    scratch; else the logits are one G @ W (a block's own product can round
-    differently) whose row blocks become softmax minus one-hot in place.
-    The logits and the head gradient go into workspace `ws` when given."""
+    gives None gradients and scores the `threaded_row_blocks` in their
+    threads' block x K scratch; else the logits are one G @ W (a block's own
+    product can round differently) whose row blocks become softmax minus
+    one-hot in place. The logits and the head gradient go into workspace
+    `ws` when given."""
     W = params.head_matrix(head)
     log_p = np.empty(G.shape[0])
     dlogits = None if values_only else np.matmul(
         G, W, out=buffer(ws, "logits", (G.shape[0], W.shape[1])))
-    widths = (W.shape[1],) if values_only else ()
-    for blk, *block_buf in row_blocks(G.shape[0], *widths):
+
+    def score(blk: np.ndarray, *block_buf: np.ndarray) -> None:
         rows = slice(blk[0], blk[-1] + 1)     # a view: writes reach dlogits
         logits = np.matmul(G[rows], W, out=block_buf[0]) if values_only \
             else dlogits[rows]
@@ -100,13 +102,16 @@ def _ce_block(params: ModelParams, G: np.ndarray, head: str,
         if not values_only:
             logits /= total                                  # softmax
             logits[at] -= 1.0
-    value = float(-np.sum(log_p)) / denom
+
     if values_only:
-        return value, None, None
+        numerics.threaded_row_blocks(G.shape[0], score, W.shape[1])
+        return float(-np.sum(log_p)) / denom, None, None
+    for rows in numerics.index_blocks(G.shape[0], numerics._ROW_BLOCK):
+        score(np.arange(rows.start, rows.stop))
     dlogits /= denom
     if params.cosine:
         dlogits /= params.temperature
-    return value, dlogits @ W.T, np.matmul(
+    return float(-np.sum(log_p)) / denom, dlogits @ W.T, np.matmul(
         G.T, dlogits, out=buffer(ws, "grad_" + head, W.shape))
 
 

@@ -24,10 +24,10 @@ import numpy as np
 # O(block * n), not n x n
 _ROW_BLOCK = 128
 
-# rows x columns below which a `threaded_row_blocks` pass stays on the
-# calling thread: there, starting and joining a second one costs more
-# than it saves
-_THREAD_CELLS = 640 * 640
+# the width from which a `threaded_row_blocks` pass is wide: its blocks
+# take half the rows, and from _WIDE x _WIDE cells up two threads share
+# them. Below, a second thread costs more than it saves
+_WIDE = 640
 
 
 class DegenerateInputError(ValueError):
@@ -62,38 +62,31 @@ def index_blocks(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def row_blocks(n: int, *widths: int):
-    """Cover rows 0..n-1 in the consecutive `index_blocks` of _ROW_BLOCK
-    rows. Each block comes with one float64 scratch array of shape
-    (block size, width) per width: allocated once, reused by every block."""
-    scratch = [np.empty((min(n, _ROW_BLOCK), w)) for w in widths]
-    for rows in index_blocks(n, _ROW_BLOCK):
-        blk = np.arange(rows.start, rows.stop)
-        yield (blk, *(buf[:blk.size] for buf in scratch))
-
-
-def _threads(cells: int) -> int:
-    """Threads for a pass over `cells` rows x columns: two where the process
-    may run on two CPUs and the pass reaches _THREAD_CELLS, else one."""
-    if cells < _THREAD_CELLS:
+def _threads(n: int, width: int) -> int:
+    """Threads for a pass over n rows of `width` columns: two where the pass
+    is wide (width >= _WIDE) and reaches _WIDE x _WIDE cells and the process
+    may run on two CPUs, else one."""
+    if width < _WIDE or n * width < _WIDE * _WIDE:
         return 1
     return min(2, len(os.sched_getaffinity(0)))
 
 
 def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int
                         ) -> None:
-    """Call body(blk, *scratch) on each of the consecutive `index_blocks` of
-    _ROW_BLOCK // 2 rows (at least one) covering rows 0..n-1, blk the block's
-    row indices, on `_threads` threads: the caller and, for two, one helper
-    thread that runs in a copy of the caller's context (so NumPy's errstate
-    holds there too). Each thread takes the next block in turn and has its
-    own scratch, one float64 array of shape (block size, width) per width.
-    `body` writes its results per row into the caller's arrays, so they do
-    not depend on the thread count, and must call no traced seam. The
-    helper is joined on every path. Once a block raises, no later block is
-    begun, and the exception of the lowest block that raised is re-raised,
-    as on one thread."""
-    size = max(1, _ROW_BLOCK // 2)
+    """Call body(blk, *scratch) on each of the consecutive `index_blocks`
+    covering rows 0..n-1, blk the block's row indices: of _ROW_BLOCK // 2
+    rows (at least one) where the widest width reaches min(n, _WIDE), else
+    of _ROW_BLOCK, on `_threads` threads: the caller and, for two, one
+    helper thread that runs in a copy of the caller's context (so NumPy's
+    errstate holds there too). Each thread takes the next block in turn and
+    has its own scratch, one float64 array of shape (block size, width) per
+    width. `body` writes its results per row into the caller's arrays, so
+    they do not depend on the thread count, and must call no traced seam.
+    The helper is joined on every path. Once a block raises, no later block
+    is begun, and the exception of the lowest block that raised is
+    re-raised, as on one thread."""
+    width = max(widths, default=0)
+    size = max(1, _ROW_BLOCK // 2) if width >= min(n, _WIDE) else _ROW_BLOCK
     blocks = index_blocks(n, size)
     todo = iter(range(len(blocks)))
     errors: dict[int, BaseException] = {}
@@ -115,7 +108,7 @@ def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int
                 return
 
     helper = None
-    if _threads(n * max(widths, default=0)) > 1:
+    if _threads(n, width) > 1:
         helper = threading.Thread(target=contextvars.copy_context().run,
                                   args=(work,))
         try:
@@ -221,15 +214,18 @@ def own_proxy_softmax(emb: np.ndarray, W: np.ndarray, labels: np.ndarray
     """Row i of emb against the proxies, the `column_means` of W by label:
     the logit of its own proxy labels[i], and the m and sum of the softmax
     core over all proxies, so log Pr{labels[i]} = own - (m + log(sum)).
-    One row block at a time: no n x K matrix is held."""
+    One `threaded_row_blocks` block at a time: no n x K matrix is held."""
     labels = np.asarray(labels, dtype=np.int64)
     proxies = column_means(W, labels, int(labels.max()) + 1)
     own, m, total = (np.empty(emb.shape[0]) for _ in range(3))
-    for blk, logits in row_blocks(emb.shape[0], proxies.shape[1]):
+
+    def score(blk: np.ndarray, logits: np.ndarray) -> None:
         np.matmul(emb[blk], proxies, out=logits)
         own[blk] = logits[np.arange(blk.size), labels[blk]]
         _, m_blk, total_blk = softmax_core(logits)
         m[blk], total[blk] = m_blk[:, 0], total_blk[:, 0]
+
+    threaded_row_blocks(emb.shape[0], score, proxies.shape[1])
     return own, m, total
 
 

@@ -19,8 +19,7 @@ from numpy import logaddexp
 from . import numerics
 from .numerics import (InvariantError, check_finite_embeddings, column_means,
                        buffer, equal_size_groups, group_by_label, index_blocks,
-                       own_proxy_softmax, row_blocks, softmax_core,
-                       threaded_row_blocks)
+                       own_proxy_softmax, softmax_core, threaded_row_blocks)
 
 REL_TOL = 1e-9
 
@@ -49,37 +48,37 @@ def _block_log_probs(E: np.ndarray, W: np.ndarray, own: np.ndarray,
     return own_logit - np.logaddexp(own_logit, lse_rest), lse_rest
 
 
-def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray, own: np.ndarray,
-                           ws: Optional[dict] = None) -> tuple[float, float]:
-    """The min over the rows of each slice j of the stacks emb (k, n, d) and
-    W (k, d, K) of `_block_log_probs`' two values. One batched product per
-    row block of _ROW_BLOCK rows, into the `numerics.buffer` "logits" of
-    `ws`."""
+def _block_minima(emb: np.ndarray, W: np.ndarray, own: np.ndarray,
+                  ws: Optional[dict] = None) -> list[tuple]:
+    """For each row block of _ROW_BLOCK rows of the stacks emb (k, n, d) and
+    W (k, d, K), the min over its rows of every slice j of
+    `_block_log_probs`' two values. One batched product per block, into
+    the `numerics.buffer` "logits" of `ws`."""
     block = numerics._ROW_BLOCK
     L = buffer(ws, "logits", (len(emb), min(emb.shape[1], block), W.shape[2]))
-    log_prob = log_rest = np.inf
+    minima = []
     for blk in index_blocks(emb.shape[1], block):
         lp, lr = _block_log_probs(emb[:, blk], W, own[blk],
                                   L[:, :blk.stop - blk.start])
-        log_prob = min(log_prob, float(np.min(lp)))
-        log_rest = min(log_rest, float(np.min(lr)))
-    return log_prob, log_rest
+        minima.append((lp.min(), lr.min()))
+    return minima
 
 
-def _instance_log_prob_and_rest(emb: np.ndarray, W_I: np.ndarray
-                                ) -> tuple[float, float]:
-    """`_min_log_prob_and_rest` of example i against all n columns of W_I,
-    own column i: theorem 1's log alpha and log a, scored per row by
-    `numerics.threaded_row_blocks` (n x n is the largest pass of the bound
-    checks) and reduced once over the n rows."""
-    n = emb.shape[0]
-    log_prob, log_rest = np.empty((2, n))
+def _min_log_prob_and_rest(emb: np.ndarray, W: np.ndarray, own: np.ndarray
+                           ) -> tuple[float, float]:
+    """The min over the rows i of emb of `_block_log_probs`' two values
+    against the columns of W, own column own[i]: scored per row by
+    `numerics.threaded_row_blocks` and reduced by one `np.min` each, so a
+    NaN row makes its constant NaN. Theorem 1's log alpha and log a (W_I,
+    own column i), and log beta and log b (W_C, own column the coarse
+    label)."""
+    log_prob, log_rest = np.empty((2, emb.shape[0]))
 
     def score(blk: np.ndarray, L: np.ndarray) -> None:
-        lp, lr = _block_log_probs(emb[None, blk], W_I[None], blk, L[None])
+        lp, lr = _block_log_probs(emb[None, blk], W[None], own[blk], L[None])
         log_prob[blk], log_rest[blk] = lp[0], lr[0]
 
-    threaded_row_blocks(n, score, n)
+    threaded_row_blocks(emb.shape[0], score, W.shape[1])
     return float(np.min(log_prob)), float(np.min(log_rest))
 
 
@@ -115,6 +114,7 @@ class Constants:
         return float(np.exp(self.log_beta))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
                       W_I: np.ndarray, coarse_labels: np.ndarray,
                       fine_labels: np.ndarray, mode: str = "theorem1"
@@ -123,10 +123,11 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
 
     alpha/a use the full instance softmax in theorem1 mode and the
     within-coarse softmax in theorem2 mode; both are computed in log space,
-    over row blocks of logits: theorem 1 by `threaded_row_blocks`, theorem
-    2 over stacks of the coarse classes of one size whose logits fit one
-    _ROW_BLOCK x _ROW_BLOCK block (or one class), each class's rows
-    against its own columns."""
+    over row blocks of logits: theorem 1 and beta/b by
+    `threaded_row_blocks`, theorem 2 over stacks of the coarse classes of
+    one size whose logits fit one _ROW_BLOCK x _ROW_BLOCK block (or one
+    class), each class's rows against its own columns. Overflow and NaN
+    warn nowhere: DomainError names a constant that comes out NaN."""
     if mode not in ("theorem1", "theorem2"):
         raise ValueError(f"unknown mode {mode!r}")
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -140,22 +141,27 @@ def measure_constants(embeddings: np.ndarray, W_C: np.ndarray,
 
     order, starts, counts = group_by_label(y_c)
     if mode == "theorem1":
-        log_alpha, log_a = _instance_log_prob_and_rest(emb, W_I)
+        log_alpha, log_a = _min_log_prob_and_rest(emb, W_I, np.arange(n))
     else:
-        log_alpha = log_a = np.inf
-        block, ws = numerics._ROW_BLOCK, {}
+        block, ws, minima = numerics._ROW_BLOCK, {}, []
         for _, runs in equal_size_groups(order, starts, counts):
             size = runs.shape[1]
             per = max(1, block * block // (min(size, block) * size))
             for stack in np.split(runs, range(per, len(runs), per)):
                 # each W_I slice column-major, as a lone class's
                 # W_I[:, members] is: BLAS rounds by the operands' layout
-                la, lr = _min_log_prob_and_rest(
+                minima += _block_minima(
                     emb[stack], W_I.T[stack].transpose(0, 2, 1),
                     np.arange(size), ws)
-                log_alpha, log_a = min(log_alpha, la), min(log_a, lr)
-    log_beta, log_b = _min_log_prob_and_rest(emb[None], W_C[None], y_c)
+        # one np.min, which a NaN block makes NaN (a Python min drops it)
+        log_alpha, log_a = np.min(minima, axis=0).tolist()
+    log_beta, log_b = _min_log_prob_and_rest(emb, W_C, y_c)
 
+    for name, value in (("alpha", log_alpha), ("a", log_a),
+                        ("beta", log_beta), ("b", log_b)):
+        if np.isnan(value):
+            raise DomainError(f"log {name} is NaN: a logit is NaN or "
+                              "overflows")
     if log_alpha >= 0.0 or log_beta >= 0.0:
         raise DomainError("alpha or beta is exactly 1; the 1-alpha "
                           "denominator in the bound is undefined")
@@ -216,20 +222,24 @@ def verify_lemma1(embeddings: np.ndarray, W_I: np.ndarray,
 
     # fine class s's columns, in ascending index order, at s*z .. s*z+z-1
     by_class = group_by_label(fine)[0]
-    own_inst = np.empty(n)       # f_i . w_i
-    jensen_slack = np.inf
-    for blk, L_I, grouped, proxy_logits in row_blocks(n, n, n, F):
+    own_inst, jensen = np.empty((2, n))    # f_i . w_i; row i's Jensen slack
+
+    def check(blk: np.ndarray, L_I: np.ndarray, grouped: np.ndarray,
+              proxy_logits: np.ndarray) -> None:
         np.matmul(emb[blk], W_I, out=L_I)
         np.matmul(emb[blk], proxies, out=proxy_logits)
         own_inst[blk] = L_I[np.arange(blk.size), blk]
         # Jensen: f.wbar_s <= logsumexp_{j in s}(f.w_j) - log z, for every i, s
         np.take(L_I, by_class, axis=1, out=grouped)
         _, m, total = softmax_core(grouped.reshape(blk.size, F, z))
-        slack = (m[..., 0] + np.log(total[..., 0]) - np.log(z)) - proxy_logits
-        jensen_slack = min(jensen_slack, float(slack.min()))
+        jensen[blk] = ((m[..., 0] + np.log(total[..., 0]) - np.log(z))
+                       - proxy_logits).min(axis=1)
+
+    threaded_row_blocks(n, check, n, n, F)
+    jensen_slack = float(np.min(jensen))
 
     # alpha over the full instance softmax, as theorem 1 measures it
-    log_alpha, _ = _instance_log_prob_and_rest(emb, W_I)
+    log_alpha, _ = _min_log_prob_and_rest(emb, W_I, np.arange(n))
     own_proxy, m, total = own_proxy_softmax(emb, W_I, fine)   # f_i . wbar_s(i)
     log_lhs = own_proxy - (m + np.log(total))
     log_rhs = np.log(z) + log_alpha + own_proxy - own_inst

@@ -5,7 +5,8 @@ refreshes the proxies by k-means after every later epoch."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -78,6 +79,43 @@ class TrainConfig:
 
     def m_epoch(self, T: int) -> int:
         return T // 2 if self.ip_start_epoch is None else self.ip_start_epoch
+
+
+def _run_bytes(config: TrainConfig, n: int, dim: int, C: int) -> int:
+    """The bytes a run over n examples of width dim with C coarse-head
+    columns holds at once at least: its float64 parameters (coinsP's proxy
+    columns among them) and their velocities, plus its largest buffer, the
+    n rows of the widest layer in the metrics pass or a step's batch x n
+    instance logits. In Python ints, so no size overflows."""
+    widths, d = [dim, *config.hidden, config.embed_dim], config.embed_dim
+    P = config.P if config.P is not None else max(C, n // 5)
+    heads = C + n + (min(P, n) if config.objective == "coinsP" else 0)
+    size = (sum((a + 1) * b for a, b in zip(widths, widths[1:])) + d * heads
+            + (2 * d * d if config.mlp_head else 0))
+    logits = min(config.batch_size, n) * n if config.objective in (
+        "ins", "coins") else 0
+    return 8 * (2 * size + max(n * max(widths), logits))
+
+
+def _check_run_size(config: TrainConfig, n: int, dim: int, C: int) -> None:
+    """ValueError naming the flag whose least value frees the most, when
+    `_run_bytes` exceeds half of the physical memory (`os.sysconf`): raised
+    before anything of that size is allocated."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    need = _run_bytes(config, n, dim, C)
+    if need <= limit:
+        return
+    flag, key = min((("--embed-dim", "embed_dim", 1),
+                     ("--hidden", "hidden", [1] * len(config.hidden)),
+                     ("--batch", "batch_size", 1)),
+                    key=lambda f: _run_bytes(replace(config, **{f[1]: f[2]}),
+                                             n, dim, C))[:2]
+    value = getattr(config, key)
+    raise ValueError(
+        f"{flag} {','.join(map(str, value)) if key == 'hidden' else value}: "
+        f"the parameters, their velocities and the largest buffer take "
+        f"{need >> 20} MiB, more than half of the {2 * limit >> 20} MiB "
+        f"of physical memory")
 
 
 # floats per slice of the in-place SGD update: the slice buffer stays
@@ -243,6 +281,7 @@ def train(config: TrainConfig, dataset: Dataset
                       "never runs", stacklevel=3)   # past np.errstate's frame
 
     head_C = dataset.F if config.objective == "opt" else dataset.C
+    _check_run_size(config, n, dataset.dim, head_C)
     class_labels = dataset.fine_labels if config.objective == "opt" \
         else dataset.coarse_labels
     params = init_params(dataset.dim, config.hidden, config.embed_dim,

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import struct
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -177,6 +179,54 @@ class TestTrain:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert {"epoch", "lr", "loss_total", "w_gap"} <= set(rec)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--embed-dim", "1000000000000"), ("--hidden", "64,1000000000000")])
+    def test_run_too_large_exits_2_before_allocating(self, tmp_path,
+                                                     blob_file, capsys,
+                                                     flag, value):
+        # the sizes are rejected from their arithmetic alone: never start a
+        # run that allocates them
+        ckpt = tmp_path / "m.ckpt"
+        tracemalloc.start()
+        try:
+            rc = run("train", "--data", blob_file, "--epochs", "1", flag,
+                     value, "--out", str(ckpt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag} {value}: the parameters")
+        assert err.endswith("MiB of physical memory\n") and err.count("\n") == 1
+        assert peak < 4 * 2 ** 20
+        assert not ckpt.exists()
+
+    def test_batch_too_large_names_the_flag(self):
+        # a batch never holds more than n rows, so --batch counts at large n
+        cfg = train_config("--objective", "coins", "--batch", "1000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^--batch 1000000: "):
+                trainer._check_run_size(cfg, 10 ** 6, 4, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        trainer._check_run_size(cfg, 1000, 4, 2)        # n = 1000 fits
+
+    def test_residual_memory_error_exits_2_in_one_line(self, tmp_path,
+                                                       blob_file, capsys,
+                                                       monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                              "shape (1000000, 1000000) and data type float64")
+        monkeypatch.setattr(cli, "train", exhausted)
+        assert run("train", "--data", blob_file, "--out",
+                   str(tmp_path / "m.ckpt")) == 2
+        assert capsys.readouterr().err == (
+            "out of memory: Unable to allocate 7.28 TiB for an array with "
+            "shape (1000000, 1000000) and data type float64\n")
 
     @pytest.mark.parametrize("batch, where", [
         ("4", "non-finite loss or gradient at epoch 2, batch 2"),
@@ -814,6 +864,31 @@ class TestVerifyBounds:
         assert out.read_text() == json.dumps(bound_report_dict(report),
                                              indent=2)
 
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_nan_constant_exits_4_without_a_report(self, tmp_path, capsys,
+                                                   theorem):
+        # the overflow case of tests/test_theory.py, through an identity
+        # encoder: log beta is NaN, which once read as log(1/3)
+        from test_theory import overflow_case
+        emb, W_C, W_I, coarse, fine = overflow_case()
+        save_dataset(data.Dataset(emb, coarse, 3, fine, 256),
+                     str(tmp_path / "d.cfds"))
+        save_checkpoint(ModelParams(encoder=[(np.eye(2), np.zeros(2))],
+                                    W_C=W_C, W_I=W_I),
+                        str(tmp_path / "m.ckpt"))
+        out = tmp_path / "b.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("verify-bounds", "--data", str(tmp_path / "d.cfds"),
+                     "--checkpoint", str(tmp_path / "m.ckpt"), "--theorem",
+                     theorem, "--out", str(out))
+        assert rc == 4
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "unsupported data: log beta is NaN: a logit is NaN or "
+            "overflows\n")
+        assert not out.exists()
+
     def test_instance_columns_unlike_examples_names_both(
             self, tmp_path, trained, capsys):
         # the trained checkpoint has one W_I column for each of 12 examples
@@ -1001,7 +1076,8 @@ class TestTwoThreadReads:
         args = self.untrained_run(tmp_path, n)
         reports = {}
         for threads in (1, 2):
-            monkeypatch.setattr(numerics, "_threads", lambda cells: threads)
+            monkeypatch.setattr(numerics, "_threads",
+                                lambda n, width: threads)
             for name, command in TestReadReportWrites.COMMANDS.items():
                 out = tmp_path / f"{name}-{threads}.json"
                 assert run(*command, *args, "--out", str(out)) == 0
@@ -1009,13 +1085,84 @@ class TestTwoThreadReads:
         for name in TestReadReportWrites.COMMANDS:
             assert reports[name, 1] == reports[name, 2], name
 
+    def test_wide_reports_equal_on_one_and_two_threads(self, tmp_path,
+                                                       monkeypatch):
+        # n = 4096 with F = 1024 fine classes: the fine-class pass is wide
+        # too, so every read pass but theorem 2's stacks takes 64-row blocks
+        d = data.gen_blob_dataset(4, 256, 4, 8, seed=4096)
+        save_dataset(d, str(tmp_path / "d.cfds"))
+        save_checkpoint(init_params(8, [16], 6, 4, d.n, seed=1),
+                        str(tmp_path / "m.ckpt"))
+        args = ["--data", str(tmp_path / "d.cfds"),
+                "--checkpoint", str(tmp_path / "m.ckpt")]
+        reports = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(numerics, "_threads",
+                                lambda n, width: threads)
+            for name, command in TestReadReportWrites.COMMANDS.items():
+                out = tmp_path / f"{name}-{threads}.json"
+                assert run(*command, *args, "--out", str(out)) == 0
+                reports[name, threads] = out.read_bytes()
+        for name in TestReadReportWrites.COMMANDS:
+            assert reports[name, 1] == reports[name, 2], name
+
+    # n = classes x fine per coarse x z
+    @pytest.mark.parametrize("shape", [(4, 4, 40), (4, 5, 35), (4, 4, 64)],
+                             ids=["n640", "n700", "n1024"])
+    def test_coins_train_equal_on_one_and_two_threads(self, tmp_path,
+                                                      monkeypatch, shape):
+        """The epoch metrics pass scores the n-wide instance head in the
+        walker's blocks: the checkpoint and metrics are the same bytes on
+        one thread or two."""
+        path = tmp_path / "d.cfds"
+        save_dataset(data.gen_blob_dataset(*shape, 4, seed=1), str(path))
+        outputs = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(numerics, "_threads",
+                                lambda n, width: threads)
+            out = tmp_path / f"m{threads}.ckpt"
+            assert run("train", "--data", str(path), "--objective", "coins",
+                       "--epochs", "2", "--batch", "128", "--hidden", "8",
+                       "--embed-dim", "4", "--lr", "0.01", "--out",
+                       str(out)) == 0
+            outputs[threads] = (out.read_bytes(), Path(
+                f"{out}.metrics.jsonl").read_bytes())
+        assert outputs[1] == outputs[2]
+
+    def test_coins_train_error_on_the_helper_exits_5(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """A metrics-pass block that raises on the helper thread ends a
+        threaded coins train as on one thread: exit 5, nothing written, and
+        (the autouse fixture) no thread left running."""
+        real, helper_raised = losses.softmax_core, threading.Event()
+
+        def failing(x, at=None):
+            if threading.current_thread() is not threading.main_thread():
+                helper_raised.set()
+                raise FloatingPointError("overflow on the helper")
+            if threading.active_count() > 1:     # a walker pass has begun
+                assert helper_raised.wait(timeout=60)
+            return real(x, at)
+
+        monkeypatch.setattr(losses, "softmax_core", failing)
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
+        path, ckpt = tmp_path / "d.cfds", tmp_path / "m.ckpt"
+        save_dataset(data.gen_blob_dataset(4, 4, 40, 4, seed=1), str(path))
+        assert run("train", "--data", str(path), "--objective", "coins",
+                   "--epochs", "1", "--batch", "128", "--hidden", "8",
+                   "--embed-dim", "4", "--out", str(ckpt)) == 5
+        assert capsys.readouterr().err == ("training diverged: overflow on "
+                                           "the helper in the epoch 1 "
+                                           "metrics pass\n")
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("command", ["eval", "theorem1"])
     def test_non_finite_row_in_a_late_block_exits_4(self, tmp_path,
                                                     monkeypatch, capsys,
                                                     command):
         # row 250 of 300 is in the last block of 64 rows, which either
         # thread may take
-        monkeypatch.setattr(numerics, "_threads", lambda cells: 2)
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
         args = self.untrained_run(tmp_path, 300)
         d = load_dataset(args[1])
         d.examples[250] = np.finfo(np.float64).max

@@ -123,20 +123,25 @@ def run_python(code: str) -> str:
 
 
 def test_two_thread_passes_leave_concurrent_futures_unimported():
-    """The row-block passes start a plain threading.Thread: importing
-    concurrent.futures alone holds about 768 KiB for the rest of the
-    process."""
+    """The row-block passes, a coins train's epoch metrics among them,
+    start a plain threading.Thread: importing concurrent.futures alone holds
+    about 768 KiB for the rest of the process."""
     code = ("import sys\n"
             "import numpy as np\n"
             "from coarse2fine import numerics\n"
+            "from coarse2fine.data import gen_blob_dataset\n"
             "from coarse2fine.evaluate import recall_at_k\n"
             "from coarse2fine.theory import measure_constants\n"
-            "numerics._threads = lambda cells: 2\n"
+            "from coarse2fine.trainer import TrainConfig, train\n"
+            "numerics._threads = lambda n, width: 2\n"
             "rng = np.random.default_rng(0)\n"
             "emb, W = rng.standard_normal((300, 4)), rng.standard_normal((4, 300))\n"
             "recall_at_k(emb, np.arange(300) % 50, [1])\n"
             "measure_constants(emb, W[:, :3], W, np.arange(300) % 3,"
             " np.arange(300))\n"
+            "train(TrainConfig(objective='coins', epochs=1, lr=0.01,"
+            " hidden=[8], embed_dim=4, batch_size=64),"
+            " gen_blob_dataset(2, 2, 75, 4, seed=0))\n"
             "print('concurrent.futures' in sys.modules)\n")
     assert run_python(code) == "False\n"
 

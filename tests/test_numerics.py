@@ -12,8 +12,7 @@ from coarse2fine.numerics import (DegenerateInputError, column_means,
                                   equal_size_groups, grad_check,
                                   group_by_label, normalize_rows,
                                   normalize_rows_backward, own_proxy_softmax,
-                                  row_blocks, softmax_core,
-                                  threaded_row_blocks)
+                                  softmax_core, threaded_row_blocks)
 from conftest import cross_entropy, log_softmax_rows, softmax_rows
 
 
@@ -262,8 +261,11 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n, sizes", [
         (1, [1]), (5, [3, 2]), (8, [4, 4]), (9, [4, 3, 2]), (10, [4, 4, 2])])
     def test_cover_without_trailing_one_row_block(self, monkeypatch, n, sizes):
+        # a narrow pass (width 3 below n) walks blocks of _ROW_BLOCK rows
         monkeypatch.setattr(numerics, "_ROW_BLOCK", 4)
-        blocks = [(blk, buf) for blk, buf in row_blocks(n, 3)]
+        blocks = []
+        threaded_row_blocks(n, lambda blk, buf: blocks.append(
+            (blk, buf.copy())), 3)
         assert [blk.size for blk, _ in blocks] == sizes
         np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]),
                                       np.arange(n))
@@ -275,7 +277,8 @@ def on_the_helper(monkeypatch, action, n=6):
     row that runs action() on the helper thread: the caller's first block
     waits until the helper has taken one."""
     monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
-    monkeypatch.setattr(numerics, "_threads", lambda cells: 2)
+    monkeypatch.setattr(numerics, "_WIDE", 1)          # every pass is wide
+    monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
     helper_started = threading.Event()
 
     def body(blk, buf):
@@ -295,7 +298,8 @@ class TestThreadedRowBlocks:
     def test_half_blocks_each_thread_its_own_scratch(self, monkeypatch,
                                                      threads, n, sizes):
         monkeypatch.setattr(numerics, "_ROW_BLOCK", 8)
-        monkeypatch.setattr(numerics, "_threads", lambda cells: threads)
+        monkeypatch.setattr(numerics, "_WIDE", 1)
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: threads)
         seen, lock = [], threading.Lock()
 
         def body(blk, a, b):
@@ -317,7 +321,8 @@ class TestThreadedRowBlocks:
     def test_first_failing_block_reraised_with_its_type(self, monkeypatch,
                                                         threads):
         monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
-        monkeypatch.setattr(numerics, "_threads", lambda cells: threads)
+        monkeypatch.setattr(numerics, "_WIDE", 1)
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: threads)
 
         class BlockError(Exception):
             pass
@@ -349,20 +354,44 @@ class TestThreadedRowBlocks:
     def test_no_thread_to_be_had_runs_all_on_the_caller(self, monkeypatch):
         def refuse(self):
             raise RuntimeError("can't start new thread")
-        monkeypatch.setattr(numerics, "_threads", lambda cells: 2)
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         idents = set()
         threaded_row_blocks(300, lambda blk, buf: idents.add(
             threading.get_ident()), 1)
         assert idents == {threading.get_ident()}
 
-    @pytest.mark.parametrize("cpus, cells, threads", [
-        ({0}, 10 ** 9, 1), ({0, 1}, 10 ** 9, 2), ({0, 1, 2, 3}, 10 ** 9, 2),
-        ({0, 1, 2, 3}, numerics._THREAD_CELLS - 1, 1),
-        ({0, 1}, numerics._THREAD_CELLS, 2)])
-    def test_thread_count(self, monkeypatch, cpus, cells, threads):
+    @pytest.mark.parametrize("cpus, shape, threads", [
+        ({0}, (10 ** 5, 10 ** 4), 1), ({0, 1}, (10 ** 5, 10 ** 4), 2),
+        ({0, 1, 2, 3}, (10 ** 5, 10 ** 4), 2),
+        ({0, 1, 2, 3}, (639, 640), 1), ({0, 1}, (640, 640), 2),
+        ({0, 1}, (10 ** 9, 639), 1)])
+    def test_thread_count(self, monkeypatch, cpus, shape, threads):
         monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: cpus)
-        assert numerics._threads(cells) == threads
+        assert numerics._threads(*shape) == threads
+
+    @pytest.mark.parametrize("n, width, threads, height", [
+        (16384, 32, 1, 128), (16384, 256, 1, 128), (4096, 2048, 2, 64),
+        (512, 512, 1, 64)])
+    def test_shape_rule(self, monkeypatch, n, width, threads, height):
+        """Block height and thread count follow the pass's shape alone: a
+        tall narrow pass stays on one thread in 128-row blocks, a wide one
+        (width >= min(n, 640)) walks 64-row blocks, on two threads from
+        640 x 640 cells up."""
+        monkeypatch.setattr(numerics.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        seen, lock = [], threading.Lock()
+
+        def body(blk, buf):
+            assert buf.shape == (blk.size, width)
+            with lock:
+                seen.append((blk.size, threading.get_ident()))
+
+        threaded_row_blocks(n, body, width)
+        assert numerics._threads(n, width) == threads
+        assert max(size for size, _ in seen) == height
+        assert sum(size for size, _ in seen) == n
+        assert len({ident for _, ident in seen}) <= threads
 
 
 class TestGradCheck:

@@ -49,14 +49,16 @@ def per_row_constants(emb, W_C, W_I, coarse, mode):
 def per_class_theorem2(emb, W_I, coarse):
     """Reference: theorem 2's (log alpha, log a) one coarse class at a time,
     as measure_constants took them before it stacked the classes of one
-    size: each class's rows against its own columns, in the row blocks of
-    `numerics.row_blocks`. DomainError when alpha is exactly 1."""
+    size: each class's rows against its own columns, in the `index_blocks`
+    of _ROW_BLOCK rows. DomainError when alpha is exactly 1."""
     log_alpha = log_a = np.inf
     order, starts, counts = numerics.group_by_label(coarse)
     for k in np.flatnonzero(counts):
         members = order[starts[k]:starts[k] + counts[k]]
         E, W = emb[members], W_I[:, members]
-        for blk, L in numerics.row_blocks(members.size, members.size):
+        for block in numerics.index_blocks(members.size, numerics._ROW_BLOCK):
+            blk = np.arange(block.start, block.stop)
+            L = np.empty((blk.size, members.size))
             rows = np.arange(blk.size)
             np.matmul(E[blk], W, out=L)
             own = L[rows, blk]
@@ -246,6 +248,51 @@ class TestMeasureConstants:
             return
         got = measure_constants(emb, W_C, W_I, coarse, fine, "theorem2")
         assert float_bits(got.log_alpha, got.log_a) == float_bits(*want)
+
+
+def overflow_case():
+    """256 rows, d = 2: rows 0-127 at (1, 1), whose logits against W_C's two
+    1e308 columns overflow, so the 86 of them whose coarse label (i mod 3)
+    is one of those columns have a NaN log probability; rows 128-255 at 0
+    give log(1/3). (emb, W_C, W_I, coarse, fine)."""
+    n = 256
+    emb = np.zeros((n, 2))
+    emb[:128] = 1.0
+    W_C = np.array([[1e308, 1e308, 0.1], [1e308, 1e308, 0.2]])
+    W_I = 0.1 * np.random.default_rng(0).standard_normal((2, n))
+    return emb, W_C, W_I, np.arange(n) % 3, np.arange(n)
+
+
+class TestNaNConstants:
+    """A constant over rows of which some are NaN is NaN, and
+    measure_constants names it in a DomainError: no block of rows drops out
+    of a minimum, and no NaN constant reaches a report."""
+
+    @pytest.mark.parametrize("mode", ["theorem1", "theorem2"])
+    def test_nan_beta_raises(self, mode):
+        with pytest.raises(DomainError, match="^log beta is NaN"):
+            measure_constants(*overflow_case(), mode)
+
+    @pytest.mark.parametrize("mode", ["theorem1", "theorem2"])
+    def test_nan_alpha_raises(self, mode):
+        # W_I columns 0 and 3 (coarse class 0, whose 86 members come after
+        # the two classes of 85 in theorem 2's stacks) overflow for rows 0
+        # and 3, each with its own column among them
+        emb, _, W_I, coarse, fine = overflow_case()
+        W_I[:, [0, 3]] = 1e308
+        W_C = 0.1 * np.ones((2, 3))
+        with pytest.raises(DomainError, match="^log alpha is NaN"):
+            measure_constants(emb, W_C, W_I, coarse, fine, mode)
+
+    def test_nan_first_block_of_a_stack_is_kept(self, monkeypatch):
+        # blocks of 2 rows: rows 0 and 3, class 0's first two members, make
+        # the first block of its stack NaN, and every later block is finite
+        emb, _, W_I, coarse, fine = overflow_case()
+        W_I[:, [0, 3]] = 1e308
+        monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
+        with pytest.raises(DomainError, match="^log alpha is NaN"):
+            measure_constants(emb, 0.1 * np.ones((2, 3)), W_I, coarse, fine,
+                              "theorem2")
 
 
 def log_h(c, alpha, beta, a, b, z):
