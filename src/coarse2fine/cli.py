@@ -148,11 +148,16 @@ def _write_run(params, metrics: list[dict], ckpt_path: str,
 
 
 def _load_run(args: argparse.Namespace):
-    """The --data set and the --checkpoint model, whose input widths match."""
+    """The --data set and the --checkpoint model, whose input widths match
+    and whose coarse head has a column for each coarse class."""
     dataset = _load_data(args.data, args.format)
     params = load_checkpoint(args.checkpoint)
     if params.encoder[0][0].shape[0] != dataset.dim:
         raise UsageError("checkpoint input dimension does not match dataset")
+    if params.W_C.shape[1] < dataset.C:
+        raise UsageError(f"checkpoint coarse head has {params.W_C.shape[1]} "
+                         f"columns, fewer than the data's {dataset.C} "
+                         f"coarse classes")
     return dataset, params
 
 

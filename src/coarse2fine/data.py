@@ -10,7 +10,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .numerics import group_by_label
+from .numerics import (check_bytes, group_by_label, is_wide,
+                       threaded_row_blocks)
 
 MAGIC = b"CFDS1\x00"
 
@@ -132,6 +133,10 @@ def gen_patch_dataset(n: int, n_big: int, n_small: int, img_h: int = 32,
                          "big_size + small_size exceeds both image sides")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    check_bytes(lambda n, img_h, img_w: 8 * n * (3 * img_h * img_w + 2),
+                {"n": ("--n", n, 1), "img_h": ("--img-h", img_h, 1),
+                 "img_w": ("--img-w", img_w, 1)},
+                "the images and their two label arrays")
     rng = np.random.default_rng(seed)
     big_colors = rng.uniform(0.0, 1.0, size=(n_big, 3))
     small_colors = rng.uniform(0.0, 1.0, size=(n_small, 3))
@@ -188,6 +193,11 @@ def gen_blob_dataset(C: int, fine_per_coarse: int, z: int, dim: int,
         raise ValueError("noise must be finite and >= 0")
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    check_bytes(lambda C, per, z, dim: 8 * C * per * z * (dim + 2),
+                {"C": ("--classes", C, 1),
+                 "per": ("--fine-per-coarse", fine_per_coarse, 1),
+                 "z": ("--z", z, 1), "dim": ("--dim", dim, 1)},
+                "the examples and their two label arrays")
     rng = np.random.default_rng(seed)
     n = C * fine_per_coarse * z
     F = C * fine_per_coarse
@@ -296,15 +306,22 @@ def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
     return out
 
 
-def _first_non_finite_row(examples: np.ndarray) -> Optional[int]:
+def _row_sums(examples: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):    # inf + -inf
+        return examples.sum(axis=1)
+
+
+def _first_non_finite_row(examples: np.ndarray,
+                          sums: Optional[np.ndarray] = None) -> Optional[int]:
     """Index of the first example holding a NaN or an infinity, if any.
 
-    Only rows whose sum is not finite are inspected element by element (a
-    finite row can overflow its sum), so no n x dim mask is built."""
+    Only rows whose sum (`sums` when given, else taken here) is not finite
+    are inspected element by element (a finite row can overflow its sum),
+    so no n x dim mask is built."""
     if examples.ndim != 2:
         return None                     # no rows: a CSV with a header only
-    with np.errstate(over="ignore", invalid="ignore"):    # inf + -inf
-        sums = examples.sum(axis=1)
+    if sums is None:
+        sums = _row_sums(examples)
     suspects = np.flatnonzero(~np.isfinite(sums))
     bad = suspects[~np.isfinite(examples[suspects]).all(axis=1)]
     return int(bad[0]) if bad.size else None
@@ -324,9 +341,39 @@ def save_dataset(d: Dataset, path: str) -> None:
             fh.write(d.fine_labels.astype("<u4").tobytes())
 
 
+def _read_rows(fd: int, values: np.ndarray, off: int) -> np.ndarray:
+    """Fill `values` from the example block at byte `off` of file `fd`, one
+    `os.preadv` per `threaded_row_blocks` block (the rows' width setting the
+    walker's shape rule), and return the row sums `_first_non_finite_row`
+    reads, each block's taken while its rows are in cache. A block that
+    comes back short raises DatasetFormatError at its first missing byte;
+    the lowest such block's is raised."""
+    n, dim = values.shape
+    row = dim * values.itemsize
+    sums = np.empty(n)
+
+    def read(blk: np.ndarray) -> None:
+        rows = slice(blk[0], blk[-1] + 1)
+        buf = values[rows].reshape(-1).view(np.uint8)
+        at = off + rows.start * row
+        done = 0
+        while done < buf.size:        # a read may return part of its span
+            got = os.preadv(fd, [buf[done:]], at + done)
+            if got == 0:
+                raise DatasetFormatError(
+                    f"truncated example block at offset {at + done}")
+            done += got
+        sums[rows] = _row_sums(values[rows])
+
+    threaded_row_blocks(n, read, columns=dim)
+    return sums
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a CFDS1 file. The example block is read straight into the
-    returned array; only the header and the labels are read as bytes."""
+    returned array: one `readinto`, or for a wide block (`numerics.is_wide`
+    of its rows and width) `_read_rows`' reads on the row walker. Only the
+    header and the labels are read as bytes."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(23)
@@ -336,6 +383,8 @@ def load_dataset(path: str) -> Dataset:
         if len(head) < off + 17:
             raise DatasetFormatError(f"truncated header at offset {len(head)}")
         n, dim, C, F = struct.unpack_from("<IIII", head, off)
+        if dim == 0:
+            raise DatasetFormatError(f"zero example width at offset {off + 4}")
         off += 16
         (dtype_code,) = struct.unpack_from("<B", head, off)
         off += 1
@@ -347,11 +396,16 @@ def load_dataset(path: str) -> Dataset:
         if size < off + need:
             raise DatasetFormatError(f"truncated example block at offset {size}")
         values = np.empty((n, dim), dtype="<f4" if dtype_code == 0 else "<f8")
-        got = fh.readinto(values)
-        if got < need:
-            raise DatasetFormatError(
-                f"truncated example block at offset {off + got}")
-        bad = _first_non_finite_row(values)
+        if is_wide(n, dim):
+            sums = _read_rows(fh.fileno(), values, off)
+            fh.seek(off + need)
+        else:
+            sums = None
+            got = fh.readinto(values)
+            if got < need:
+                raise DatasetFormatError(
+                    f"truncated example block at offset {off + got}")
+        bad = _first_non_finite_row(values, sums)
         if bad is not None:
             raise DatasetFormatError(f"example row {bad} is not finite "
                                      f"(at offset {off + bad * dim * itemsize})")
@@ -411,6 +465,8 @@ def load_dataset_csv(path: str) -> Dataset:
                 fine.append(int(row[1]))
             rows.append([float(v) for v in row[2:]])
     examples = np.asarray(rows, dtype=np.float64)
+    if examples.shape[1:] == (0,):
+        raise DatasetFormatError("zero example width: no row holds an x value")
     bad = _first_non_finite_row(examples)
     if bad is not None:
         raise DatasetFormatError(f"example row {bad} is not finite")

@@ -287,9 +287,7 @@ def objective(params: ModelParams, batch: np.ndarray,
     if "proxy" in active and (params.W_P is None or membership is None):
         raise RuntimeError("the proxy term needs a membership and W_P")
 
-    f, ecache = encode(params, batch)
-    if values_only:
-        ecache = None         # no backward pass: free each layer's input rows
+    f, ecache = encode(params, batch, cache=not values_only)
     B = f.shape[0]
     value = dF = mlp_grad = None
     grad_heads: dict[str, np.ndarray] = {}

@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import normalize_rows, normalize_rows_backward
+from .numerics import (is_wide, normalize_rows, normalize_rows_backward,
+                       threaded_row_blocks)
 
 CKPT_MAGIC = b"CFCK1\x00"
 
@@ -84,27 +85,70 @@ class EncodeCache:
     pre_norm: Optional[np.ndarray]       # last-layer output before unit norm
 
 
-def encode(params: ModelParams, batch: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
-    """Backbone embedding f(x) for a batch; caches activations for backward."""
+def encode(params: ModelParams, batch: np.ndarray, cache: bool = True
+           ) -> tuple[np.ndarray, Optional[EncodeCache]]:
+    """Backbone embedding f(x) of a batch, with the activations
+    `encode_backward` reads when `cache` (else None). A wide batch
+    (`numerics.is_wide` of its rows and width) runs the layer stack per
+    `threaded_row_blocks` block (`_encode_blocks`); a narrow one takes one
+    product per layer."""
     h = np.asarray(batch, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.encoder[0][0].shape[0]:
         raise ValueError("batch dimension does not match the first encoder layer")
-    layer_inputs = []
-    relu_masks = []
-    n_layers = len(params.encoder)
-    for li, (W, b) in enumerate(params.encoder):
-        layer_inputs.append(h)
-        h = h @ W
-        h += b                  # in place: the bits of h @ W + b and h * mask
-        if li < n_layers - 1:
-            mask = h > 0
-            np.multiply(h, mask, out=h)
-            relu_masks.append(mask)
+    if is_wide(*h.shape):
+        h, layer_inputs, relu_masks = _encode_blocks(params, h, cache)
+    else:
+        layer_inputs, relu_masks = [], []
+        n_layers = len(params.encoder)
+        for li, (W, b) in enumerate(params.encoder):
+            if cache:
+                layer_inputs.append(h)
+            h = h @ W
+            h += b              # in place: the bits of h @ W + b and h * mask
+            if li < n_layers - 1:
+                mask = h > 0
+                np.multiply(h, mask, out=h)
+                relu_masks.append(mask)
     pre_norm = None
     if params.cosine:
         pre_norm = h
         h = normalize_rows(h)
-    return h, EncodeCache(layer_inputs, relu_masks, pre_norm)
+    return h, EncodeCache(layer_inputs, relu_masks, pre_norm) if cache else None
+
+
+def _encode_blocks(params: ModelParams, x: np.ndarray, cache: bool
+                   ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """`encode`'s layer stack over the row blocks of x, the input width
+    setting the walker's shape rule: each block's rows go through every
+    layer before the next block begins. With `cache`, a block writes its
+    rows of the whole-array layer inputs and ReLU masks it returns;
+    without, its hidden activations live in its thread's scratch and the
+    lists are empty. Each row's bits are those of the whole products
+    where the BLAS rounds a block's product as the same rows of the whole
+    one (README, "The row walker")."""
+    n = x.shape[0]
+    widths = [W.shape[1] for W, _ in params.encoder]
+    out = np.empty((n, widths[-1]))
+    inputs = [x] + [np.empty((n, w)) for w in widths[:-1]] if cache else []
+    masks = [np.empty((n, w), dtype=bool) for w in widths[:-1]] if cache else []
+
+    def forward(blk: np.ndarray, *scratch: np.ndarray) -> None:
+        rows = slice(blk[0], blk[-1] + 1)
+        h = x[rows]
+        for li, (W, b) in enumerate(params.encoder):
+            last = li == len(widths) - 1
+            dest = (out[rows] if last else inputs[li + 1][rows] if cache
+                    else scratch[li])
+            np.matmul(h, W, out=dest)
+            dest += b
+            if not last:
+                mask = masks[li][rows] if cache else None
+                np.multiply(dest, np.greater(dest, 0, out=mask), out=dest)
+            h = dest
+
+    threaded_row_blocks(n, forward, *([] if cache else widths[:-1]),
+                        columns=x.shape[1])
+    return out, inputs, masks
 
 
 def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -112,7 +156,7 @@ def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     is kept, and overflow and NaN warn nowhere, as in `train`, because
     `recall_at_k` and `measure_constants` name the first non-finite row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return encode(params, batch)[0]
+        return encode(params, batch, cache=False)[0]
 
 
 def encode_backward(params: ModelParams, cache: EncodeCache,
@@ -245,6 +289,11 @@ def load_checkpoint(path: str) -> ModelParams:
         if size < at_widths:
             raise CheckpointFormatError(f"truncated at offset {size}")
         shapes = list(struct.iter_unpack("<II", fh.read(8 * n_layers)))
+        for li, shape in enumerate(shapes):
+            if 0 in shape:
+                raise CheckpointFormatError(
+                    f"zero-width encoder layer {li} at offset "
+                    f"{10 + 8 * li + 4 * shape.index(0)}")
         for li in range(1, n_layers):
             if shapes[li][0] != shapes[li - 1][1]:
                 raise CheckpointFormatError(
@@ -256,6 +305,9 @@ def load_checkpoint(path: str) -> ModelParams:
             raise CheckpointFormatError(f"truncated at offset {size}")
         C, n, P, d_h, cosine_flag, temperature = struct.unpack(
             "<IIIIBd", fh.read(25))
+        if C == 0:
+            raise CheckpointFormatError(
+                f"zero coarse-head columns at offset {at_widths}")
         if cosine_flag not in (0, 1):
             raise CheckpointFormatError(f"cosine flag {cosine_flag} at offset "
                                         f"{off - 9} must be 0 or 1")

@@ -1,7 +1,8 @@
 """Row normalisation, indices grouped by label, groups of equal size, grouped
-column means, the row blocks the O(n^2) read paths stream over (on one
-thread or two), the one softmax core, the step's workspace buffers and a
-finite-difference checker.
+column means, the row blocks the O(n^2) read paths and the wide example
+reads and forwards stream over (on one thread or two), the one softmax
+core, the step's workspace buffers, the memory guard of the size flags and
+a finite-difference checker.
 
 Everything here operates on float64 numpy arrays, as does the whole
 package: `model.encode` casts every batch to float64, and the bound checks
@@ -14,7 +15,7 @@ import contextvars
 import math
 import os
 import threading
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -62,30 +63,38 @@ def index_blocks(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def is_wide(n: int, width: int) -> bool:
+    """Whether a pass over n rows of `width` columns is wide: width >= _WIDE
+    and at least _WIDE x _WIDE cells. A wide pass may take two threads; a
+    narrow one costs more on two than on one."""
+    return width >= _WIDE and n * width >= _WIDE * _WIDE
+
+
 def _threads(n: int, width: int) -> int:
     """Threads for a pass over n rows of `width` columns: two where the pass
-    is wide (width >= _WIDE) and reaches _WIDE x _WIDE cells and the process
-    may run on two CPUs, else one."""
-    if width < _WIDE or n * width < _WIDE * _WIDE:
+    `is_wide` and the process may run on two CPUs, else one."""
+    if not is_wide(n, width):
         return 1
     return min(2, len(os.sched_getaffinity(0)))
 
 
-def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int
-                        ) -> None:
+def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int,
+                        columns: int = 0) -> None:
     """Call body(blk, *scratch) on each of the consecutive `index_blocks`
     covering rows 0..n-1, blk the block's row indices: of _ROW_BLOCK // 2
-    rows (at least one) where the widest width reaches min(n, _WIDE), else
+    rows (at least one) where the pass's width reaches min(n, _WIDE), else
     of _ROW_BLOCK, on `_threads` threads: the caller and, for two, one
     helper thread that runs in a copy of the caller's context (so NumPy's
-    errstate holds there too). Each thread takes the next block in turn and
-    has its own scratch, one float64 array of shape (block size, width) per
-    width. `body` writes its results per row into the caller's arrays, so
-    they do not depend on the thread count, and must call no traced seam.
-    The helper is joined on every path. Once a block raises, no later block
-    is begun, and the exception of the lowest block that raised is
-    re-raised, as on one thread."""
-    width = max(widths, default=0)
+    errstate holds there too). The pass's width is its widest scratch, or
+    `columns` when that is wider: the width of rows it reads but keeps no
+    scratch of. Each thread takes the next block in turn and has its own
+    scratch, one float64 array of shape (block size, width) per width.
+    `body` writes its results per row into the caller's arrays, so they do
+    not depend on the thread count, and must call no traced seam. The
+    helper is joined on every path. Once a block raises, no later block is
+    begun, and the exception of the lowest block that raised is re-raised,
+    as on one thread."""
+    width = max((columns, *widths))
     size = max(1, _ROW_BLOCK // 2) if width >= min(n, _WIDE) else _ROW_BLOCK
     blocks = index_blocks(n, size)
     todo = iter(range(len(blocks)))
@@ -122,6 +131,27 @@ def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int
             helper.join()
     if errors:
         raise errors[min(errors)]
+
+
+def check_bytes(bytes_of: Callable[..., int],
+                flags: dict[str, tuple[str, Any, Any]], what: str) -> None:
+    """ValueError naming the flag whose least value frees the most, when
+    bytes_of(**values) exceeds half of the physical memory (`os.sysconf`).
+    `flags` maps each keyword of bytes_of to its (flag, value, least
+    value). bytes_of counts in Python ints, so no size overflows, and the
+    check runs before anything of that size is allocated."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    values = {key: value for key, (_, value, _) in flags.items()}
+    need = bytes_of(**values)
+    if need <= limit:
+        return
+    key = min(flags, key=lambda k: bytes_of(**{**values, k: flags[k][2]}))
+    value = values[key]
+    raise ValueError(
+        f"{flags[key][0]} "
+        f"{','.join(map(str, value)) if isinstance(value, list) else value}: "
+        f"{what} take {need >> 20} MiB, more than half of the "
+        f"{2 * limit >> 20} MiB of physical memory")
 
 
 def softmax_core(x: np.ndarray, at: Optional[tuple] = None

@@ -5,7 +5,6 @@ refreshes the proxies by k-means after every later epoch."""
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -16,7 +15,7 @@ from .data import Dataset, augment
 from .losses import LossValue, build_coarse_index, objective
 from .model import (ModelParams, branch_forward, encode_backward,
                     init_params, param_arrays, renormalize_heads)
-from .numerics import DegenerateInputError, buffer, index_blocks
+from .numerics import DegenerateInputError, buffer, check_bytes, index_blocks
 
 OBJECTIVES = ("ins", "cos", "coins", "coins-imp", "coinsP", "opt")
 
@@ -99,23 +98,14 @@ def _run_bytes(config: TrainConfig, n: int, dim: int, C: int) -> int:
 
 def _check_run_size(config: TrainConfig, n: int, dim: int, C: int) -> None:
     """ValueError naming the flag whose least value frees the most, when
-    `_run_bytes` exceeds half of the physical memory (`os.sysconf`): raised
-    before anything of that size is allocated."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    need = _run_bytes(config, n, dim, C)
-    if need <= limit:
-        return
-    flag, key = min((("--embed-dim", "embed_dim", 1),
-                     ("--hidden", "hidden", [1] * len(config.hidden)),
-                     ("--batch", "batch_size", 1)),
-                    key=lambda f: _run_bytes(replace(config, **{f[1]: f[2]}),
-                                             n, dim, C))[:2]
-    value = getattr(config, key)
-    raise ValueError(
-        f"{flag} {','.join(map(str, value)) if key == 'hidden' else value}: "
-        f"the parameters, their velocities and the largest buffer take "
-        f"{need >> 20} MiB, more than half of the {2 * limit >> 20} MiB "
-        f"of physical memory")
+    `_run_bytes` exceeds half of the physical memory (`check_bytes`):
+    raised before anything of that size is allocated."""
+    check_bytes(lambda **sizes: _run_bytes(replace(config, **sizes), n, dim, C),
+                {"embed_dim": ("--embed-dim", config.embed_dim, 1),
+                 "hidden": ("--hidden", config.hidden,
+                            [1] * len(config.hidden)),
+                 "batch_size": ("--batch", config.batch_size, 1)},
+                "the parameters, their velocities and the largest buffer")
 
 
 # floats per slice of the in-place SGD update: the slice buffer stays

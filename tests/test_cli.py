@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarse2fine import (cli, data, evaluate, losses, numerics, theory,
-                         trainer)
+from coarse2fine import (cli, data, evaluate, losses, model, numerics,
+                         theory, trainer)
 from coarse2fine.cli import main, reproduce_synthetic
 from coarse2fine.data import gen_patch_dataset, load_dataset, save_dataset
 from coarse2fine.model import (ModelParams, encode, init_params,
@@ -165,6 +165,49 @@ class TestGenData:
         rc = run("gen-data", "--kind", "blob",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.cfds"))
         assert rc == 3
+
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("patch", ["--n", "100000000"], "--n 100000000"),
+        ("patch", ["--img-h", "100000", "--img-w", "100000"],
+         "--img-h 100000"),
+        ("blob", ["--dim", "1000000000"], "--dim 1000000000"),
+        ("blob", ["--classes", "100000", "--z", "100000"],
+         "--classes 100000")])
+    def test_data_set_too_large_exits_2_before_allocating(
+            self, tmp_path, capsys, kind, flags, named):
+        # the sizes are rejected from their arithmetic alone: never generate
+        # a data set that allocates them
+        out = tmp_path / "x.cfds"
+        tracemalloc.start()
+        try:
+            rc = run("gen-data", "--kind", kind, *flags, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {named}: the ")
+        assert err.endswith("MiB of physical memory\n") and err.count("\n") == 1
+        assert peak < 4 * 2 ** 20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, message", [
+        ("cfds", "zero example width at offset 10"),
+        ("csv", "zero example width: no row holds an x value")])
+    def test_zero_example_width_is_bad_file(self, tmp_path, capsys, fmt,
+                                            message):
+        # 2 examples of width 0 of 1 coarse class (no fine labels in CFDS)
+        path = tmp_path / f"d.{fmt}"
+        if fmt == "cfds":
+            path.write_bytes(data.MAGIC + struct.pack("<IIIIB", 2, 0, 1, 0, 1)
+                             + struct.pack("<II", 0, 0))
+        else:
+            path.write_text("coarse,fine,x0\n0,0\n0,0\n")
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(path), "--format", fmt,
+                   "--epochs", "1", "--out", str(out)) == 4
+        assert capsys.readouterr().err == f"bad dataset file: {message}\n"
+        assert not out.exists()
 
 
 class TestTrain:
@@ -833,6 +876,37 @@ class TestEval:
         assert "bad dataset file: example row 3 is not finite" \
             in capsys.readouterr().err
 
+    def test_zero_width_encoder_layer_is_bad_file(self, tmp_path, blob_file,
+                                                  capsys):
+        # layer 1 maps 3 columns to 0: its output width is at offset 22
+        params = ModelParams(
+            encoder=[(np.ones((4, 3)), np.zeros(3)),
+                     (np.ones((3, 0)), np.zeros(0))],
+            W_C=np.ones((0, 2)), W_I=np.ones((0, 12)))
+        ckpt, out = tmp_path / "zero.ckpt", tmp_path / "r.json"
+        save_checkpoint(params, str(ckpt))
+        assert run("eval", "--data", blob_file, "--checkpoint", str(ckpt),
+                   "--out", str(out)) == 4
+        assert capsys.readouterr().err == \
+            "bad checkpoint file: zero-width encoder layer 1 at offset 22\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["verify-bounds", "--theorem", "1"],
+                                         ["verify-bounds", "--theorem", "2"]])
+    def test_coarse_head_narrower_than_the_classes_is_usage_error(
+            self, tmp_path, capsys, command):
+        path, ckpt = tmp_path / "d.cfds", tmp_path / "m.ckpt"
+        save_dataset(data.gen_blob_dataset(4, 2, 3, 4, seed=0), str(path))
+        save_checkpoint(init_params(4, [3], 2, 2, 24, seed=0), str(ckpt))
+        out = tmp_path / "r.json"
+        assert run(*command, "--data", str(path), "--checkpoint", str(ckpt),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "usage error: checkpoint coarse head has 2 columns, fewer than "
+            "the data's 4 coarse classes\n")
+        assert not out.exists()
+
     def test_unchained_encoder_is_bad_file(self, tmp_path, blob_file, capsys):
         rng = np.random.default_rng(0)
         params = ModelParams(
@@ -963,6 +1037,17 @@ class TestVerifyBounds:
         assert capsys.readouterr().err == (
             "unsupported data: alpha or beta is exactly 1; the 1-alpha "
             "denominator in the bound is undefined\n")
+        assert not out.exists()
+
+    def test_zero_coarse_columns_is_bad_file(self, tmp_path, blob_file,
+                                             capsys):
+        # C follows the magic, the layer count and two layer shapes
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "r.json"
+        save_checkpoint(init_params(4, [3], 2, 0, 12, seed=0), str(ckpt))
+        assert run("verify-bounds", "--data", blob_file, "--checkpoint",
+                   str(ckpt), "--out", str(out)) == 4
+        assert capsys.readouterr().err == \
+            "bad checkpoint file: zero coarse-head columns at offset 26\n"
         assert not out.exists()
 
     def test_non_uniform_fine_classes_unsupported(self, tmp_path, trained):
@@ -1155,6 +1240,73 @@ class TestTwoThreadReads:
                                            "the helper in the epoch 1 "
                                            "metrics pass\n")
         assert not ckpt.exists()
+
+    @staticmethod
+    def patch_width_run(tmp_path, monkeypatch, shape, *flags):
+        """A `train` on n = prod(shape) blob examples of 3072 columns, a
+        patch image's width (read as 32 x 32 x 3 images), then `eval` and
+        both `verify-bounds`, on one thread and on two: asserts that their
+        outputs are the same bytes, and returns the (width, rows) of each
+        wide example read and forward."""
+        path = tmp_path / "d.cfds"
+        save_dataset(data.gen_blob_dataset(*shape, 3072, coarse_spread=1.0,
+                                           fine_spread=0.3, seed=1),
+                     str(path))
+        walked, real = [], numerics.threaded_row_blocks
+
+        def spy(n, body, *widths, columns=0):
+            walked.append((columns, n))
+            real(n, body, *widths, columns=columns)
+
+        monkeypatch.setattr(data, "threaded_row_blocks", spy)
+        monkeypatch.setattr(model, "threaded_row_blocks", spy)
+        outputs = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(numerics, "_threads",
+                                lambda n, width: threads)
+            walked.clear()
+            ckpt = tmp_path / f"m{threads}.ckpt"
+            assert run("train", "--data", str(path), "--img-h", "32",
+                       "--img-w", "32", "--lr", "0.01", *flags,
+                       "--out", str(ckpt)) == 0
+            files = [ckpt.read_bytes(),
+                     Path(f"{ckpt}.metrics.jsonl").read_bytes()]
+            for name, command in TestReadReportWrites.COMMANDS.items():
+                out = tmp_path / f"{name}-{threads}.json"
+                rc = run(*command, "--data", str(path), "--checkpoint",
+                         str(ckpt), "--out", str(out))
+                files.append((rc, out.read_bytes()))
+            outputs[threads] = files, list(walked)
+        assert outputs[1] == outputs[2]
+        return walked
+
+    # n = coarse classes x fine per coarse x z
+    @pytest.mark.parametrize("shape", [(2, 1, 67), (4, 8, 16), (4, 5, 35)],
+                             ids=["n134", "n512", "n700"])
+    def test_patch_width_outputs_equal_on_one_and_two_threads(self, tmp_path,
+                                                               monkeypatch,
+                                                               shape):
+        """The wide example reads and forwards walk 64-row blocks, on one
+        thread or two alike: the checkpoint, metrics and reports are the
+        same bytes. Training batches of 32 rows are narrow."""
+        n = int(np.prod(shape))
+        walked = self.patch_width_run(
+            tmp_path, monkeypatch, shape, "--epochs", "2", "--batch", "32",
+            "--hidden", "8", "--embed-dim", "4")
+        # the load and two metrics passes of train, and a load and a
+        # forward in each of the three read commands
+        assert walked == [(3072, n)] * 9
+
+    def test_odd_width_wide_batches_equal_on_one_and_two_threads(
+            self, tmp_path, monkeypatch):
+        """Batches of 256 patch-width rows are wide: each training step's
+        forward fills the encoder cache block by block."""
+        walked = self.patch_width_run(
+            tmp_path, monkeypatch, (4, 8, 16), "--epochs", "2", "--batch",
+            "256", "--hidden", "100,30", "--embed-dim", "13")
+        # per epoch, two wide steps and the metrics pass
+        assert walked.count((3072, 256)) == 4
+        assert walked.count((3072, 512)) == 1 + 2 + 6
 
     @pytest.mark.parametrize("command", ["eval", "theorem1"])
     def test_non_finite_row_in_a_late_block_exits_4(self, tmp_path,

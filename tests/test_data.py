@@ -3,6 +3,7 @@ import hashlib
 import os
 import struct
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coarse2fine import data
+from coarse2fine import data, numerics
 from coarse2fine.cli import main as cli_main
 from coarse2fine.data import (MAGIC, Dataset, DatasetFormatError,
                               PlacementError, augment, gen_blob_dataset,
@@ -374,20 +375,74 @@ class TestDatasetFile:
         assert back.flags.writeable and back.flags.c_contiguous
         back[0, 0] = 1.0                  # owned memory, not a file buffer
 
+    # a narrow example block (one `readinto`) and a wide one of 134 rows
+    # of 3072 columns (`_read_rows`, 64-row blocks), cut inside row 100
+    @pytest.mark.parametrize("shape, cut", [
+        ((2, 2, 2, 3), 40), ((2, 1, 67, 3072), 23 + 8 * 3072 * 100 + 40)],
+        ids=["narrow", "wide"])
     def test_short_read_of_example_block_is_truncation(self, tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch, shape,
+                                                        cut):
         # the file shrinks between the size check and the read: the read
         # comes back short, at the offset where the file now ends
-        d = gen_blob_dataset(2, 2, 2, 3, seed=0)
+        d = gen_blob_dataset(*shape, seed=0)
         path = tmp_path / "d.cfds"
         save_dataset(d, str(path))
-        path.write_bytes(path.read_bytes()[:40])
+        path.write_bytes(path.read_bytes()[:cut])
         real_fstat = os.fstat
         monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
-            real_fstat(fd)[:6] + (10 ** 6,) + real_fstat(fd)[7:]))
+            real_fstat(fd)[:6] + (10 ** 9,) + real_fstat(fd)[7:]))
         with pytest.raises(DatasetFormatError,
-                           match="truncated example block at offset 40"):
+                           match=f"truncated example block at offset {cut}$"):
             load_dataset(str(path))
+
+    def test_short_read_in_a_helper_block_names_its_offset(self, tmp_path,
+                                                           monkeypatch):
+        """A wide file cut short inside block 5 of 64 rows: the helper
+        thread takes it while the caller waits inside its first block, and
+        the error names the first missing byte, as on one thread."""
+        d = gen_blob_dataset(2, 1, 320, 640, seed=0)    # 640 x 640, 10 blocks
+        path = tmp_path / "d.cfds"
+        save_dataset(d, str(path))
+        cut = 23 + 8 * 640 * (5 * 64 + 7) + 16
+        path.write_bytes(path.read_bytes()[:cut])
+        real_fstat, real_preadv = os.fstat, os.preadv
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            real_fstat(fd)[:6] + (10 ** 9,) + real_fstat(fd)[7:]))
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
+        helper_short = threading.Event()
+
+        def preadv(fd, buffers, offset):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if not on_helper:
+                assert helper_short.wait(timeout=60)
+            got = real_preadv(fd, buffers, offset)
+            if on_helper and got < len(buffers[0]):
+                helper_short.set()
+            return got
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        with pytest.raises(DatasetFormatError,
+                           match=f"truncated example block at offset {cut}$"):
+            load_dataset(str(path))
+        assert helper_short.is_set()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_row_of_a_wide_block_exits_4(self, tmp_path, capsys,
+                                                    monkeypatch, threads):
+        # rows 100 and 130 lie in the second and third 64-row blocks; the
+        # data set is read before the checkpoint, which need not exist
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: threads)
+        d = gen_blob_dataset(2, 1, 67, 3072, seed=0)
+        d.examples[[100, 130], 7] = np.nan
+        path, out = tmp_path / "nan.cfds", tmp_path / "r.json"
+        save_dataset(d, str(path))
+        assert cli_main(["eval", "--data", str(path), "--checkpoint",
+                         str(tmp_path / "m.ckpt"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"bad dataset file: example row 100 is not finite "
+            f"(at offset {23 + 100 * 3072 * 8})\n")
+        assert not out.exists()
 
     def test_round_trip_bytes_identical(self, tmp_path):
         d = gen_patch_dataset(6, 2, 4, img_h=8, img_w=8, big_size=3,

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse2fine import model, numerics
 from coarse2fine.model import (CheckpointFormatError, ModelParams,
                                branch_forward, encode, encode_backward,
                                head_logits, init_params, load_checkpoint,
                                param_arrays, renormalize_heads,
                                save_checkpoint)
-from coarse2fine.numerics import grad_check, index_blocks
+from coarse2fine.numerics import grad_check, index_blocks, normalize_rows
 from coarse2fine.trainer import param_vector
 from conftest import identity_params, make_params
 
@@ -49,6 +50,58 @@ class TestEncode:
                 assert cache.relu_masks[li].tobytes() == mask.tobytes()
         assert np.signbit(cache.layer_inputs[1]).any()
         assert f.tobytes() == h.tobytes()
+
+    # (rows, width, block heights): a training batch of 32 patch images and
+    # 4096 or 16384 blobs of 64 columns (the latter past 640 x 640 cells)
+    # are narrow (one product per layer); 512 patch images walk 64-row
+    # blocks
+    WIDE_RULE = [(32, 3072, []), (4096, 64, []), (16384, 64, []),
+                 (512, 3072, [64] * 8)]
+
+    @pytest.mark.parametrize("n, dim, heights", WIDE_RULE)
+    @pytest.mark.parametrize("cosine", [False, True])
+    def test_wide_rule_and_block_bits(self, monkeypatch, rng, n, dim,
+                                      heights, cosine):
+        """A wide batch runs the layer stack per row block, with or without
+        the cache; each block's rows are bitwise the out-of-place forward
+        of that block alone, and the cache holds them at their rows."""
+        seen = []
+
+        def spy(rows, body, *widths, columns=0):
+            def recorded(blk, *scratch):
+                seen.append(blk.size)
+                body(blk, *scratch)
+            numerics.threaded_row_blocks(rows, recorded, *widths,
+                                         columns=columns)
+
+        monkeypatch.setattr(model, "threaded_row_blocks", spy)
+        params = make_params(rng, input_dim=dim, hidden=(13, 7), d=5,
+                             cosine=cosine)
+        X = rng.standard_normal((n, dim))
+        f, cache = encode(params, X)
+        assert seen == heights
+        g, none = encode(params, X, cache=False)
+        assert none is None and g.tobytes() == f.tobytes()
+        assert seen == heights * 2
+        want_inputs = [np.empty((n, w)) for w in (dim, 13, 7)]
+        want_masks = [np.empty((n, w), dtype=bool) for w in (13, 7)]
+        want = np.empty((n, 5))
+        for s in index_blocks(n, 64) if heights else [slice(0, n)]:
+            h = X[s]
+            for li, (W, b) in enumerate(params.encoder):
+                want_inputs[li][s] = h
+                h = h @ W + b
+                if li < 2:
+                    want_masks[li][s] = h > 0
+                    h = h * (h > 0)
+            want[s] = h
+        for got, expected in zip(cache.layer_inputs + cache.relu_masks,
+                                 want_inputs + want_masks):
+            assert got.tobytes() == expected.tobytes()
+        if cosine:
+            assert cache.pre_norm.tobytes() == want.tobytes()
+            want = normalize_rows(want)
+        assert f.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self, rng):
         params = identity_params(3)

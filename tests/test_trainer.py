@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coarse2fine import losses, model, trainer
+from coarse2fine import losses, model, numerics, trainer
 from coarse2fine.cluster import update_proxies
-from coarse2fine.cli import synth_train_config
+from coarse2fine.cli import main, synth_train_config
 from coarse2fine.data import (Dataset, augment, gen_blob_dataset,
-                              gen_patch_dataset)
+                              gen_patch_dataset, save_dataset)
 from coarse2fine.losses import WI_READS, build_coarse_index, objective
 from coarse2fine.model import init_params, param_arrays
 from coarse2fine.numerics import buffer
@@ -51,16 +52,64 @@ def test_benchmark_tracer_seams_exist(module, name):
     assert callable(getattr(module, name))
 
 
+def benchmark_tracer():
+    """perfbench/tracer.py, imported from its file as the benchmark has it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_tracer_misses_only_the_known_stale_seam():
     """perfbench/tracer.py times each layer by wrapping module-level names
     that `train`, `objective` and the CLI call (its SEAMS); a seam whose
     name is gone is listed in `missing` and its layer reads 0. The one
     expected there is `trainer.encode`, a stale entry of the benchmark."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    assert tracer.Tracer().missing == ["coarse2fine.trainer.encode"]
+    assert benchmark_tracer().Tracer().missing == ["coarse2fine.trainer.encode"]
+
+
+def test_benchmark_tracer_seams_run_on_the_main_thread(tmp_path, monkeypatch):
+    """The tracer keeps one stack of open spans, so each seam must be
+    entered on the calling thread: a two-thread patch-width `train` (its
+    data load, wide steps and metrics passes on the row walker), `eval`
+    and both `verify-bounds` enter no seam off the main thread."""
+    tracer = benchmark_tracer()
+    off_main, helpers = [], []
+
+    class Guarded(tracer.Tracer):
+        def call(self, layer, fn, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(layer)
+            return super().call(layer, fn, *args, **kwargs)
+
+    real_start = threading.Thread.start
+
+    def start(thread):
+        helpers.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    path, ckpt = tmp_path / "d.cfds", tmp_path / "m.ckpt"
+    save_dataset(gen_blob_dataset(2, 1, 67, 3072, coarse_spread=1.0,
+                                  fine_spread=0.3, seed=1), str(path))
+    commands = [["train", "--objective", "coinsP", "--epochs", "2",
+                 "--m-epoch", "1", "--batch", "134", "--hidden", "8",
+                 "--embed-dim", "4", "--lr", "0.01", "--img-h", "32",
+                 "--img-w", "32", "--out", str(ckpt)]]
+    commands += [[*read, "--checkpoint", str(ckpt), "--out",
+                  str(tmp_path / f"r{i}.json")]
+                 for i, read in enumerate([["eval"],
+                                           ["verify-bounds", "--theorem", "1"],
+                                           ["verify-bounds", "--theorem", "2"]])]
+    guarded = Guarded()
+    with guarded.installed():
+        for argv in commands:
+            assert main([argv[0], "--data", str(path), *argv[1:]]) == 0
+    assert off_main == []
+    assert helpers, "no pass took a helper thread"
+    assert guarded.calls["data.io"] == 4 and guarded.calls["cluster.kmeans"] == 2
 
 
 class TestSgdStep:
@@ -277,9 +326,9 @@ class TestTrain:
         # serves both the loss terms and w_gap
         rows = []
 
-        def counting_encode(params, batch):
+        def counting_encode(params, batch, cache=True):
             rows.append(len(batch))
-            return model.encode(params, batch)
+            return model.encode(params, batch, cache)
         monkeypatch.setattr(losses, "encode", counting_encode)
         monkeypatch.setattr(trainer, "encode", counting_encode, raising=False)
         d = gen_blob_dataset(2, 2, 5, 8, seed=2)
