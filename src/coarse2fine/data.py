@@ -342,18 +342,18 @@ def save_dataset(d: Dataset, path: str) -> None:
 
 
 def _read_rows(fd: int, values: np.ndarray, off: int) -> np.ndarray:
-    """Fill `values` from the example block at byte `off` of file `fd`, one
-    `os.preadv` per `threaded_row_blocks` block (the rows' width setting the
-    walker's shape rule), and return the row sums `_first_non_finite_row`
-    reads, each block's taken while its rows are in cache. A block that
-    comes back short raises DatasetFormatError at its first missing byte;
-    the lowest such block's is raised."""
+    """Fill `values` from the example block at byte `off` of file `fd` and
+    return the row sums `_first_non_finite_row` reads, each block's taken
+    while its rows are in cache: a wide block (`numerics.is_wide` of its
+    rows and width) with one `os.preadv` per `threaded_row_blocks` block,
+    any other in one block on the caller. A block that comes back short
+    raises DatasetFormatError at its first missing byte; the lowest such
+    block's is raised."""
     n, dim = values.shape
     row = dim * values.itemsize
     sums = np.empty(n)
 
-    def read(blk: np.ndarray) -> None:
-        rows = slice(blk[0], blk[-1] + 1)
+    def read(rows: slice) -> None:
         buf = values[rows].reshape(-1).view(np.uint8)
         at = off + rows.start * row
         done = 0
@@ -365,15 +365,18 @@ def _read_rows(fd: int, values: np.ndarray, off: int) -> np.ndarray:
             done += got
         sums[rows] = _row_sums(values[rows])
 
-    threaded_row_blocks(n, read, columns=dim)
+    if is_wide(n, dim):
+        threaded_row_blocks(n, lambda blk: read(slice(blk[0], blk[-1] + 1)),
+                            columns=dim)
+    else:
+        read(slice(0, n))
     return sums
 
 
 def load_dataset(path: str) -> Dataset:
     """Read a CFDS1 file. The example block is read straight into the
-    returned array: one `readinto`, or for a wide block (`numerics.is_wide`
-    of its rows and width) `_read_rows`' reads on the row walker. Only the
-    header and the labels are read as bytes."""
+    returned array by `_read_rows`. Only the header and the labels are read
+    as bytes."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(23)
@@ -396,15 +399,8 @@ def load_dataset(path: str) -> Dataset:
         if size < off + need:
             raise DatasetFormatError(f"truncated example block at offset {size}")
         values = np.empty((n, dim), dtype="<f4" if dtype_code == 0 else "<f8")
-        if is_wide(n, dim):
-            sums = _read_rows(fh.fileno(), values, off)
-            fh.seek(off + need)
-        else:
-            sums = None
-            got = fh.readinto(values)
-            if got < need:
-                raise DatasetFormatError(
-                    f"truncated example block at offset {off + got}")
+        sums = _read_rows(fh.fileno(), values, off)
+        fh.seek(off + need)
         bad = _first_non_finite_row(values, sums)
         if bad is not None:
             raise DatasetFormatError(f"example row {bad} is not finite "

@@ -88,67 +88,52 @@ class EncodeCache:
 def encode(params: ModelParams, batch: np.ndarray, cache: bool = True
            ) -> tuple[np.ndarray, Optional[EncodeCache]]:
     """Backbone embedding f(x) of a batch, with the activations
-    `encode_backward` reads when `cache` (else None). A wide batch
-    (`numerics.is_wide` of its rows and width) runs the layer stack per
-    `threaded_row_blocks` block (`_encode_blocks`); a narrow one takes one
+    `encode_backward` reads when `cache` (else None). Without the cache, a
+    wide batch (`numerics.is_wide` of its rows and width) runs the layer
+    stack per `threaded_row_blocks` block, its hidden activations in the
+    walker's per-thread scratch; each row's bits are those of the whole
+    products where the BLAS rounds a block's product as the same rows of
+    the whole one (README, "The row walker"). Any other batch takes one
     product per layer."""
     h = np.asarray(batch, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.encoder[0][0].shape[0]:
         raise ValueError("batch dimension does not match the first encoder layer")
-    if is_wide(*h.shape):
-        h, layer_inputs, relu_masks = _encode_blocks(params, h, cache)
-    else:
+    n, dim = h.shape
+    widths = [W.shape[1] for W, _ in params.encoder]
+    out = np.empty((n, widths[-1]))
+    if not cache and is_wide(n, dim):
+        def block(blk: np.ndarray, *scratch: np.ndarray) -> None:
+            rows = slice(blk[0], blk[-1] + 1)
+            _forward(params, h[rows], [*scratch, out[rows]])
+
+        threaded_row_blocks(n, block, *widths[:-1], columns=dim)
         layer_inputs, relu_masks = [], []
-        n_layers = len(params.encoder)
-        for li, (W, b) in enumerate(params.encoder):
-            if cache:
-                layer_inputs.append(h)
-            h = h @ W
-            h += b              # in place: the bits of h @ W + b and h * mask
-            if li < n_layers - 1:
-                mask = h > 0
-                np.multiply(h, mask, out=h)
-                relu_masks.append(mask)
-    pre_norm = None
+    else:
+        layer_inputs = [h] + [np.empty((n, w)) for w in widths[:-1]]
+        relu_masks = [np.empty((n, w), dtype=bool) for w in widths[:-1]]
+        _forward(params, h, layer_inputs[1:] + [out], relu_masks)
+    h, pre_norm = out, None
     if params.cosine:
         pre_norm = h
         h = normalize_rows(h)
     return h, EncodeCache(layer_inputs, relu_masks, pre_norm) if cache else None
 
 
-def _encode_blocks(params: ModelParams, x: np.ndarray, cache: bool
-                   ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """`encode`'s layer stack over the row blocks of x, the input width
-    setting the walker's shape rule: each block's rows go through every
-    layer before the next block begins. With `cache`, a block writes its
-    rows of the whole-array layer inputs and ReLU masks it returns;
-    without, its hidden activations live in its thread's scratch and the
-    lists are empty. Each row's bits are those of the whole products
-    where the BLAS rounds a block's product as the same rows of the whole
-    one (README, "The row walker")."""
-    n = x.shape[0]
-    widths = [W.shape[1] for W, _ in params.encoder]
-    out = np.empty((n, widths[-1]))
-    inputs = [x] + [np.empty((n, w)) for w in widths[:-1]] if cache else []
-    masks = [np.empty((n, w), dtype=bool) for w in widths[:-1]] if cache else []
-
-    def forward(blk: np.ndarray, *scratch: np.ndarray) -> None:
-        rows = slice(blk[0], blk[-1] + 1)
-        h = x[rows]
-        for li, (W, b) in enumerate(params.encoder):
-            last = li == len(widths) - 1
-            dest = (out[rows] if last else inputs[li + 1][rows] if cache
-                    else scratch[li])
-            np.matmul(h, W, out=dest)
-            dest += b
-            if not last:
-                mask = masks[li][rows] if cache else None
-                np.multiply(dest, np.greater(dest, 0, out=mask), out=dest)
-            h = dest
-
-    threaded_row_blocks(n, forward, *([] if cache else widths[:-1]),
-                        columns=x.shape[1])
-    return out, inputs, masks
+def _forward(params: ModelParams, x: np.ndarray, dests: list[np.ndarray],
+             masks: Optional[list[np.ndarray]] = None) -> None:
+    """The encoder's layer stack on the rows x: layer li's output into
+    dests[li] and, for all but the last layer, its ReLU mask into masks[li]
+    (a temporary without `masks`). The product, bias and mask are applied
+    in place, with the bits of h @ W + b and h * mask."""
+    h = x
+    for li, (W, b) in enumerate(params.encoder):
+        dest = dests[li]
+        np.matmul(h, W, out=dest)
+        dest += b
+        if li < len(dests) - 1:
+            mask = np.greater(dest, 0, out=None if masks is None else masks[li])
+            np.multiply(dest, mask, out=dest)
+        h = dest
 
 
 def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:

@@ -1299,14 +1299,13 @@ class TestTwoThreadReads:
 
     def test_odd_width_wide_batches_equal_on_one_and_two_threads(
             self, tmp_path, monkeypatch):
-        """Batches of 256 patch-width rows are wide: each training step's
-        forward fills the encoder cache block by block."""
+        """Batches of 256 patch-width rows are wide, but a training step
+        keeps the encoder cache and so takes the whole products; only the
+        metrics passes and the read commands walk blocks."""
         walked = self.patch_width_run(
             tmp_path, monkeypatch, (4, 8, 16), "--epochs", "2", "--batch",
             "256", "--hidden", "100,30", "--embed-dim", "13")
-        # per epoch, two wide steps and the metrics pass
-        assert walked.count((3072, 256)) == 4
-        assert walked.count((3072, 512)) == 1 + 2 + 6
+        assert walked == [(3072, 512)] * 9
 
     @pytest.mark.parametrize("command", ["eval", "theorem1"])
     def test_non_finite_row_in_a_late_block_exits_4(self, tmp_path,

@@ -375,8 +375,8 @@ class TestDatasetFile:
         assert back.flags.writeable and back.flags.c_contiguous
         back[0, 0] = 1.0                  # owned memory, not a file buffer
 
-    # a narrow example block (one `readinto`) and a wide one of 134 rows
-    # of 3072 columns (`_read_rows`, 64-row blocks), cut inside row 100
+    # a narrow example block (one block on the caller) and a wide one of
+    # 134 rows of 3072 columns (64-row blocks), cut inside row 100
     @pytest.mark.parametrize("shape, cut", [
         ((2, 2, 2, 3), 40), ((2, 1, 67, 3072), 23 + 8 * 3072 * 100 + 40)],
         ids=["narrow", "wide"])

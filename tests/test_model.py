@@ -54,7 +54,7 @@ class TestEncode:
     # (rows, width, block heights): a training batch of 32 patch images and
     # 4096 or 16384 blobs of 64 columns (the latter past 640 x 640 cells)
     # are narrow (one product per layer); 512 patch images walk 64-row
-    # blocks
+    # blocks when no cache is kept
     WIDE_RULE = [(32, 3072, []), (4096, 64, []), (16384, 64, []),
                  (512, 3072, [64] * 8)]
 
@@ -62,9 +62,10 @@ class TestEncode:
     @pytest.mark.parametrize("cosine", [False, True])
     def test_wide_rule_and_block_bits(self, monkeypatch, rng, n, dim,
                                       heights, cosine):
-        """A wide batch runs the layer stack per row block, with or without
-        the cache; each block's rows are bitwise the out-of-place forward
-        of that block alone, and the cache holds them at their rows."""
+        """Without the cache, a wide batch runs the layer stack per row
+        block, each block's rows bitwise the out-of-place forward of that
+        block alone; with the cache, every batch takes the whole products,
+        and the cache holds the whole forward's layer inputs and masks."""
         seen = []
 
         def spy(rows, body, *widths, columns=0):
@@ -78,30 +79,38 @@ class TestEncode:
         params = make_params(rng, input_dim=dim, hidden=(13, 7), d=5,
                              cosine=cosine)
         X = rng.standard_normal((n, dim))
+
+        def forward(blocks):
+            inputs = [np.empty((n, w)) for w in (dim, 13, 7)]
+            masks = [np.empty((n, w), dtype=bool) for w in (13, 7)]
+            out = np.empty((n, 5))
+            for s in blocks:
+                h = X[s]
+                for li, (W, b) in enumerate(params.encoder):
+                    inputs[li][s] = h
+                    h = h @ W + b
+                    if li < 2:
+                        masks[li][s] = h > 0
+                        h = h * (h > 0)
+                out[s] = h
+            return out, inputs, masks
+
         f, cache = encode(params, X)
-        assert seen == heights
-        g, none = encode(params, X, cache=False)
-        assert none is None and g.tobytes() == f.tobytes()
-        assert seen == heights * 2
-        want_inputs = [np.empty((n, w)) for w in (dim, 13, 7)]
-        want_masks = [np.empty((n, w), dtype=bool) for w in (13, 7)]
-        want = np.empty((n, 5))
-        for s in index_blocks(n, 64) if heights else [slice(0, n)]:
-            h = X[s]
-            for li, (W, b) in enumerate(params.encoder):
-                want_inputs[li][s] = h
-                h = h @ W + b
-                if li < 2:
-                    want_masks[li][s] = h > 0
-                    h = h * (h > 0)
-            want[s] = h
+        assert seen == []
+        want, inputs, masks = forward([slice(0, n)])
         for got, expected in zip(cache.layer_inputs + cache.relu_masks,
-                                 want_inputs + want_masks):
+                                 inputs + masks):
             assert got.tobytes() == expected.tobytes()
         if cosine:
             assert cache.pre_norm.tobytes() == want.tobytes()
             want = normalize_rows(want)
         assert f.tobytes() == want.tobytes()
+        g, none = encode(params, X, cache=False)
+        assert none is None and seen == heights
+        want = forward(index_blocks(n, 64) if heights else [slice(0, n)])[0]
+        if cosine:
+            want = normalize_rows(want)
+        assert g.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self, rng):
         params = identity_params(3)

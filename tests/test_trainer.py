@@ -72,8 +72,8 @@ def test_benchmark_tracer_misses_only_the_known_stale_seam():
 def test_benchmark_tracer_seams_run_on_the_main_thread(tmp_path, monkeypatch):
     """The tracer keeps one stack of open spans, so each seam must be
     entered on the calling thread: a two-thread patch-width `train` (its
-    data load, wide steps and metrics passes on the row walker), `eval`
-    and both `verify-bounds` enter no seam off the main thread."""
+    data load and metrics passes on the row walker), `eval` and both
+    `verify-bounds` enter no seam off the main thread."""
     tracer = benchmark_tracer()
     off_main, helpers = [], []
 
