@@ -21,12 +21,11 @@ import statistics
 import sys
 import typing
 
-from .data import (Dataset, DatasetFormatError, gen_blob_dataset,
-                   gen_patch_dataset, load_dataset, load_dataset_csv,
-                   save_dataset)
+from .data import (DatasetFormatError, gen_blob_dataset, gen_patch_dataset,
+                   load_dataset, load_dataset_csv, read_header, save_dataset)
 from .evaluate import evaluate_model
-from .model import (CheckpointFormatError, embed, load_checkpoint,
-                    save_checkpoint)
+from .model import (BlockEmbedder, CheckpointFormatError, embed,
+                    load_checkpoint, save_checkpoint)
 from .numerics import DegenerateInputError, InvariantError
 from .theory import DomainError, NonUniformClassSizeError, verify_theorem
 from .trainer import OBJECTIVES, DivergenceError, TrainConfig, train
@@ -46,12 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(s: str) -> list[int]:
     return [int(v) for v in s.split(",") if v.strip() != ""]
-
-
-def _load_data(path: str, fmt: str) -> Dataset:
-    if fmt == "csv":
-        return load_dataset_csv(path)
-    return load_dataset(path)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -147,22 +140,47 @@ def _write_run(params, metrics: list[dict], ckpt_path: str,
                                      for rec in metrics))))
 
 
-def _load_run(args: argparse.Namespace):
-    """The --data set and the --checkpoint model, whose input widths match
-    and whose coarse head has a column for each coarse class."""
-    dataset = _load_data(args.data, args.format)
-    params = load_checkpoint(args.checkpoint)
-    if params.encoder[0][0].shape[0] != dataset.dim:
+def _model_for(path: str, dim: int, C: int):
+    """The --checkpoint model at `path`, whose input width is the data's
+    `dim` and whose coarse head has a column for each of its C classes."""
+    params = load_checkpoint(path)
+    if params.encoder[0][0].shape[0] != dim:
         raise UsageError("checkpoint input dimension does not match dataset")
-    if params.W_C.shape[1] < dataset.C:
+    if params.W_C.shape[1] < C:
         raise UsageError(f"checkpoint coarse head has {params.W_C.shape[1]} "
-                         f"columns, fewer than the data's {dataset.C} "
-                         f"coarse classes")
-    return dataset, params
+                         f"columns, fewer than the data's {C} coarse classes")
+    return params
+
+
+def _load_run(args: argparse.Namespace):
+    """The --data set, its `_model_for` model from --checkpoint, and the
+    data's embeddings under that model. A CFDS example block goes through
+    the encoder as it is read (`load_dataset` with a `BlockEmbedder`), so
+    the data set returned holds no examples; a CSV file is loaded, then
+    embedded. The checkpoint is read between the CFDS header and the
+    examples, but the data file's own error (of its header, examples or
+    labels, in that order) still wins over the checkpoint's, as when the
+    whole file was read first."""
+    if args.format == "csv":
+        dataset = load_dataset_csv(args.data)
+        params = _model_for(args.checkpoint, dataset.dim, dataset.C)
+        return dataset, params, embed(params, dataset.examples)
+    try:
+        n, dim, C = read_header(args.data)
+        params = _model_for(args.checkpoint, dim, C)
+    except DatasetFormatError:
+        raise
+    except Exception:
+        load_dataset(args.data)          # raises the data file's own error
+        raise
+    rows = BlockEmbedder(params, n)
+    dataset = load_dataset(args.data, rows.block, rows.widths)
+    return dataset, params, rows.result()
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    dataset = _load_data(args.data, args.format)
+    dataset = (load_dataset_csv(args.data) if args.format == "csv"
+               else load_dataset(args.data))
     shape = (args.img_h, args.img_w)
     if shape != (None, None):
         if None in shape or min(shape) < 1 or 3 * shape[0] * shape[1] != dataset.dim:
@@ -185,8 +203,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("--recall-at needs at least one value")
     if min(ks) < 1:
         raise UsageError("--recall-at values must be >= 1")
-    dataset, params = _load_run(args)
-    report = evaluate_model(params, dataset, ks)
+    dataset, params, emb = _load_run(args)
+    report = evaluate_model(params, emb, dataset, ks)
     _write_files((args.out, _text(json.dumps(report.to_dict(), indent=2))))
     print(f"wrote {args.out}: " +
           " ".join(f"R@{k}={v:.3f}" for k, v in report.recall_at.items()))
@@ -194,11 +212,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
-    dataset, params = _load_run(args)
+    dataset, params, emb = _load_run(args)
     if dataset.fine_labels is None:
         raise NonUniformClassSizeError("dataset has no fine labels")
-    report = verify_theorem(embed(params, dataset.examples), params.W_C,
-                            params.W_I, dataset.coarse_labels,
+    report = verify_theorem(emb, params.W_C, params.W_I, dataset.coarse_labels,
                             dataset.fine_labels, which=args.theorem)
     _write_files((args.out, _text(report.to_json())))
     print(f"theorem {args.theorem}: all_hold={report.all_hold} "
@@ -250,7 +267,8 @@ def reproduce_synthetic(seeds: list[int], out_dir: str, epochs: int = 150,
             _write_run(params, metrics,
                        os.path.join(seed_dir, f"{objective}.ckpt"),
                        os.path.join(seed_dir, f"{objective}.metrics.jsonl"))
-            report = evaluate_model(params, dataset, SYNTH_KS)
+            report = evaluate_model(params, embed(params, dataset.examples),
+                                    dataset, SYNTH_KS)
             row = {"objective": objective, "seed": seed}
             row.update({f"R@{k}": report.recall_at[k] for k in SYNTH_KS})
             rows.append(row)

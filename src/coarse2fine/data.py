@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,9 @@ class PlacementError(ValueError):
 
 @dataclass
 class Dataset:
-    examples: np.ndarray            # n x dim, float32 or float64
+    # n x dim, float32 or float64; None where a streamed read handed the
+    # examples to the encoder and kept none (`load_dataset` with `use`)
+    examples: Optional[np.ndarray]
     coarse_labels: np.ndarray       # n, int in [0, C)
     C: int
     fine_labels: Optional[np.ndarray] = None  # n, int in [0, F)
@@ -37,16 +39,17 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.examples.shape[0]
+        return self.coarse_labels.shape[0]
 
     @property
     def dim(self) -> int:
         return self.examples.shape[1]
 
     def validate(self) -> None:
-        if self.examples.ndim != 2:
+        if self.examples is not None and self.examples.ndim != 2:
             raise ValueError("examples must be 2-D")
-        if self.coarse_labels.shape != (self.n,):
+        if self.coarse_labels.ndim != 1 or (
+                self.examples is not None and len(self.examples) != self.n):
             raise ValueError("coarse_labels length mismatch")
         if np.any(self.coarse_labels < 0) or np.any(self.coarse_labels >= self.C):
             raise ValueError("coarse label out of range")
@@ -306,22 +309,13 @@ def augment(examples: np.ndarray, ids: np.ndarray, img_h: int, img_w: int,
     return out
 
 
-def _row_sums(examples: np.ndarray) -> np.ndarray:
+def _first_non_finite_row(examples: np.ndarray) -> Optional[int]:
+    """Index of the first row of `examples` holding a NaN or an infinity,
+    if any. Only rows whose sum is not finite are inspected element by
+    element (a finite row can overflow its sum), so no mask of every value
+    is built."""
     with np.errstate(over="ignore", invalid="ignore"):    # inf + -inf
-        return examples.sum(axis=1)
-
-
-def _first_non_finite_row(examples: np.ndarray,
-                          sums: Optional[np.ndarray] = None) -> Optional[int]:
-    """Index of the first example holding a NaN or an infinity, if any.
-
-    Only rows whose sum (`sums` when given, else taken here) is not finite
-    are inspected element by element (a finite row can overflow its sum),
-    so no n x dim mask is built."""
-    if examples.ndim != 2:
-        return None                     # no rows: a CSV with a header only
-    if sums is None:
-        sums = _row_sums(examples)
+        sums = examples.sum(axis=1)
     suspects = np.flatnonzero(~np.isfinite(sums))
     bad = suspects[~np.isfinite(examples[suspects]).all(axis=1)]
     return int(bad[0]) if bad.size else None
@@ -341,20 +335,61 @@ def save_dataset(d: Dataset, path: str) -> None:
             fh.write(d.fine_labels.astype("<u4").tobytes())
 
 
-def _read_rows(fd: int, values: np.ndarray, off: int) -> np.ndarray:
-    """Fill `values` from the example block at byte `off` of file `fd` and
-    return the row sums `_first_non_finite_row` reads, each block's taken
-    while its rows are in cache: a wide block (`numerics.is_wide` of its
-    rows and width) with one `os.preadv` per `threaded_row_blocks` block,
-    any other in one block on the caller. A block that comes back short
-    raises DatasetFormatError at its first missing byte; the lowest such
-    block's is raised."""
-    n, dim = values.shape
-    row = dim * values.itemsize
-    sums = np.empty(n)
+def _read_header(fh) -> tuple[int, int, int, int, str]:
+    """n, dim, C, F and the example dtype from the 23-byte header of the
+    CFDS1 file fh, whose example block follows it. A bad field is named by
+    its offset."""
+    head = fh.read(23)
+    if head[:6] != MAGIC:
+        raise DatasetFormatError(f"bad magic at offset 0: {head[:6]!r}")
+    if len(head) < 23:
+        raise DatasetFormatError(f"truncated header at offset {len(head)}")
+    n, dim, C, F, dtype_code = struct.unpack_from("<IIIIB", head, 6)
+    if n == 0:
+        raise DatasetFormatError("zero examples at offset 6")
+    if dim == 0:
+        raise DatasetFormatError("zero example width at offset 10")
+    if dtype_code not in (0, 1):
+        raise DatasetFormatError(f"unknown dtype code {dtype_code} at offset 22")
+    return n, dim, C, F, "<f4" if dtype_code == 0 else "<f8"
 
-    def read(rows: slice) -> None:
-        buf = values[rows].reshape(-1).view(np.uint8)
+
+def read_header(path: str) -> tuple[int, int, int]:
+    """(n, dim, C) from the header of the CFDS1 file at `path`, checked as
+    `load_dataset` checks it."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)[:3]
+
+
+def _read_rows(fd: int, off: int, n: int, dim: int, dtype: str,
+               values: Optional[np.ndarray] = None,
+               use: Optional[Callable[..., None]] = None,
+               widths: Sequence[int] = ()) -> None:
+    """Read the n x dim example block of `dtype` ("<f4" or "<f8") at byte
+    `off` of file fd: a wide block (`numerics.is_wide` of n and dim) one
+    `threaded_row_blocks` block at a time, any other in one block on the
+    caller. Each block's rows go into values[rows] when `values` is given;
+    else into the thread's scratch, widened to float64 there, and
+    use(rows, x, *scratch) runs on them, rows a slice, x their values and
+    scratch one array of their rows per width in `widths`: no n x dim
+    array is made. Each block checks its own rows (`_first_non_finite_row`).
+    A block that comes back short raises DatasetFormatError at its first
+    missing byte, the lowest such block's; else the first row holding a
+    NaN or an infinity is named."""
+    itemsize = np.dtype(dtype).itemsize
+    row = dim * itemsize
+    # scratch of the float64 rows and, for float32, of the bytes they are
+    # widened from
+    own = () if values is not None else \
+        (dim,) if itemsize == 8 else (dim, -(-dim // 2))
+    bad_rows: list[int] = []
+
+    def read(rows: slice, *scratch: np.ndarray) -> None:
+        if values is not None:
+            x = raw = values[rows]
+        else:
+            x, raw = scratch[0], scratch[len(own) - 1]
+        buf = raw.reshape(-1).view(np.uint8)[:(rows.stop - rows.start) * row]
         at = off + rows.start * row
         done = 0
         while done < buf.size:        # a read may return part of its span
@@ -363,49 +398,44 @@ def _read_rows(fd: int, values: np.ndarray, off: int) -> np.ndarray:
                 raise DatasetFormatError(
                     f"truncated example block at offset {at + done}")
             done += got
-        sums[rows] = _row_sums(values[rows])
+        if x.dtype != dtype:          # float32, or float64 on a big-endian host
+            np.copyto(x, buf.view(dtype).reshape(x.shape))
+        bad = _first_non_finite_row(x)
+        if bad is not None:
+            bad_rows.append(rows.start + bad)
+        elif use is not None:
+            use(rows, x, *scratch[len(own):])
 
     if is_wide(n, dim):
-        threaded_row_blocks(n, lambda blk: read(slice(blk[0], blk[-1] + 1)),
-                            columns=dim)
+        threaded_row_blocks(
+            n, lambda blk, *scratch: read(slice(blk[0], blk[-1] + 1), *scratch),
+            *own, *widths, columns=dim)
     else:
-        read(slice(0, n))
-    return sums
+        read(slice(0, n), *(np.empty((n, w)) for w in (*own, *widths)))
+    if bad_rows:
+        bad = min(bad_rows)
+        raise DatasetFormatError(f"example row {bad} is not finite "
+                                 f"(at offset {off + bad * row})")
 
 
-def load_dataset(path: str) -> Dataset:
-    """Read a CFDS1 file. The example block is read straight into the
-    returned array by `_read_rows`. Only the header and the labels are read
-    as bytes."""
+def load_dataset(path: str, use: Optional[Callable[..., None]] = None,
+                 widths: Sequence[int] = ()) -> Dataset:
+    """Read a CFDS1 file, checking its header, its example block and its
+    labels in that order. `_read_rows` reads the example block straight
+    into the returned array or, given `use`, hands it to use block by block
+    (see there); the returned data set then holds no examples. Only the
+    header and the labels are read as bytes."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(23)
-        if head[:6] != MAGIC:
-            raise DatasetFormatError(f"bad magic at offset 0: {head[:6]!r}")
-        off = 6
-        if len(head) < off + 17:
-            raise DatasetFormatError(f"truncated header at offset {len(head)}")
-        n, dim, C, F = struct.unpack_from("<IIII", head, off)
-        if dim == 0:
-            raise DatasetFormatError(f"zero example width at offset {off + 4}")
-        off += 16
-        (dtype_code,) = struct.unpack_from("<B", head, off)
-        off += 1
-        if dtype_code not in (0, 1):
-            raise DatasetFormatError(
-                f"unknown dtype code {dtype_code} at offset {off - 1}")
-        itemsize = 4 if dtype_code == 0 else 8
-        need = n * dim * itemsize
+        n, dim, C, F, dtype = _read_header(fh)
+        off = 23
+        need = n * dim * np.dtype(dtype).itemsize
         if size < off + need:
             raise DatasetFormatError(f"truncated example block at offset {size}")
-        values = np.empty((n, dim), dtype="<f4" if dtype_code == 0 else "<f8")
-        sums = _read_rows(fh.fileno(), values, off)
-        fh.seek(off + need)
-        bad = _first_non_finite_row(values, sums)
-        if bad is not None:
-            raise DatasetFormatError(f"example row {bad} is not finite "
-                                     f"(at offset {off + bad * dim * itemsize})")
+        values = None if use is not None else np.empty((n, dim), dtype=dtype)
+        _read_rows(fh.fileno(), off, n, dim, dtype, values, use, widths)
         off += need
+        fh.seek(off)
         # the labels and any trailing bytes; label offsets count from `base`
         base, raw = off, fh.read()
     end = base + len(raw)
@@ -438,8 +468,23 @@ def load_dataset(path: str) -> Dataset:
 
 
 def load_dataset_csv(path: str) -> Dataset:
-    """CSV with columns coarse,fine,x0..x{dim-1}; empty fine column = no fine labels."""
+    """CSV with columns coarse,fine,x0..x{dim-1}; empty fine column = no fine
+    labels. A file with no example row, or a row with another number of
+    fields than the first, a label that is not an integer >= 0 or an x
+    value that is not a number, is a DatasetFormatError; a bad row is named
+    by its line."""
     import csv
+
+    def label(field: str, what: str, line: int) -> int:
+        try:
+            value = int(field)
+        except ValueError:
+            raise DatasetFormatError(f"line {line}: {what} label {field!r} "
+                                     f"is not an integer") from None
+        if value < 0:
+            raise DatasetFormatError(
+                f"line {line}: {what} label {value} is negative")
+        return value
 
     coarse: list[int] = []
     fine: list[int] = []
@@ -453,15 +498,27 @@ def load_dataset_csv(path: str) -> Dataset:
         for row in reader:
             if not row:
                 continue
-            coarse.append(int(row[0]))
+            line = reader.line_num
+            width = len(rows[0]) + 2 if rows else max(2, len(row))
+            if len(row) != width:
+                raise DatasetFormatError(
+                    f"line {line} has {len(row)} fields, where "
+                    + (f"the first example row has {width}" if rows
+                       else "a row starts with its two labels"))
+            coarse.append(label(row[0], "coarse", line))
             if row[1].strip() == "":
                 has_fine = False
                 fine.append(0)
             else:
-                fine.append(int(row[1]))
-            rows.append([float(v) for v in row[2:]])
+                fine.append(label(row[1], "fine", line))
+            try:
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise DatasetFormatError(f"line {line}: {exc}") from None
+    if not rows:
+        raise DatasetFormatError("no example rows")
     examples = np.asarray(rows, dtype=np.float64)
-    if examples.shape[1:] == (0,):
+    if examples.shape[1] == 0:
         raise DatasetFormatError("zero example width: no row holds an x value")
     bad = _first_non_finite_row(examples)
     if bad is not None:

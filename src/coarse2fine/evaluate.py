@@ -128,13 +128,14 @@ def fine_class_prob(embeddings: np.ndarray, W_I: np.ndarray,
     return np.exp(own - m) / total
 
 
-def evaluate_model(params, dataset, ks: list[int]) -> EvalReport:
-    """Full EvalReport: retrieval on fine labels when present (coarse
-    otherwise), top-k accuracy on the coarse head, fine-class probability
-    stats when fine labels exist."""
-    from .model import embed, head_logits
+def evaluate_model(params, emb: np.ndarray, dataset, ks: list[int]
+                   ) -> EvalReport:
+    """Full EvalReport of the embeddings `emb` of the data set's examples
+    under `params` (`model.embed`): retrieval on fine labels when present
+    (coarse otherwise), top-k accuracy on the coarse head, fine-class
+    probability stats when fine labels exist."""
+    from .model import head_logits
 
-    emb = embed(params, dataset.examples)
     labels = dataset.fine_labels if dataset.fine_labels is not None \
         else dataset.coarse_labels
     recall, n_queries = recall_at_k(emb, labels, ks)

@@ -137,11 +137,37 @@ def _forward(params: ModelParams, x: np.ndarray, dests: list[np.ndarray],
 
 
 def embed(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """f(x) alone, for the read commands (`eval`, `verify-bounds`): no cache
-    is kept, and overflow and NaN warn nowhere, as in `train`, because
+    """f(x) alone, for evaluating a data set held in memory (the read
+    commands on a CSV file, `reproduce-synthetic`): no cache is kept, and
+    overflow and NaN warn nowhere, as in `train`, because
     `recall_at_k` and `measure_constants` name the first non-finite row."""
     with np.errstate(over="ignore", invalid="ignore"):
         return encode(params, batch, cache=False)[0]
+
+
+class BlockEmbedder:
+    """`embed` of n rows handed over a block at a time, as a streamed read
+    hands them (`data.load_dataset` with `use`): call block(rows, x,
+    *scratch) on blocks of rows that cover 0..n-1, x a block's float64
+    rows and scratch one array of its rows per hidden width in `widths`,
+    then take `result()`. Each row gets the bits `embed` gives it where the
+    blocks are the ones `encode` walks: 64-row blocks of a wide input, one
+    block of a narrow one."""
+
+    def __init__(self, params: ModelParams, n: int) -> None:
+        self.params = params
+        self.widths = [W.shape[1] for W, _ in params.encoder[:-1]]
+        self.out = np.empty((n, params.encoder[-1][0].shape[1]))
+
+    def block(self, rows: slice, x: np.ndarray, *scratch: np.ndarray) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _forward(self.params, x, [*scratch, self.out[rows]])
+
+    def result(self) -> np.ndarray:
+        if not self.params.cosine:
+            return self.out
+        with np.errstate(over="ignore", invalid="ignore"):
+            return normalize_rows(self.out)
 
 
 def encode_backward(params: ModelParams, cache: EncodeCache,

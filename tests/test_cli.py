@@ -3,6 +3,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import threading
 import tracemalloc
@@ -1247,7 +1248,8 @@ class TestTwoThreadReads:
         patch image's width (read as 32 x 32 x 3 images), then `eval` and
         both `verify-bounds`, on one thread and on two: asserts that their
         outputs are the same bytes, and returns the (width, rows) of each
-        wide example read and forward."""
+        wide example read and forward (a read command's read and forward
+        are one walk)."""
         path = tmp_path / "d.cfds"
         save_dataset(data.gen_blob_dataset(*shape, 3072, coarse_spread=1.0,
                                            fine_spread=0.3, seed=1),
@@ -1293,9 +1295,9 @@ class TestTwoThreadReads:
         walked = self.patch_width_run(
             tmp_path, monkeypatch, shape, "--epochs", "2", "--batch", "32",
             "--hidden", "8", "--embed-dim", "4")
-        # the load and two metrics passes of train, and a load and a
-        # forward in each of the three read commands
-        assert walked == [(3072, n)] * 9
+        # the load and two metrics passes of train, and in each of the
+        # three read commands one streamed read through the encoder
+        assert walked == [(3072, n)] * 6
 
     def test_odd_width_wide_batches_equal_on_one_and_two_threads(
             self, tmp_path, monkeypatch):
@@ -1305,7 +1307,7 @@ class TestTwoThreadReads:
         walked = self.patch_width_run(
             tmp_path, monkeypatch, (4, 8, 16), "--epochs", "2", "--batch",
             "256", "--hidden", "100,30", "--embed-dim", "13")
-        assert walked == [(3072, 512)] * 9
+        assert walked == [(3072, 512)] * 6
 
     @pytest.mark.parametrize("command", ["eval", "theorem1"])
     def test_non_finite_row_in_a_late_block_exits_4(self, tmp_path,
@@ -1328,6 +1330,220 @@ class TestTwoThreadReads:
         assert capsys.readouterr().err == \
             "degenerate input: embedding row 250 is not finite\n"
         assert not out.exists()
+
+
+class TestStreamedReads:
+    """`eval` and `verify-bounds` hand a CFDS example block to the encoder
+    as it is read (`cli._load_run`): the reports are the bytes of the
+    in-memory path (`load_dataset`, then `embed`), the n x dim array is
+    never held, and the data file's errors still win over the
+    checkpoint's."""
+
+    # n = coarse classes x fine per coarse x z
+    SHAPES = {134: (2, 1, 67), 512: (4, 8, 16), 700: (4, 5, 35)}
+
+    @staticmethod
+    def wide_run(tmp_path, n, dtype="<f8", cosine=False, dim=3072):
+        """A blob data set of n examples of `dim` columns in `dtype`, and an
+        untrained model of it: (data path, checkpoint path, params)."""
+        classes, fine, z = TestStreamedReads.SHAPES[n]
+        d = data.gen_blob_dataset(classes, fine, z, dim, coarse_spread=1.0,
+                                  fine_spread=0.3, seed=n)
+        d.examples = d.examples.astype(dtype)
+        path, ckpt = tmp_path / "d.cfds", tmp_path / "m.ckpt"
+        save_dataset(d, str(path))
+        params = init_params(dim, [8], 4, classes, n, seed=n, cosine=cosine)
+        save_checkpoint(params, str(ckpt))
+        return path, ckpt, load_checkpoint(str(ckpt))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cosine", [False, True], ids=["plain", "cosine"])
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    @pytest.mark.parametrize("n", [134, 512, 700])
+    def test_reports_equal_the_in_memory_path(self, tmp_path, monkeypatch,
+                                              n, dtype, cosine, threads):
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: threads)
+        path, ckpt, params = self.wide_run(tmp_path, n, dtype, cosine)
+        d = load_dataset(str(path))
+        emb = model.embed(params, d.examples)
+        expected = {
+            "eval": json.dumps(evaluate.evaluate_model(
+                params, emb, d, [1, 2, 4, 8]).to_dict(), indent=2),
+            **{f"theorem{t}": verify_theorem(
+                emb, params.W_C, params.W_I, d.coarse_labels,
+                d.fine_labels, which=t).to_json() for t in (1, 2)}}
+        for name, command in TestReadReportWrites.COMMANDS.items():
+            out = tmp_path / f"{name}.json"
+            assert run(*command, "--data", str(path), "--checkpoint",
+                       str(ckpt), "--out", str(out)) in (0, 1)
+            assert out.read_text() == expected[name], name
+
+    @pytest.mark.parametrize("command", list(TestReadReportWrites.COMMANDS))
+    def test_peak_memory_below_half_the_example_block(self, tmp_path,
+                                                      monkeypatch, command):
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
+        path, ckpt, _ = self.wide_run(tmp_path, 700)
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            assert run(*TestReadReportWrites.COMMANDS[command], "--data",
+                       str(path), "--checkpoint", str(ckpt), "--out",
+                       str(out)) in (0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700 * 3072 * 8 / 2
+
+    # the data file's first error (header, examples, labels) wins over any
+    # checkpoint error; with a sound file, the checkpoint's is reported
+    DATA_ERRORS = {
+        "header": (4, "bad dataset file: unknown dtype code 7 at offset 22"),
+        "examples": (4, "bad dataset file: example row 100 is not finite "
+                        f"(at offset {23 + 100 * 3072 * 8})"),
+        "labels": (4, "bad dataset file: coarse label out of range at "
+                      f"offset {23 + 134 * 3072 * 8 + 4 * 5}")}
+    CHECKPOINT_ERRORS = {
+        "missing": (3, "io error: [Errno 2] No such file or directory: "),
+        "corrupt": (4, "bad checkpoint file: bad magic at offset 0: "
+                       "b'CFCK0\\x00'"),
+        "width": (2, "usage error: checkpoint input dimension does not "
+                     "match dataset"),
+        "coarse": (2, "usage error: checkpoint coarse head has 1 columns, "
+                      "fewer than the data's 2 coarse classes")}
+
+    @pytest.mark.parametrize("checkpoint", [None, *CHECKPOINT_ERRORS])
+    @pytest.mark.parametrize("damage", [None, *DATA_ERRORS])
+    @pytest.mark.parametrize("command", list(TestReadReportWrites.COMMANDS))
+    def test_data_file_errors_win_over_checkpoint_errors(
+            self, tmp_path, capsys, command, damage, checkpoint):
+        path, ckpt, params = self.wide_run(tmp_path, 134)
+        raw = bytearray(path.read_bytes())
+        if damage == "header":
+            raw[22] = 7
+        elif damage == "examples":
+            at = 23 + 100 * 3072 * 8
+            raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        elif damage == "labels":
+            at = 23 + 134 * 3072 * 8 + 4 * 5
+            raw[at:at + 4] = struct.pack("<I", 9)
+        path.write_bytes(bytes(raw))
+        if checkpoint == "missing":
+            ckpt.unlink()
+        elif checkpoint == "corrupt":
+            ckpt.write_bytes(b"CFCK0\x00" + ckpt.read_bytes()[6:])
+        elif checkpoint == "width":
+            save_checkpoint(init_params(3071, [8], 4, 2, 134, seed=0),
+                            str(ckpt))
+        elif checkpoint == "coarse":
+            save_checkpoint(init_params(3072, [8], 4, 1, 134, seed=0),
+                            str(ckpt))
+        out = tmp_path / "r.json"
+        rc = run(*TestReadReportWrites.COMMANDS[command], "--data", str(path),
+                 "--checkpoint", str(ckpt), "--out", str(out))
+        err = capsys.readouterr().err
+        if damage is None and checkpoint is None:
+            assert rc in (0, 1) and out.exists()
+            return
+        code, message = (self.DATA_ERRORS[damage] if damage
+                         else self.CHECKPOINT_ERRORS[checkpoint])
+        assert (rc, err[:len(message)]) == (code, message)
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_short_read_in_a_helper_block_names_its_offset(self, tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+        """A wide file cut short inside block 5 of 64 rows, read through
+        `eval`: the helper thread takes that block while the caller waits
+        inside its first one, and the error names the first missing byte,
+        as on one thread."""
+        d = data.gen_blob_dataset(2, 1, 320, 640, seed=0)  # 10 blocks
+        path, ckpt = tmp_path / "d.cfds", tmp_path / "m.ckpt"
+        save_dataset(d, str(path))
+        save_checkpoint(init_params(640, [8], 4, 2, 640, seed=0), str(ckpt))
+        cut = 23 + 8 * 640 * (5 * 64 + 7) + 16
+        path.write_bytes(path.read_bytes()[:cut])
+        real_fstat, real_preadv = os.fstat, os.preadv
+
+        def fstat(fd):                # the data file keeps its old size
+            st = real_fstat(fd)
+            if st.st_size != cut:
+                return st
+            return os.stat_result(st[:6] + (10 ** 9,) + st[7:])
+
+        helper_short = threading.Event()
+
+        def preadv(fd, buffers, offset):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if not on_helper:
+                assert helper_short.wait(timeout=60)
+            got = real_preadv(fd, buffers, offset)
+            if on_helper and got < len(buffers[0]):
+                helper_short.set()
+            return got
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        monkeypatch.setattr(os, "preadv", preadv)
+        monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
+        out = tmp_path / "r.json"
+        assert run("eval", "--data", str(path), "--checkpoint", str(ckpt),
+                   "--out", str(out)) == 4
+        assert capsys.readouterr().err == (
+            f"bad dataset file: truncated example block at offset {cut}\n")
+        assert helper_short.is_set() and not out.exists()
+
+
+class TestEmptyAndMalformedData:
+    """An empty data set, and a malformed CSV row, are bad files (exit 4)
+    named in one line, in every command that reads data."""
+
+    COMMANDS = [["train", "--epochs", "1"], ["eval"],
+                ["verify-bounds", "--theorem", "1"]]
+
+    @staticmethod
+    def run_on(tmp_path, command, path, fmt):
+        out = tmp_path / "out"
+        extra = [] if command[0] == "train" else [
+            "--checkpoint", str(tmp_path / "missing.ckpt")]
+        rc = run(*command, "--data", str(path), "--format", fmt, *extra,
+                 "--out", str(out))
+        assert not out.exists()
+        return rc
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_zero_examples_is_bad_file(self, tmp_path, capsys, command):
+        path = tmp_path / "d.cfds"
+        path.write_bytes(data.MAGIC + struct.pack("<IIIIB", 0, 4, 2, 2, 1))
+        assert self.run_on(tmp_path, command, path, "cfds") == 4
+        assert capsys.readouterr().err == \
+            "bad dataset file: zero examples at offset 6\n"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_header_only_csv_is_bad_file(self, tmp_path, capsys, command):
+        path = tmp_path / "d.csv"
+        path.write_text("coarse,fine,x0,x1\n")
+        assert self.run_on(tmp_path, command, path, "csv") == 4
+        assert capsys.readouterr().err == "bad dataset file: no example rows\n"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1.0,2.0\n1,1,3.0\n",
+         "line 3 has 3 fields, where the first example row has 4"),
+        ("0,0,1.0,2.0\n1,x,3.0,4.0\n",
+         "line 3: fine label 'x' is not an integer"),
+        ("0,0,1.0,2.0\n1.5,1,3.0,4.0\n",
+         "line 3: coarse label '1.5' is not an integer"),
+        ("0,0,1.0,2.0\n-1,1,3.0,4.0\n", "line 3: coarse label -1 is negative"),
+        ("0,-2,1.0,2.0\n", "line 2: fine label -2 is negative"),
+        ("0,0,1.0,abc\n",
+         "line 2: could not convert string to float: 'abc'")],
+        ids=["ragged", "fine-not-int", "coarse-not-int", "negative-coarse",
+             "negative-fine", "x-not-number"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_malformed_csv_row_is_bad_file(self, tmp_path, capsys, command,
+                                           rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text("coarse,fine,x0,x1\n" + rows)
+        assert self.run_on(tmp_path, command, path, "csv") == 4
+        assert capsys.readouterr().err == f"bad dataset file: {message}\n"
 
 
 class TestReproduceSynthetic:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from coarse2fine import numerics
 from coarse2fine.data import gen_blob_dataset
+from coarse2fine.model import embed
 from coarse2fine.evaluate import (NoValidQueriesError, evaluate_model,
                                   fine_class_prob, recall_at_k,
                                   topk_accuracy)
@@ -237,7 +238,8 @@ class TestEvaluateModel:
     def test_report_on_blob(self):
         d = gen_blob_dataset(2, 3, 4, 4, seed=0)
         params = identity_params(4, C=2, n=d.n)
-        report = evaluate_model(params, d, [1, 2])
+        report = evaluate_model(params, embed(params, d.examples), d,
+                                [1, 2])
         assert set(report.recall_at) == {1, 2}
         assert report.n_queries == d.n
         assert 0.0 < report.fine_prob_mean <= 1.0
@@ -248,5 +250,5 @@ class TestEvaluateModel:
     def test_fine_prob_skipped_without_matching_instance_head(self, rng):
         d = gen_blob_dataset(2, 2, 3, 4, seed=1)
         params = make_params(rng, input_dim=4, C=2, n=d.n + 1)
-        report = evaluate_model(params, d, [1])
+        report = evaluate_model(params, embed(params, d.examples), d, [1])
         assert report.fine_prob_mean is None
