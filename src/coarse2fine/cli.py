@@ -281,13 +281,16 @@ def reproduce_synthetic(seeds: list[int], out_dir: str, epochs: int = 150,
                 r[f"R@{k}"] for r in rows
                 if r["objective"] == objective and r["seed"] != "median")
         rows.append(med)
-    header = ["objective", "seed"] + [f"R@{k}" for k in SYNTH_KS]
-    with open(os.path.join(out_dir, "comparison.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
-    with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
-        json.dump(rows, fh, indent=2)
+
+    def write_csv(path: str) -> None:
+        with open(path, "w", newline="") as fh:    # csv's own \r\n rows
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    _write_files((os.path.join(out_dir, "comparison.csv"), write_csv),
+                 (os.path.join(out_dir, "comparison.json"),
+                  _text(json.dumps(rows, indent=2))))
     return rows
 
 

@@ -10,8 +10,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numerics import (check_bytes, group_by_label, is_wide,
-                       threaded_row_blocks)
+from .numerics import check_bytes, group_by_label, threaded_row_blocks
 
 MAGIC = b"CFDS1\x00"
 
@@ -33,6 +32,7 @@ class Dataset:
     C: int
     fine_labels: Optional[np.ndarray] = None  # n, int in [0, F)
     F: int = 0
+    width: int = 0                  # the header's, where examples is None
     # set by the patch generator; not serialized (the CFDS1 format is
     # image-agnostic), so pass image dims explicitly after a load
     image_shape: Optional[tuple[int, int]] = field(default=None, compare=False)
@@ -43,7 +43,7 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return self.examples.shape[1]
+        return self.width if self.examples is None else self.examples.shape[1]
 
     def validate(self) -> None:
         if self.examples is not None and self.examples.ndim != 2:
@@ -366,16 +366,15 @@ def _read_rows(fd: int, off: int, n: int, dim: int, dtype: str,
                use: Optional[Callable[..., None]] = None,
                widths: Sequence[int] = ()) -> None:
     """Read the n x dim example block of `dtype` ("<f4" or "<f8") at byte
-    `off` of file fd: a wide block (`numerics.is_wide` of n and dim) one
-    `threaded_row_blocks` block at a time, any other in one block on the
-    caller. Each block's rows go into values[rows] when `values` is given;
-    else into the thread's scratch, widened to float64 there, and
-    use(rows, x, *scratch) runs on them, rows a slice, x their values and
-    scratch one array of their rows per width in `widths`: no n x dim
-    array is made. Each block checks its own rows (`_first_non_finite_row`).
-    A block that comes back short raises DatasetFormatError at its first
-    missing byte, the lowest such block's; else the first row holding a
-    NaN or an infinity is named."""
+    `off` of file fd, one `threaded_row_blocks` block at a time. Each
+    block's rows go into values[rows] when `values` is given; else into
+    the thread's scratch, widened to float64 there, and use(rows, x,
+    *scratch) runs on them, rows a slice, x their values and scratch one
+    array of their rows per width in `widths`: no n x dim array is made.
+    Each block checks its own rows (`_first_non_finite_row`). A block that
+    comes back short raises DatasetFormatError at its first missing byte,
+    the lowest such block's; else the first row holding a NaN or an
+    infinity is named."""
     itemsize = np.dtype(dtype).itemsize
     row = dim * itemsize
     # scratch of the float64 rows and, for float32, of the bytes they are
@@ -406,12 +405,9 @@ def _read_rows(fd: int, off: int, n: int, dim: int, dtype: str,
         elif use is not None:
             use(rows, x, *scratch[len(own):])
 
-    if is_wide(n, dim):
-        threaded_row_blocks(
-            n, lambda blk, *scratch: read(slice(blk[0], blk[-1] + 1), *scratch),
-            *own, *widths, columns=dim)
-    else:
-        read(slice(0, n), *(np.empty((n, w)) for w in (*own, *widths)))
+    threaded_row_blocks(
+        n, lambda blk, *scratch: read(slice(blk[0], blk[-1] + 1), *scratch),
+        *own, *widths, columns=dim)
     if bad_rows:
         bad = min(bad_rows)
         raise DatasetFormatError(f"example row {bad} is not finite "
@@ -462,7 +458,7 @@ def load_dataset(path: str, use: Optional[Callable[..., None]] = None,
     if off != end:
         raise DatasetFormatError(f"{end - off} trailing bytes at offset {off}")
     d = Dataset(examples=values, coarse_labels=coarse, C=C,
-                fine_labels=fine, F=F)
+                fine_labels=fine, F=F, width=dim)
     d.validate()
     return d
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (is_wide, normalize_rows, normalize_rows_backward,
+from .numerics import (normalize_rows, normalize_rows_backward,
                        threaded_row_blocks)
 
 CKPT_MAGIC = b"CFCK1\x00"
@@ -88,30 +88,28 @@ class EncodeCache:
 def encode(params: ModelParams, batch: np.ndarray, cache: bool = True
            ) -> tuple[np.ndarray, Optional[EncodeCache]]:
     """Backbone embedding f(x) of a batch, with the activations
-    `encode_backward` reads when `cache` (else None). Without the cache, a
-    wide batch (`numerics.is_wide` of its rows and width) runs the layer
-    stack per `threaded_row_blocks` block, its hidden activations in the
-    walker's per-thread scratch; each row's bits are those of the whole
-    products where the BLAS rounds a block's product as the same rows of
-    the whole one (README, "The row walker"). Any other batch takes one
-    product per layer."""
+    `encode_backward` reads when `cache` (else None). Without the cache, the
+    layer stack runs per `threaded_row_blocks` block, its hidden
+    activations in the walker's per-thread scratch; each row's bits are
+    those of the whole products where the BLAS rounds a block's product as
+    the same rows of the whole one (README, "The row walker"). With it,
+    each layer takes one whole product."""
     h = np.asarray(batch, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.encoder[0][0].shape[0]:
         raise ValueError("batch dimension does not match the first encoder layer")
     n, dim = h.shape
     widths = [W.shape[1] for W, _ in params.encoder]
     out = np.empty((n, widths[-1]))
-    if not cache and is_wide(n, dim):
+    if cache:
+        layer_inputs = [h] + [np.empty((n, w)) for w in widths[:-1]]
+        relu_masks = [np.empty((n, w), dtype=bool) for w in widths[:-1]]
+        _forward(params, h, layer_inputs[1:] + [out], relu_masks)
+    else:
         def block(blk: np.ndarray, *scratch: np.ndarray) -> None:
             rows = slice(blk[0], blk[-1] + 1)
             _forward(params, h[rows], [*scratch, out[rows]])
 
         threaded_row_blocks(n, block, *widths[:-1], columns=dim)
-        layer_inputs, relu_masks = [], []
-    else:
-        layer_inputs = [h] + [np.empty((n, w)) for w in widths[:-1]]
-        relu_masks = [np.empty((n, w), dtype=bool) for w in widths[:-1]]
-        _forward(params, h, layer_inputs[1:] + [out], relu_masks)
     h, pre_norm = out, None
     if params.cosine:
         pre_norm = h
@@ -151,8 +149,7 @@ class BlockEmbedder:
     *scratch) on blocks of rows that cover 0..n-1, x a block's float64
     rows and scratch one array of its rows per hidden width in `widths`,
     then take `result()`. Each row gets the bits `embed` gives it where the
-    blocks are the ones `encode` walks: 64-row blocks of a wide input, one
-    block of a narrow one."""
+    blocks are the ones `encode` walks: the walker's, for the same widths."""
 
     def __init__(self, params: ModelParams, n: int) -> None:
         self.params = params

@@ -1,6 +1,6 @@
 """Row normalisation, indices grouped by label, groups of equal size, grouped
-column means, the row blocks the O(n^2) read paths and the wide example
-reads and forwards stream over (on one thread or two), the one softmax
+column means, the row blocks the O(n^2) read paths, the example reads and
+the cache-free forwards stream over (on one thread or two), the one softmax
 core, the step's workspace buffers, the memory guard of the size flags and
 a finite-difference checker.
 
@@ -20,14 +20,18 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 
-# rows per block in the passes that score every example against all n
-# columns (retrieval, bound constants, the epoch metrics): memory is
-# O(block * n), not n x n
+# rows per block of a training step's cross-entropy and of theorem 2's
+# stacks; a `threaded_row_blocks` block has at least half as many. Memory
+# is O(block * n), not n x n
 _ROW_BLOCK = 128
 
-# the width from which a `threaded_row_blocks` pass is wide: its blocks
-# take half the rows, and from _WIDE x _WIDE cells up two threads share
-# them. Below, a second thread costs more than it saves
+# float64 cells (rows x width) a `threaded_row_blocks` block holds, 256 KiB
+# per scratch array; a block never has fewer than _ROW_BLOCK // 2 rows, so
+# every pass from 512 columns wide walks 64-row blocks
+_BLOCK_CELLS = 1 << 15
+
+# a pass of _WIDE x _WIDE cells or more, in two blocks or more, takes two
+# threads. Below, a second thread costs more than it saves
 _WIDE = 640
 
 
@@ -63,17 +67,17 @@ def index_blocks(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def is_wide(n: int, width: int) -> bool:
-    """Whether a pass over n rows of `width` columns is wide: width >= _WIDE
-    and at least _WIDE x _WIDE cells. A wide pass may take two threads; a
-    narrow one costs more on two than on one."""
-    return width >= _WIDE and n * width >= _WIDE * _WIDE
+def _block_rows(width: int) -> int:
+    """Rows per `threaded_row_blocks` block of a pass `width` columns wide:
+    as many as fill _BLOCK_CELLS, and at least _ROW_BLOCK // 2 (and one)."""
+    return max(1, _ROW_BLOCK // 2, _BLOCK_CELLS // max(width, 1))
 
 
 def _threads(n: int, width: int) -> int:
-    """Threads for a pass over n rows of `width` columns: two where the pass
-    `is_wide` and the process may run on two CPUs, else one."""
-    if not is_wide(n, width):
+    """Threads for a pass over n rows of `width` columns: two where it holds
+    at least _WIDE x _WIDE cells in two blocks or more and the process may
+    run on two CPUs, else one."""
+    if n * width < _WIDE * _WIDE or n <= _block_rows(width):
         return 1
     return min(2, len(os.sched_getaffinity(0)))
 
@@ -81,9 +85,8 @@ def _threads(n: int, width: int) -> int:
 def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int,
                         columns: int = 0) -> None:
     """Call body(blk, *scratch) on each of the consecutive `index_blocks`
-    covering rows 0..n-1, blk the block's row indices: of _ROW_BLOCK // 2
-    rows (at least one) where the pass's width reaches min(n, _WIDE), else
-    of _ROW_BLOCK, on `_threads` threads: the caller and, for two, one
+    covering rows 0..n-1, blk the block's row indices, `_block_rows` of the
+    pass's width each, on `_threads` threads: the caller and, for two, one
     helper thread that runs in a copy of the caller's context (so NumPy's
     errstate holds there too). The pass's width is its widest scratch, or
     `columns` when that is wider: the width of rows it reads but keeps no
@@ -95,7 +98,7 @@ def threaded_row_blocks(n: int, body: Callable[..., None], *widths: int,
     begun, and the exception of the lowest block that raised is re-raised,
     as on one thread."""
     width = max((columns, *widths))
-    size = max(1, _ROW_BLOCK // 2) if width >= min(n, _WIDE) else _ROW_BLOCK
+    size = _block_rows(width)
     blocks = index_blocks(n, size)
     todo = iter(range(len(blocks)))
     errors: dict[int, BaseException] = {}

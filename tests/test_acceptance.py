@@ -176,6 +176,7 @@ def test_criterion_4_theory_verification():
            f"ok={random_ok}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_ordering(tmp_path):
     start = time.monotonic()
     rows = reproduce_synthetic([1, 2, 3], str(tmp_path / "cmp"))

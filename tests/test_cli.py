@@ -1,7 +1,9 @@
 import argparse
+import csv
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import struct
@@ -1158,7 +1160,11 @@ class TestTwoThreadReads:
     @pytest.mark.parametrize("n", [200, 255, 300, 512])
     def test_reports_equal_on_one_and_two_threads(self, tmp_path,
                                                   monkeypatch, n, block):
-        monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        # below 128, every walker pass in blocks of _ROW_BLOCK // 2 rows (at
+        # least 1); at 128, the walker's own blocks
+        if block < 128:
+            monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+            monkeypatch.setattr(numerics, "_BLOCK_CELLS", 0)
         args = self.untrained_run(tmp_path, n)
         reports = {}
         for threads in (1, 2):
@@ -1241,6 +1247,38 @@ class TestTwoThreadReads:
                                            "the helper in the epoch 1 "
                                            "metrics pass\n")
         assert not ckpt.exists()
+
+    def test_blob_eval_shape_outputs_equal_on_one_and_two_threads(
+            self, tmp_path, monkeypatch):
+        """Blobs of 64 columns at n = 4096 behind a 128-wide hidden layer
+        (the benchmark's blob-eval shape): the example reads and the
+        cache-free forwards are 4096 x 128 passes, which take two threads.
+        A coins-imp train's checkpoint and metrics and the three read
+        reports are the same bytes on one thread or two."""
+        monkeypatch.setattr(numerics.os, "sched_getaffinity",
+                            lambda pid: {0, 1})
+        assert numerics._threads(4096, 128) == 2
+        path = tmp_path / "d.cfds"
+        save_dataset(data.gen_blob_dataset(32, 8, 16, 64, noise=1.0, seed=1),
+                     str(path))
+        outputs = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(numerics, "_threads",
+                                lambda n, width: threads)
+            ckpt = tmp_path / f"m{threads}.ckpt"
+            assert run("train", "--data", str(path), "--objective",
+                       "coins-imp", "--epochs", "2", "--batch", "256",
+                       "--hidden", "128", "--embed-dim", "32", "--lr", "0.01",
+                       "--out", str(ckpt)) == 0
+            files = [ckpt.read_bytes(),
+                     Path(f"{ckpt}.metrics.jsonl").read_bytes()]
+            for name, command in TestReadReportWrites.COMMANDS.items():
+                out = tmp_path / f"{name}-{threads}.json"
+                rc = run(*command, "--data", str(path), "--checkpoint",
+                         str(ckpt), "--out", str(out))
+                files.append((rc, out.read_bytes()))
+            outputs[threads] = files
+        assert outputs[1] == outputs[2]
 
     @staticmethod
     def patch_width_run(tmp_path, monkeypatch, shape, *flags):
@@ -1560,6 +1598,47 @@ class TestReproduceSynthetic:
         header = (tmp_path / "cmp" / "comparison.csv").read_text() \
             .splitlines()[0]
         assert header == "objective,seed,R@1,R@2,R@4,R@8"
+
+    def test_comparison_bytes(self, tmp_path):
+        # csv's \r\n rows, and the JSON list without a final newline
+        rows = reproduce_synthetic([1], str(tmp_path / "cmp"), epochs=1,
+                                   n=48, n_big=4, n_small=8)
+        table = io.StringIO(newline="")
+        writer = csv.DictWriter(table, fieldnames=[
+            "objective", "seed", "R@1", "R@2", "R@4", "R@8"])
+        writer.writeheader()
+        writer.writerows(rows)
+        assert (tmp_path / "cmp" / "comparison.csv").read_bytes() == \
+            table.getvalue().encode()
+        assert table.getvalue().count("\r\n") == len(rows) + 1
+        assert (tmp_path / "cmp" / "comparison.json").read_bytes() == \
+            json.dumps(rows, indent=2).encode()
+
+    def test_failed_json_write_leaves_neither_file(self, tmp_path,
+                                                   monkeypatch):
+        """comparison.json's write fails after comparison.csv's is done:
+        neither file, and no temporary file, is left."""
+        real = cli._text
+
+        def failing(text):
+            if not text.startswith("["):       # a run's metrics: written
+                return real(text)
+
+            def write(path):
+                with open(path, "w") as fh:
+                    fh.write(text[:10])
+                raise OSError(28, "No space left on device")
+            return write
+
+        monkeypatch.setattr(cli, "_text", failing)
+        out = tmp_path / "cmp"
+        with pytest.raises(OSError, match="No space left"):
+            reproduce_synthetic([1], str(out), epochs=1, n=48, n_big=4,
+                                n_small=8)
+        assert not (out / "comparison.csv").exists()
+        assert not (out / "comparison.json").exists()
+        assert not list(out.glob("*.tmp"))
+        assert (out / "seed1" / "opt.ckpt").exists()
 
     def test_empty_seeds_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "cmp"

@@ -364,6 +364,23 @@ class TestDatasetFile:
         assert (back.C, back.F) == (d.C, d.F)
 
     @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_streamed_read_keeps_the_header_width(self, tmp_path, dtype):
+        # a read that hands its rows to `use` keeps no examples, and `dim`
+        # is the header's width
+        d = gen_blob_dataset(2, 3, 4, 5, seed=7)
+        d.examples = d.examples.astype(dtype)
+        path = tmp_path / "d.cfds"
+        save_dataset(d, str(path))
+        seen = []
+        back = load_dataset(str(path),
+                            lambda rows, x: seen.append((rows, x.copy())))
+        assert back.examples is None and (back.n, back.dim) == (24, 5)
+        got = np.empty((24, 5))
+        for rows, x in seen:
+            got[rows] = x
+        assert got.tobytes() == d.examples.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
     def test_loaded_examples_are_writable_c_contiguous(self, tmp_path,
                                                        dtype):
         d = gen_blob_dataset(2, 2, 3, 4, seed=0)
@@ -375,8 +392,8 @@ class TestDatasetFile:
         assert back.flags.writeable and back.flags.c_contiguous
         back[0, 0] = 1.0                  # owned memory, not a file buffer
 
-    # a narrow example block (one block on the caller) and a wide one of
-    # 134 rows of 3072 columns (64-row blocks), cut inside row 100
+    # an example block of one walker block (8 rows of 3 columns) and one
+    # of 134 rows of 3072 columns (64-row blocks), cut inside row 100
     @pytest.mark.parametrize("shape, cut", [
         ((2, 2, 2, 3), 40), ((2, 1, 67, 3072), 23 + 8 * 3072 * 100 + 40)],
         ids=["narrow", "wide"])

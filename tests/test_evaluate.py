@@ -127,6 +127,7 @@ class TestRecallAtK:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "_ROW_BLOCK", data.draw(st.integers(1, 5)))
+            mp.setattr(numerics, "_BLOCK_CELLS", 0)     # _ROW_BLOCK // 2 rows
             assert recall_at_k(emb, labels, ks) == want
 
     @settings(max_examples=30, deadline=None)
@@ -215,9 +216,10 @@ class TestFineClassProb:
     @pytest.mark.parametrize("block", [3, 6, 128])
     def test_own_entry_of_full_softmax(self, rng, monkeypatch, block):
         # the streamed own-class entries are the entries of the full n x F
-        # softmax matrix, bit for bit; with 7 rows, blocks of 3 and 6 would
-        # leave a trailing one-row block
+        # softmax matrix, bit for bit; with 7 rows, blocks of 3 and 6 (of
+        # the 4 fine classes) would leave a trailing one-row block
         monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 4 * block)
         W_I = rng.standard_normal((3, 7))
         emb = rng.standard_normal((7, 3))
         fine = np.array([0, 0, 1, 1, 2, 2, 3])

@@ -51,21 +51,24 @@ class TestEncode:
         assert np.signbit(cache.layer_inputs[1]).any()
         assert f.tobytes() == h.tobytes()
 
-    # (rows, width, block heights): a training batch of 32 patch images and
-    # 4096 or 16384 blobs of 64 columns (the latter past 640 x 640 cells)
-    # are narrow (one product per layer); 512 patch images walk 64-row
-    # blocks when no cache is kept
-    WIDE_RULE = [(32, 3072, []), (4096, 64, []), (16384, 64, []),
-                 (512, 3072, [64] * 8)]
+    # (rows, width, hidden widths, block heights): a block holds about 2^15
+    # cells of the widest of the input and hidden widths, and at least 64
+    # rows. A training batch of 32 patch images is one block, 4096 or
+    # 16384 blobs of 64 columns walk 512-row blocks (256 rows behind a
+    # 128-wide hidden layer), and 512 patch images 64-row ones
+    BLOCK_RULE = [(32, 3072, (13, 7), [32]), (4096, 64, (13, 7), [512] * 8),
+                  (16384, 64, (13, 7), [512] * 32),
+                  (4096, 64, (128,), [256] * 16),
+                  (512, 3072, (13, 7), [64] * 8)]
 
-    @pytest.mark.parametrize("n, dim, heights", WIDE_RULE)
+    @pytest.mark.parametrize("n, dim, hidden, heights", BLOCK_RULE)
     @pytest.mark.parametrize("cosine", [False, True])
-    def test_wide_rule_and_block_bits(self, monkeypatch, rng, n, dim,
-                                      heights, cosine):
-        """Without the cache, a wide batch runs the layer stack per row
-        block, each block's rows bitwise the out-of-place forward of that
-        block alone; with the cache, every batch takes the whole products,
-        and the cache holds the whole forward's layer inputs and masks."""
+    def test_block_rule_and_block_bits(self, monkeypatch, rng, n, dim, hidden,
+                                       heights, cosine):
+        """Without the cache, the layer stack runs per row block, each
+        block's rows bitwise the out-of-place forward of that block alone;
+        with the cache, every batch takes the whole products, and the cache
+        holds the whole forward's layer inputs and masks."""
         seen = []
 
         def spy(rows, body, *widths, columns=0):
@@ -76,20 +79,20 @@ class TestEncode:
                                          columns=columns)
 
         monkeypatch.setattr(model, "threaded_row_blocks", spy)
-        params = make_params(rng, input_dim=dim, hidden=(13, 7), d=5,
+        params = make_params(rng, input_dim=dim, hidden=hidden, d=5,
                              cosine=cosine)
         X = rng.standard_normal((n, dim))
 
         def forward(blocks):
-            inputs = [np.empty((n, w)) for w in (dim, 13, 7)]
-            masks = [np.empty((n, w), dtype=bool) for w in (13, 7)]
+            inputs = [np.empty((n, w)) for w in (dim, *hidden)]
+            masks = [np.empty((n, w), dtype=bool) for w in hidden]
             out = np.empty((n, 5))
             for s in blocks:
                 h = X[s]
                 for li, (W, b) in enumerate(params.encoder):
                     inputs[li][s] = h
                     h = h @ W + b
-                    if li < 2:
+                    if li < len(hidden):
                         masks[li][s] = h > 0
                         h = h * (h > 0)
                 out[s] = h
@@ -107,7 +110,7 @@ class TestEncode:
         assert f.tobytes() == want.tobytes()
         g, none = encode(params, X, cache=False)
         assert none is None and seen == heights
-        want = forward(index_blocks(n, 64) if heights else [slice(0, n)])[0]
+        want = forward(index_blocks(n, heights[0]))[0]
         if cosine:
             want = normalize_rows(want)
         assert g.tobytes() == want.tobytes()

@@ -102,9 +102,11 @@ class TestSoftmaxCore:
 
 
 class TestOwnProxySoftmax:
-    @pytest.mark.parametrize("block", [2, 128])
-    def test_log_prob_of_own_proxy(self, rng, monkeypatch, block):
+    # blocks of 2 rows of the 3 proxies, or one block
+    @pytest.mark.parametrize("block, cells", [(2, 6), (128, 1 << 15)])
+    def test_log_prob_of_own_proxy(self, rng, monkeypatch, block, cells):
         monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", cells)
         W = rng.standard_normal((3, 6))
         emb = rng.standard_normal((6, 3))
         labels = np.array([1, 0, 2, 1, 0, 2])
@@ -261,8 +263,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("n, sizes", [
         (1, [1]), (5, [3, 2]), (8, [4, 4]), (9, [4, 3, 2]), (10, [4, 4, 2])])
     def test_cover_without_trailing_one_row_block(self, monkeypatch, n, sizes):
-        # a narrow pass (width 3 below n) walks blocks of _ROW_BLOCK rows
+        # a budget of 12 cells makes blocks of 4 rows of width 3
         monkeypatch.setattr(numerics, "_ROW_BLOCK", 4)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 12)
         blocks = []
         threaded_row_blocks(n, lambda blk, buf: blocks.append(
             (blk, buf.copy())), 3)
@@ -277,7 +280,7 @@ def on_the_helper(monkeypatch, action, n=6):
     row that runs action() on the helper thread: the caller's first block
     waits until the helper has taken one."""
     monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
-    monkeypatch.setattr(numerics, "_WIDE", 1)          # every pass is wide
+    monkeypatch.setattr(numerics, "_BLOCK_CELLS", 1)
     monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
     helper_started = threading.Event()
 
@@ -297,8 +300,9 @@ class TestThreadedRowBlocks:
         (1, [1]), (5, [3, 2]), (8, [4, 4]), (9, [4, 3, 2]), (10, [4, 4, 2])])
     def test_half_blocks_each_thread_its_own_scratch(self, monkeypatch,
                                                      threads, n, sizes):
+        # no cell budget: every block has its floor of _ROW_BLOCK // 2 rows
         monkeypatch.setattr(numerics, "_ROW_BLOCK", 8)
-        monkeypatch.setattr(numerics, "_WIDE", 1)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 0)
         monkeypatch.setattr(numerics, "_threads", lambda n, width: threads)
         seen, lock = [], threading.Lock()
 
@@ -321,7 +325,7 @@ class TestThreadedRowBlocks:
     def test_first_failing_block_reraised_with_its_type(self, monkeypatch,
                                                         threads):
         monkeypatch.setattr(numerics, "_ROW_BLOCK", 2)
-        monkeypatch.setattr(numerics, "_WIDE", 1)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 1)
         monkeypatch.setattr(numerics, "_threads", lambda n, width: threads)
 
         class BlockError(Exception):
@@ -354,30 +358,46 @@ class TestThreadedRowBlocks:
     def test_no_thread_to_be_had_runs_all_on_the_caller(self, monkeypatch):
         def refuse(self):
             raise RuntimeError("can't start new thread")
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 0)    # 5 blocks
         monkeypatch.setattr(numerics, "_threads", lambda n, width: 2)
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        idents = set()
-        threaded_row_blocks(300, lambda blk, buf: idents.add(
-            threading.get_ident()), 1)
+        idents, blocks = set(), []
+        threaded_row_blocks(300, lambda blk, buf: (idents.add(
+            threading.get_ident()), blocks.append(blk.size)), 1)
         assert idents == {threading.get_ident()}
+        assert blocks == [64, 64, 64, 64, 44]
 
     @pytest.mark.parametrize("cpus, shape, threads", [
         ({0}, (10 ** 5, 10 ** 4), 1), ({0, 1}, (10 ** 5, 10 ** 4), 2),
         ({0, 1, 2, 3}, (10 ** 5, 10 ** 4), 2),
         ({0, 1, 2, 3}, (639, 640), 1), ({0, 1}, (640, 640), 2),
-        ({0, 1}, (10 ** 9, 639), 1)])
+        # a tall narrow pass reaches the cells too
+        ({0, 1}, (10 ** 9, 639), 2), ({0, 1}, (409600, 1), 2),
+        ({0, 1}, (12799, 32), 1), ({0, 1}, (12800, 32), 2),
+        # enough cells in one block: 64 rows is one block from 512 columns
+        ({0, 1}, (64, 6400), 1), ({0, 1}, (65, 6400), 2)])
     def test_thread_count(self, monkeypatch, cpus, shape, threads):
         monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: cpus)
         assert numerics._threads(*shape) == threads
 
+    @pytest.mark.parametrize("width, rows", [
+        (1, 32768), (32, 1024), (64, 512), (128, 256), (256, 128),
+        (500, 65), (511, 64), (512, 64), (513, 64), (3072, 64), (10 ** 6, 64)])
+    def test_block_rows(self, width, rows):
+        """As many rows as fill _BLOCK_CELLS, never fewer than
+        _ROW_BLOCK // 2: every pass from 512 columns wide walks 64 rows."""
+        assert numerics._block_rows(width) == rows
+
     @pytest.mark.parametrize("n, width, threads, height", [
-        (16384, 32, 1, 128), (16384, 256, 1, 128), (4096, 2048, 2, 64),
-        (512, 512, 1, 64)])
+        (16384, 32, 2, 1024), (16384, 256, 2, 128), (4096, 2048, 2, 64),
+        (512, 512, 1, 64), (32, 3072, 1, 32), (4096, 32, 1, 1024),
+        (4096, 64, 1, 512), (4096, 128, 2, 256), (16384, 64, 2, 512)])
     def test_shape_rule(self, monkeypatch, n, width, threads, height):
         """Block height and thread count follow the pass's shape alone: a
-        tall narrow pass stays on one thread in 128-row blocks, a wide one
-        (width >= min(n, 640)) walks 64-row blocks, on two threads from
-        640 x 640 cells up."""
+        block holds about _BLOCK_CELLS cells and at least 64 rows, and two
+        threads share a pass from 640 x 640 cells in two blocks or more (a
+        32-row batch of 3072 columns is one block; the blob encoder's pass,
+        4096 x 128, takes two)."""
         monkeypatch.setattr(numerics.os, "sched_getaffinity",
                             lambda pid: {0, 1})
         seen, lock = [], threading.Lock()

@@ -152,7 +152,9 @@ class TestMeasureConstants:
         dict(n=10, C=1, F=5),                           # one coarse class
         dict(n=30, C=5, F=10, d=6, scale=1.5)])
     def test_matches_per_row_oracle(self, rng, monkeypatch, block, shape):
+        # the walker's passes in blocks of _ROW_BLOCK // 2 rows (at least 1)
         monkeypatch.setattr(numerics, "_ROW_BLOCK", block)
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", 0)
         emb, W_C, W_I, coarse, fine = random_instance(rng, **shape)
         if shape["C"] == 1:     # a second coarse column that no label uses
             W_C = np.hstack([W_C, rng.standard_normal((W_C.shape[0], 1))])
